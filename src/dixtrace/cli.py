@@ -249,15 +249,10 @@ def _write_json(ns: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def emit_series_csv(series: PartialSumSeries, path: str) -> None:
-    """Write the plot-ready series table (cutoff, count, sum, f)."""
-    series.to_csv(path, extra_f=True)
-
-
 def _write_csv(ns: dict, series: PartialSumSeries | None) -> None:
     path = ns.get("out_csv")
     if path and series is not None:
-        emit_series_csv(series, path)
+        series.to_csv(path, extra_f=True)
 
 
 def _verdict_exit(verdict: str) -> int:

@@ -104,6 +104,19 @@ class Geometry:
             raise ConfigError("weight cutoff must be >= 1, got %r" % (weight_cutoff,))
         return float(weight_cutoff) ** self.nu - 1.0
 
+    def block_rule(self, picture: str) -> tuple[bool, bool]:
+        """Mask and multiplicity of symbol blocks: (masked, lifted).
+
+        masked: blocks keep only their top-left class_one_dim block, in the
+        homogeneous picture and always on spheres.  lifted: the operator
+        holds rep_dim copies of each d x d block (the Peter-Weyl lift on
+        tori, groups and spheres); a file spectrum holds each block once.
+        On every lifted kind rep_dim * class_one_dim == eigenspace_dim, so
+        a masked scalar f contributes D |f| per point.
+        """
+        masked = picture == "homogeneous" or self.kind == "sphere"
+        return masked, self.kind != "file"
+
     def describe(self) -> str:
         if self.kind == "torus":
             return "torus:%d" % self.rank
@@ -337,10 +350,6 @@ def _count_torus(n: int, t: float) -> int:
 # symbols; chunk boundaries are fixed functions of the geometry and cutoff so
 # repeated runs reproduce sums bit-for-bit.
 # ---------------------------------------------------------------------------
-
-def supports_radial_shells(geom: Geometry) -> bool:
-    return geom.kind in ("torus", "su2", "so3", "su3", "sphere", "file")
-
 
 def radial_shells(geom: Geometry, weight_cutoff: float):
     """Yield (lam, dsum) float64 array chunks, ascending in lam across chunks.

@@ -56,13 +56,12 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
     if total > cap:
         raise SizeError("truncation at cutoff %g holds %d weighted dimensions; "
                         "pass cap >= %d to allow it" % (cutoff, total, total))
-    masked = picture == "homogeneous" or geom.kind == "sphere"
-    group_mult = geom.kind not in ("torus", "file")
+    masked, lifted = geom.block_rule(picture)
     blocks = []
     total_dim = 0
     for point in enumerate_dual(geom, cutoff):
         m = eval_symbol(spec, point, geom, masked=masked)
-        mult = point.rep_dim if group_mult else 1
+        mult = point.rep_dim if lifted else 1
         blocks.append((label_text(point), m, mult))
         total_dim += mult * m.shape[0]
     return TruncatedOperator(blocks=blocks, total_dim=total_dim,
@@ -142,12 +141,11 @@ def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
     op = truncate_operator(geom, spec, cutoff, cap=cap, picture=picture)
     oracle_vals = operator_singular_values(op)
     parts = []
-    masked = op.picture == "homogeneous" or geom.kind == "sphere"
-    group_mult = geom.kind not in ("torus", "file")
+    masked, lifted = geom.block_rule(op.picture)
     for point in enumerate_dual(geom, cutoff):
         m = eval_symbol(spec, point, geom, masked=masked)
         s = singular_values(m, label=label_text(point))
-        mult = point.rep_dim if group_mult else 1
+        mult = point.rep_dim if lifted else 1
         parts.append(np.tile(s, mult) if mult > 1 else s)
     if parts:
         symbol_vals = np.sort(np.concatenate(parts))[::-1]

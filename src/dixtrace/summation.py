@@ -6,11 +6,12 @@ weight <= N_k, and the eigenvalue counts at the same cutoffs.
 
 Two evaluation strategies produce series:
 
-  * a radial bulk path for scalar symbols, streaming (eigenvalue, total
-    multiplicity) shell chunks from the geometry and evaluating the scalar
-    vectorized;
-  * a per-point object path for matrix symbols (tables, masks), which also
-    carries the optional thread fan-out.
+  * a radial bulk path for scalar symbols and for class-one masks of
+    scalar symbols, streaming (eigenvalue, total multiplicity) shell chunks
+    from the geometry and evaluating the scalar vectorized;
+  * a per-point object path for everything else (tables, masks on file
+    spectra, combinators around masks), which also carries the optional
+    thread fan-out.
 
 Both share one accumulation contract so results are reproducible bit for
 bit: per-shell totals (exact fsum over the points of one eigenvalue) are
@@ -39,10 +40,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, ContractError, FitError, SpectrumFormatError
-from .geometry import Geometry, enumerate_dual, label_text, radial_shells, \
-    supports_radial_shells
-from .symbol import RadialWeight, SymbolSpec, eval_symbol, is_radial_scalar, \
-    nuclear_trace_abs, scalar_values
+from .geometry import Geometry, enumerate_dual, label_text, radial_shells
+from .symbol import ClassOneMask, RadialWeight, SymbolSpec, eval_symbol, \
+    is_radial_scalar, nuclear_trace_abs, scalar_values
 
 PICTURES = ("manifold", "group", "homogeneous", "boundary-index")
 
@@ -253,13 +253,16 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
     if picture not in PICTURES:
         raise ConfigError("unknown picture %r" % (picture,))
     thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
-    if is_radial_scalar(spec) and supports_radial_shells(geom):
-        chunks = _radial_chunks(geom, spec, float(grid[-1]))
-        sums, counts = _stream_snapshots(chunks, thresholds)
+    n_max = float(grid[-1])
+    if is_radial_scalar(spec):
+        chunks = _radial_chunks(geom, spec, n_max)
+    elif (isinstance(spec, ClassOneMask) and is_radial_scalar(spec.inner)
+          and geom.block_rule(picture)[1]):
+        # lifted: rep_dim copies of f on a class_one_dim block, D |f| per point
+        chunks = _radial_chunks(geom, spec.inner, n_max)
     else:
-        blocks = _point_blocks(geom, spec, float(grid[-1]), picture)
-        chunks = _evaluated_blocks(blocks, workers)
-        sums, counts = _stream_snapshots(chunks, thresholds)
+        chunks = _evaluated_blocks(_point_blocks(geom, spec, n_max, picture), workers)
+    sums, counts = _stream_snapshots(chunks, thresholds)
     return PartialSumSeries(grid.copy(), sums, counts, dim=geom.dim, picture=picture)
 
 
@@ -273,8 +276,7 @@ def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[t
 
 def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, picture: str):
     """Group dual points into shells, shells into fixed-size blocks."""
-    mask = picture == "homogeneous" or geom.kind == "sphere"
-    mult_one = geom.kind in ("torus", "file")
+    mask, lifted = geom.block_rule(picture)
     shells = groupby(enumerate_dual(geom, n_max), key=lambda p: p.eigenvalue)
 
     def shell_list():
@@ -286,11 +288,11 @@ def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, picture: str):
         block = list(islice(gen, _SHELLS_PER_BLOCK))
         if not block:
             return
-        yield geom, spec, mask, mult_one, block
+        yield geom, spec, mask, lifted, block
 
 
 def _eval_block(args) -> tuple:
-    geom, spec, mask, mult_one, block = args
+    geom, spec, mask, lifted, block = args
     lam = np.empty(len(block))
     contrib = np.empty(len(block))
     dsum = np.empty(len(block))
@@ -301,7 +303,7 @@ def _eval_block(args) -> tuple:
         for p in pts:
             t = nuclear_trace_abs(eval_symbol(spec, p, geom, masked=mask),
                                   label=label_text(p))
-            terms.append(t if mult_one else p.rep_dim * t)
+            terms.append(p.rep_dim * t if lifted else t)
             total_d += p.eigenspace_dim
         contrib[i] = math.fsum(terms)
         dsum[i] = total_d

@@ -16,7 +16,10 @@ Matrix families read per-label tables from text files:
 
 ClassOneMask(inner) zeroes everything outside the top-left k x k block of a
 point, the structure class-one (homogeneous-space) symbols carry.  The
-homogeneous picture applies this mask implicitly.
+homogeneous picture applies this mask implicitly.  A mask of a scalar f has
+nuclear trace k |f| in closed form, so the summation engine streams it by
+shell instead of calling eval_symbol; eval_symbol refuses any block with d
+above _MAX_BLOCK_DIM before allocating it.
 
 Nuclear traces of evaluated blocks are sums of singular values.  Per the
 design contract the symbol side computes them with its own one-sided Jacobi
@@ -26,7 +29,7 @@ LAPACK SVD used by the brute-force oracle remains an independent check.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,6 +43,9 @@ from .geometry import DualPoint, Geometry, label_text
 HERMITIAN_TOL = 1e-13
 JACOBI_REL_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
+
+# Largest d for which eval_symbol allocates a dense d x d block (64 MiB).
+_MAX_BLOCK_DIM = 2048
 
 
 class SymbolSpec:
@@ -189,11 +195,17 @@ def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry,
     """Evaluate the spec at one dual point as a rep_dim x rep_dim matrix.
 
     masked=True (or a ClassOneMask wrapper) zeroes entries outside the
-    top-left class_one_dim block.
+    top-left class_one_dim block.  A point with rep_dim above _MAX_BLOCK_DIM
+    raises SizeError before anything is allocated.
     """
+    d = point.rep_dim
+    if d > _MAX_BLOCK_DIM:
+        raise SizeError("label %s needs a dense %d x %d symbol block, above the "
+                        "cap d <= %d; lower the cutoff (scalar and mask:SCALAR "
+                        "symbols on built-in geometries stream by shell instead)"
+                        % (label_text(point), d, d, _MAX_BLOCK_DIM))
     if isinstance(spec, ClassOneMask):
         return eval_symbol(spec.inner, point, geom, masked=True)
-    d = point.rep_dim
     if isinstance(spec, Scaled):
         return spec.c * eval_symbol(spec.inner, point, geom, masked=masked)
     if isinstance(spec, SymbolSum):
@@ -264,33 +276,62 @@ def singular_values(m: np.ndarray, label: str | None = None) -> np.ndarray:
     return _jacobi_singular_values(m, label)
 
 
+@functools.lru_cache(maxsize=64)
+def _round_robin(d: int) -> tuple:
+    """Rounds of disjoint column pairs (i < j) meeting every pair once.
+
+    Circle method: column 0 stays put while the others rotate one place per
+    round.  Odd d is padded with a dummy column d whose pairs are dropped.
+    """
+    if d < 2:
+        return ()
+    n = d + d % 2
+    ring = list(range(1, n))
+    rounds = []
+    for _ in range(n - 1):
+        order = [0] + ring
+        pairs = [(min(p, q), max(p, q))
+                 for p, q in zip(order[:n // 2], order[::-1]) if max(p, q) < d]
+        i, j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+        i.flags.writeable = j.flags.writeable = False
+        rounds.append((i, j))
+        ring = ring[-1:] + ring[:-1]
+    return tuple(rounds)
+
+
 def _jacobi_singular_values(m: np.ndarray, label: str | None) -> np.ndarray:
-    """One-sided Jacobi: rotate column pairs until they are all orthogonal."""
+    """One-sided Jacobi: rotate column pairs until they are all orthogonal.
+
+    Each sweep visits every pair once in round-robin order; the pairs of one
+    round are disjoint, so a round rotates all of them as array operations.
+    """
     a = m.astype(np.complex128, copy=True)
-    d = a.shape[0]
     tol = JACOBI_REL_TOL
+    rounds = _round_robin(a.shape[0])
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                u = a[:, i]
-                v = a[:, j]
-                alpha = float(np.real(np.vdot(u, u)))
-                beta = float(np.real(np.vdot(v, v)))
-                gamma = complex(np.vdot(u, v))
-                g = abs(gamma)
-                if g <= tol * math.sqrt(alpha * beta) or g == 0.0:
-                    continue
-                rotated = True
-                phase = gamma / g
-                tau = (beta - alpha) / (2.0 * g)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                new_u = c * u - s * np.conj(phase) * v
-                new_v = s * phase * u + c * v
-                a[:, i] = new_u
-                a[:, j] = new_v
+        for i, j in rounds:
+            u = a[:, i]
+            v = a[:, j]
+            uc = u.conj()
+            alpha = np.einsum("rc,rc->c", uc, u).real
+            beta = np.einsum("rc,rc->c", v.conj(), v).real
+            gamma = np.einsum("rc,rc->c", uc, v)
+            g = np.abs(gamma)
+            act = (g > tol * np.sqrt(alpha * beta)) & (g != 0.0)
+            if not act.any():
+                continue
+            rotated = True
+            if not act.all():
+                i, j, u, v = i[act], j[act], u[:, act], v[:, act]
+                alpha, beta, gamma, g = alpha[act], beta[act], gamma[act], g[act]
+            phase = gamma / g
+            tau = (beta - alpha) / (2.0 * g)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s = c * t
+            a[:, i] = c * u - (s * np.conj(phase)) * v
+            a[:, j] = (s * phase) * u + c * v
         if not rotated:
             break
     else:
@@ -311,11 +352,6 @@ def nuclear_trace_abs(m: np.ndarray, label: str | None = None) -> float:
         if not off.any() and np.all(diag == diag[0]):
             return d * abs(complex(diag[0]))
     return float(np.sum(singular_values(m, label)))
-
-
-def group_block_lift(point: DualPoint, trace_abs: float) -> float:
-    """Lift a d x d block trace to the full eigenspace: d copies per block."""
-    return point.rep_dim * trace_abs
 
 
 # ---------------------------------------------------------------------------

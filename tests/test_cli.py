@@ -188,10 +188,37 @@ def test_s0_check_exit_codes(capsys):
 
 
 def test_threads_env_var(tmp_path, monkeypatch, capsys):
+    # a diag: table runs per point, where the thread fan-out lives; it holds
+    # the radial:3 values (1+lambda)^(-3/2) on su2 labels n <= 198
+    table = tmp_path / "su2-radial3.txt"
+    rows = ("%d\n%s\n" % (n, " ".join([repr((1.0 + n * (n + 2) / 4.0) ** -1.5)] * (n + 1)))
+            for n in range(199))
+    table.write_text("".join(rows))
+    symbol = "diag:%s" % table
     monkeypatch.setenv("DIXTRACE_THREADS", "2")
-    assert run("trace", "--geometry", "su2", "--symbol", "mask:radial:3",
+    assert run("trace", "--geometry", "su2", "--symbol", symbol,
                "--nmax", "100") == 0
     monkeypatch.setenv("DIXTRACE_THREADS", "lots")
-    assert run("trace", "--geometry", "su2", "--symbol", "mask:radial:3",
+    assert run("trace", "--geometry", "su2", "--symbol", symbol,
                "--nmax", "100") == 1
     capsys.readouterr()
+
+
+def test_oversized_block_exits_one(tmp_path, capsys):
+    # file spectra keep masks per point; the d = 10**6 label must fail on the
+    # block size cap before any block of that size is allocated
+    spec = tmp_path / "spec.txt"
+    spec.write_text("a 3 3 0.0\nhuge 1000000 1000000 2.0\n")
+    code = run("trace", "--geometry", "file:%s" % spec, "--dim", "1",
+               "--symbol", "mask:radial:3", "--nmax", "100")
+    assert code == 1
+    assert "1000000 x 1000000" in capsys.readouterr().err
+
+
+def test_non_finite_streamed_mask_exits_one(capsys):
+    # the streamed mask path keeps the non-finite check of the block path
+    with np.errstate(over="ignore"):
+        code = run("trace", "--geometry", "su2", "--symbol", "mask:radial:-10000",
+                   "--nmax", "20")
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from dixtrace.errors import ConfigError, SizeError, SpectrumFormatError
 from dixtrace.geometry import (Geometry, counting_function, enumerate_dual,
                                label_text, load_spectrum_file, parse_geometry,
                                radial_shells, save_spectrum_file,
-                               sphere_harmonic_dim, supports_radial_shells)
+                               sphere_harmonic_dim)
 
 ALL_GEOMS = [Geometry.torus(1), Geometry.torus(2), Geometry.su2(),
              Geometry.so3(), Geometry.su3(), Geometry.sphere(2),
@@ -104,8 +104,6 @@ def test_torus2_counting_property(cutoff):
 
 def test_radial_shells_total_matches_count():
     for geom in ALL_GEOMS:
-        if not supports_radial_shells(geom):
-            continue
         cutoff = 30.0 if geom.kind != "su3" else 10.0
         total = 0.0
         last = -1.0
@@ -115,6 +113,20 @@ def test_radial_shells_total_matches_count():
             last = float(lam[-1])
             total += float(np.sum(dsum))
         assert total == float(counting_function(geom, cutoff))
+
+
+def test_block_rule_lift_identity(tmp_path):
+    # the streamed class-one path relies on d * k == D on every lifted kind
+    for geom in ALL_GEOMS:
+        masked, lifted = geom.block_rule("group")
+        assert lifted and masked == (geom.kind == "sphere")
+        assert geom.block_rule("homogeneous")[0]
+        cutoff = 30.0 if geom.kind != "su3" else 10.0
+        for p in enumerate_dual(geom, cutoff):
+            assert p.rep_dim * p.class_one_dim == p.eigenspace_dim
+    path = tmp_path / "spec.txt"
+    path.write_text("a 2 4 1.0\n")
+    assert Geometry.from_file(str(path)).block_rule("manifold") == (False, False)
 
 
 def test_lambda_threshold_tie_rule():

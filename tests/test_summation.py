@@ -7,12 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dixtrace.errors import ConfigError, ContractError, FitError
-from dixtrace.geometry import Geometry, counting_function
+from dixtrace.geometry import (Geometry, counting_function, enumerate_dual,
+                               label_text, parse_geometry, save_spectrum_file)
 from dixtrace.summation import (PartialSumSeries, counting_series,
                                 default_picture, dyadic_grid, partial_sums,
                                 scale_series, weyl_fit)
-from dixtrace.symbol import (ClassOneMask, RadialWeight, SymbolSum,
-                             parse_symbol)
+from dixtrace.symbol import (ClassOneMask, DiagonalTable, RadialWeight,
+                             SymbolSum, parse_symbol, scalar_values)
+
+
+def diag_table(path, geom, cutoff, inner):
+    """A diag: table holding the scalar inner(lambda) on all d entries of
+    every label up to the cutoff; symbol tables always take the per-point
+    path, so this pins that path with known values."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in enumerate_dual(geom, cutoff):
+            f = scalar_values(inner, np.array([p.eigenvalue]), geom)[0]
+            fh.write("%s\n%s\n" % (label_text(p), " ".join([repr(float(f))] * p.rep_dim)))
+    return DiagonalTable(str(path))
 
 
 def test_dyadic_grid_one_point_per_octave():
@@ -101,10 +113,10 @@ def test_grid_extension_keeps_prefix_bits():
     np.testing.assert_array_equal(a.counts[:k], b.counts[:k])
 
 
-def test_grid_extension_on_object_path():
+def test_grid_extension_on_object_path(tmp_path):
     # keep cutoffs modest: the block path materializes d x d matrices
     g = Geometry.su2()
-    spec = ClassOneMask(RadialWeight(2.0))  # masked wrapper forces block path
+    spec = diag_table(tmp_path / "t.txt", g, 150, RadialWeight(2.0))
     short = dyadic_grid(50, 4)
     long = dyadic_grid(150, 4)
     a = partial_sums(g, spec, short)
@@ -113,9 +125,9 @@ def test_grid_extension_on_object_path():
     np.testing.assert_array_equal(a.sums[:k], b.sums[:k])
 
 
-def test_parallel_matches_serial_bitwise():
+def test_parallel_matches_serial_bitwise(tmp_path):
     g = Geometry.su2()
-    spec = ClassOneMask(RadialWeight(2.0))
+    spec = diag_table(tmp_path / "t.txt", g, 150, RadialWeight(2.0))
     grid = dyadic_grid(150, 4)
     serial = partial_sums(g, spec, grid, workers=None)
     parallel = partial_sums(g, spec, grid, workers=3)
@@ -123,15 +135,42 @@ def test_parallel_matches_serial_bitwise():
     np.testing.assert_array_equal(serial.counts, parallel.counts)
 
 
-def test_block_path_agrees_with_radial_path():
-    # mask = identity on group points, so both code paths compute the same
-    # series through different evaluation and reduction orders
+def test_block_path_agrees_with_radial_path(tmp_path):
+    # the table holds the radial scalar on every diagonal entry, so both code
+    # paths compute the same series through different evaluation and
+    # reduction orders
     g = Geometry.su2()
     grid = dyadic_grid(120, 4)
-    block = partial_sums(g, ClassOneMask(RadialWeight(2.0)), grid)
+    block = partial_sums(g, diag_table(tmp_path / "t.txt", g, 120, RadialWeight(2.0)),
+                         grid)
     radial = partial_sums(g, RadialWeight(2.0), grid)
     np.testing.assert_allclose(block.sums, radial.sums, rtol=1e-12)
     np.testing.assert_array_equal(block.counts, radial.counts)
+
+
+@pytest.mark.parametrize("name, cutoff", [
+    ("su2", 150.0), ("so3", 80.0), ("su3", 4.0), ("sphere:3", 40.0),
+    ("torus:1", 1e4), ("torus:2", 60.0), ("file", 30.0)])
+def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
+    # mask:SCALAR streams by shell on lifted kinds; a mask of a diag: table
+    # with the same scalar runs per point.  The fold groups shells
+    # differently (2**21 vs 256 per chunk), so sums agree to rounding and
+    # counts exactly.  On a file spectrum both sides run per point, with
+    # weight 1 per point rather than D.
+    if name == "file":
+        path = str(tmp_path / "su2-spec.txt")  # d = n + 1, D = d^2
+        save_spectrum_file(enumerate_dual(Geometry.su2(), cutoff), path)
+        g = Geometry.from_file(path, dim=3)
+    else:
+        g = parse_geometry(name)
+    inner = RadialWeight(3.0)
+    grid = dyadic_grid(cutoff, 4)
+    streamed = partial_sums(g, ClassOneMask(inner), grid)
+    table = diag_table(tmp_path / "t.txt", g, cutoff, inner)
+    per_point = partial_sums(g, ClassOneMask(table), grid)
+    np.testing.assert_allclose(streamed.sums, per_point.sums, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(streamed.counts, per_point.counts)
+    assert streamed.sums[-1] > 0
 
 
 def test_partial_sums_grid_validation():

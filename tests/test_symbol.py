@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dixtrace.errors import (ConfigError, DomainError, SizeError,
+import dixtrace.symbol as symbol
+from dixtrace.errors import (ConfigError, DomainError, NumericError, SizeError,
                              SpectrumFormatError, TableLookupError)
-from dixtrace.geometry import Geometry, enumerate_dual
+from dixtrace.geometry import DualPoint, Geometry, enumerate_dual
 from dixtrace.symbol import (BesselPotential, ClassOneMask, DiagonalTable,
                              FullMatrixTable, ModulusWeight, PowerOfEigenvalue,
                              RadialWeight, Scaled, SymbolSum,
@@ -29,7 +30,9 @@ def random_matrix(seed, d, hermitian=False):
 # Singular values: the hand-written Jacobi sweep against LAPACK
 # ---------------------------------------------------------------------------
 
-@given(st.integers(0, 10_000), st.integers(1, 8))
+# odd and even sizes up to 40: the seeded su2 table reaches d = 39, and odd
+# d pads the round-robin schedule with a dummy column
+@given(st.integers(0, 10_000), st.integers(1, 40))
 @settings(max_examples=80, deadline=None)
 def test_jacobi_matches_lapack(seed, d):
     m = random_matrix(seed, d)
@@ -39,7 +42,7 @@ def test_jacobi_matches_lapack(seed, d):
     assert np.allclose(ours, ref, rtol=1e-10, atol=1e-10 * scale)
 
 
-@given(st.integers(0, 10_000), st.integers(2, 6))
+@given(st.integers(0, 10_000), st.integers(2, 40))
 @settings(max_examples=40, deadline=None)
 def test_jacobi_on_rank_deficient(seed, d):
     rng = np.random.default_rng(seed)
@@ -49,6 +52,23 @@ def test_jacobi_on_rank_deficient(seed, d):
     ours = np.sort(_jacobi_singular_values(m, None))[::-1]
     ref = np.linalg.svd(m, compute_uv=False)
     assert np.allclose(ours, ref, rtol=1e-9, atol=1e-9 * max(1.0, ref[0]))
+
+
+def test_jacobi_round_robin_schedule():
+    for d in range(1, 12):
+        seen = []
+        for i, j in symbol._round_robin(d):
+            assert len(set(i) | set(j)) == 2 * len(i)  # pairs of a round are disjoint
+            seen += zip(i.tolist(), j.tolist())
+        assert sorted(seen) == [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def test_jacobi_non_convergence_names_label(monkeypatch):
+    monkeypatch.setattr(symbol, "JACOBI_MAX_SWEEPS", 1)
+    m = random_matrix(3, 8)  # non-normal: one sweep cannot finish
+    assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1.0
+    with pytest.raises(NumericError, match="1 sweeps at label 7,3"):
+        _jacobi_singular_values(m, "7,3")
 
 
 @given(st.integers(0, 10_000), st.integers(1, 8))
@@ -132,6 +152,18 @@ def test_mask_zeroes_outside_class_one_block():
     # same through the masked flag
     m2 = eval_symbol(RadialWeight(2.0), p, g, masked=True)
     assert np.array_equal(m, m2)
+
+
+def test_block_size_guard_before_allocation():
+    # a synthetic point whose dense block would need 16 TB: the guard must
+    # fire before anything is allocated, for every spec family
+    g = Geometry.sphere(3)
+    huge = DualPoint(label=(7,), rep_dim=10 ** 6, eigenspace_dim=10 ** 6,
+                     class_one_dim=1, eigenvalue=63.0, weight=8.0)
+    for spec in (RadialWeight(2.0), ClassOneMask(RadialWeight(2.0)),
+                 Scaled(2.0, ClassOneMask(RadialWeight(2.0)))):
+        with pytest.raises(SizeError, match="label 7"):
+            eval_symbol(spec, huge, g)
 
 
 def test_scalar_values_semantics():
