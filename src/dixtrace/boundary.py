@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ConfigError, ContractError, DomainError, EllipticityError,
                      FitError, SpectrumFormatError)
-from .summation import PartialSumSeries
+from .summation import PartialSumSeries, check_grid
 from .trace import (DIVERGENCE_THRESHOLD, VANISHING_REL, TraceEstimate,
                     _estimate)
 
@@ -236,11 +236,7 @@ class BoundarySymbol:
 
 def boundary_series(sym: BoundarySymbol, grid: np.ndarray) -> PartialSumSeries:
     """Partial sums over index cutoffs: S(L) = sum_{l <= L} |sigma(xi_l)|."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("grid must be a nonempty increasing 1-d array")
-    if grid[0] < 2.0:
-        raise ConfigError("index cutoffs must start at 2 or above")
+    grid = check_grid(grid)
     if len(sym) == 0:
         raise ConfigError("empty boundary symbol")
     absvals = np.abs(sym.values)
@@ -269,11 +265,7 @@ def boundary_weyl_series(sym: BoundarySymbol, kappa: int,
     """
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("grid must be a nonempty increasing 1-d array")
-    if grid[0] < 2.0:
-        raise ConfigError("weight cutoffs must start at 2 or above")
+    grid = check_grid(grid)
     x = np.abs(sym.lam) ** (1.0 / sym.order)
     order_key = np.argsort(x, kind="stable")
     x_sorted = x[order_key]

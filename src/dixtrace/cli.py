@@ -28,14 +28,14 @@ from .boundary import (AlphaTable, BoundarySymbol, IntervalBC, PowerDecay,
                        boundary_weyl_series, parametrix_trace,
                        s0_summability_check)
 from .errors import ConfigError, DixtraceError
-from .geometry import parse_geometry
+from .geometry import Geometry, parse_geometry
 from .oracle import compare_symbol_vs_oracle
-from .summation import (PartialSumSeries, counting_series, dyadic_grid,
-                        partial_sums, weyl_fit)
+from .summation import (SCHEMA_VERSION, PartialSumSeries, counting_series,
+                        dyadic_grid, partial_sums, weyl_fit)
 from .symbol import parse_complex, parse_symbol
-from .trace import (DIVERGENCE_THRESHOLD, SCHEMA_VERSION, STABILITY_RTOL,
-                    VANISHING_REL, density_integral_from_samples,
-                    dixmier_estimate, quasinorm, residue_factored)
+from .trace import (DIVERGENCE_THRESHOLD, STABILITY_RTOL, VANISHING_REL,
+                    density_integral_from_samples, dixmier_estimate,
+                    quasinorm, residue_factored)
 
 DEFAULT_NMAX = 1e5
 DEFAULT_PPO = 4
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                        type=int, default=None,
                        help="dyadic grid resolution (default 4)")
 
-    def add_series(p):
+    def add_geometry(p):
         p.add_argument("--geometry", default=None,
                        help="torus:N | su2 | so3 | su3 | sphere:N | file:PATH")
         p.add_argument("--symbol", default=None,
@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["manifold", "group", "homogeneous"],
                        help="summation picture (default: natural one for the "
                             "geometry)")
-        add_grid(p)
 
     def add_tolerances(p):
         p.add_argument("--divergence-threshold", dest="divergence_threshold",
@@ -117,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         add_grid(p)
 
     p = sub.add_parser("trace", help="extrapolated Dixmier trace of a multiplier")
-    add_series(p); add_tolerances(p); add_common(p)
+    add_geometry(p); add_grid(p); add_tolerances(p); add_common(p)
 
     p = sub.add_parser("residue",
                        help="noncommutative residue of a factored symbol")
-    add_series(p); add_tolerances(p)
+    add_geometry(p); add_grid(p); add_tolerances(p)
     p.add_argument("--a-integral", dest="a_integral", type=float, default=None,
                    help="mean of the spatial density a(x)")
     p.add_argument("--density-samples-file", dest="density_samples_file",
@@ -131,14 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quasinorm",
                        help="Marcinkiewicz L^(p,infty) quasi-norm proxy")
-    add_series(p)
+    add_geometry(p); add_grid(p)
     p.add_argument("--p", type=float, default=None, help="exponent, 1 < p < inf")
     p.add_argument("--stability-rtol", dest="stability_rtol", type=float,
                    default=None)
     add_common(p)
 
     p = sub.add_parser("weyl", help="log-log fit of the eigenvalue count")
-    add_series(p); add_common(p)
+    add_geometry(p); add_grid(p); add_common(p)
 
     p = sub.add_parser("boundary",
                        help="boundary-model trace over interval spectra")
@@ -150,12 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check",
                        help="symbol-side vs operator-side singular values")
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--picture", default=None,
-                   choices=["manifold", "group", "homogeneous"])
+    add_geometry(p)
     p.add_argument("--cutoff", type=float, default=None, help="weight cutoff")
     p.add_argument("--cap", type=int, default=None,
                    help="largest allowed total dimension (default 10000)")
@@ -216,15 +210,23 @@ def _grid(ns: dict) -> np.ndarray:
     return dyadic_grid(nmax, ppo)
 
 
-def _build_series(ns: dict) -> tuple:
+def _geometry(ns: dict) -> Geometry:
     if not ns.get("geometry"):
         raise ConfigError("--geometry is required")
-    if not ns.get("symbol"):
-        raise ConfigError("--symbol is required")
     dim = int(ns["dim"]) if ns.get("dim") is not None else 1
     nu = float(ns["nu"]) if ns.get("nu") is not None else 2.0
-    geom = parse_geometry(str(ns["geometry"]), dim=dim, nu=nu)
-    spec = parse_symbol(str(ns["symbol"]))
+    return parse_geometry(str(ns["geometry"]), dim=dim, nu=nu)
+
+
+def _symbol(ns: dict):
+    if not ns.get("symbol"):
+        raise ConfigError("--symbol is required")
+    return parse_symbol(str(ns["symbol"]))
+
+
+def _build_series(ns: dict) -> tuple:
+    geom = _geometry(ns)
+    spec = _symbol(ns)
     series = partial_sums(geom, spec, _grid(ns), picture=ns.get("picture"),
                           workers=_threads(ns))
     return geom, series
@@ -377,11 +379,7 @@ def _cmd_quasinorm(ns: dict) -> int:
 
 
 def _cmd_weyl(ns: dict) -> int:
-    if not ns.get("geometry"):
-        raise ConfigError("--geometry is required")
-    dim = int(ns["dim"]) if ns.get("dim") is not None else 1
-    nu = float(ns["nu"]) if ns.get("nu") is not None else 2.0
-    geom = parse_geometry(str(ns["geometry"]), dim=dim, nu=nu)
+    geom = _geometry(ns)
     series = counting_series(geom, _grid(ns))
     fit = weyl_fit(series)
     print("geometry: %s" % geom.describe())
@@ -435,14 +433,10 @@ def _cmd_parametrix(ns: dict) -> int:
 
 
 def _cmd_oracle_check(ns: dict) -> int:
-    if not ns.get("geometry") or not ns.get("symbol"):
-        raise ConfigError("oracle-check needs --geometry and --symbol")
     if ns.get("cutoff") is None:
         raise ConfigError("oracle-check needs --cutoff")
-    dim = int(ns["dim"]) if ns.get("dim") is not None else 1
-    nu = float(ns["nu"]) if ns.get("nu") is not None else 2.0
-    geom = parse_geometry(str(ns["geometry"]), dim=dim, nu=nu)
-    spec = parse_symbol(str(ns["symbol"]))
+    geom = _geometry(ns)
+    spec = _symbol(ns)
     kwargs = {}
     if ns.get("cap") is not None:
         kwargs["cap"] = int(ns["cap"])

@@ -10,16 +10,18 @@ Built-in kinds:
 
   torus:n    flat n-torus; labels are integer vectors, d = 1, D = 1,
              lambda = |xi|^2.
-  su2        labels store n = 2l (half-integer highest weight l), d = n+1,
-             D = d^2, lambda = n(n+2)/4 = l(l+1).
-  so3        integer l only, d = 2l+1, D = d^2, lambda = l(l+1).
+  su2, so3,  rank one: integer labels l >= 0, lambda = l(l+c)/den with
+  sphere:n   (c, den) = (2, 4), (1, 1), (n-1, 1).  d = l+1 on su2 (l is twice
+             the highest weight), 2l+1 on so3, the degree-l harmonic
+             dimension on sphere:n; class-one dimension k = 1 on spheres and
+             d on the groups; D = d*k.
   su3        labels (a, b), d = (a+1)(b+1)(a+b+2)/2, D = d^2,
              lambda = (a^2+b^2+ab+3a+3b)/9.
-  sphere:n   round n-sphere as a rank-one space; labels l, d = dim of the
-             degree-l spherical harmonics, class-one dimension k = 1,
-             D = d, lambda = l(l+n-1).
   file:PATH  arbitrary spectrum from a text file, one `label d D lambda`
              record per line.
+
+enumerate_dual, counting_function and radial_shells read each kind's
+formulas from one place (_RankOne, _su3 and _su3_rows for the built-ins).
 
 The weight of a point is w = (1+lambda)^(1/nu).  All cutoffs N act through
 the equivalent rule lambda <= N^nu - 1, evaluated once in float64, so that
@@ -183,42 +185,76 @@ def sphere_harmonic_dim(n: int, l: int) -> int:
     return math.comb(n + l, n) - math.comb(n + l - 2, n)
 
 
-def _su2_label_max(threshold: float) -> int:
-    # n(n+2) <= 4*threshold  <=>  (n+1)^2 <= 4*threshold + 1
-    if threshold < 0:
-        return -1
-    return math.isqrt(int(4.0 * threshold) + 1) - 1
+@dataclass(frozen=True)
+class _RankOne:
+    """A rank-one dual: labels l >= 0 with eigenvalue l(l+c)/den.
+
+    sphere is the sphere dimension n, where d is the degree-l harmonic
+    dimension and k = 1; on the groups (sphere = 0) d = (2l+c)/c and k = d.
+    """
+
+    c: int
+    den: int
+    sphere: int = 0
+
+    def label_max(self, threshold: float) -> int:
+        # l(l+c) <= den*t  <=>  (2l+c)^2 <= 4*den*t + c^2; den is a power of
+        # two, so 4*den*t is exact in float64
+        return (math.isqrt(int(4 * self.den * threshold) + self.c ** 2) - self.c) // 2
+
+    def point(self, l):
+        """(lambda, d, k) of label l, an int or a float64 array of labels."""
+        lam = l * (l + self.c) / self.den
+        if not self.sphere:
+            d = l * (2 // self.c) + 1  # su2: l + 1, so3: 2l + 1
+            return lam, d, d
+        if isinstance(l, np.ndarray):
+            return lam, np.array([float(sphere_harmonic_dim(self.sphere, int(x)))
+                                  for x in l]), 1
+        return lam, sphere_harmonic_dim(self.sphere, l), 1
+
+    def count(self, big_l: int) -> int:
+        """Sum of D = d*k over the labels l <= big_l."""
+        n, c = self.sphere, self.c
+        if n:  # the harmonic dimensions telescope
+            return math.comb(n + big_l, n) + math.comb(n + big_l - 1, n)
+        # sum of ((2l+c)/c)^2
+        return ((big_l + 1) * (2 * big_l * (2 * big_l + 1) + 6 * c * big_l + 3 * c * c)
+                // (3 * c * c))
 
 
-def _quadratic_label_max(threshold: float, c: int) -> int:
-    # l(l+c) <= threshold  <=>  (2l+c)^2 <= 4*threshold + c^2
-    if threshold < 0:
-        return -1
-    return (math.isqrt(int(4.0 * threshold) + c * c) - c) // 2
+_GROUPS = {"su2": _RankOne(2, 4), "so3": _RankOne(1, 1)}  # su2: l = twice the weight
+
+
+def _rank_one(geom: Geometry) -> _RankOne:
+    return _GROUPS.get(geom.kind) or _RankOne(geom.rank - 1, 1, sphere=geom.rank)
+
+
+def _su3(a, b):
+    """q = 9*lambda and block size d of the su3 label (a, b); ints or arrays."""
+    return a * a + b * b + a * b + 3 * a + 3 * b, (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
 def _su3_rows(threshold: float) -> Iterator[tuple[int, int]]:
-    """Yield (a, b_max) rows with q(a,b) = a^2+b^2+ab+3a+3b <= 9*threshold."""
-    if threshold < 0:
-        return
+    """Yield (a, b_max) rows with q(a,b) <= 9*threshold."""
     q_cap = int(9.0 * threshold)
     a = 0
     while a * a + 3 * a <= q_cap:
         # b^2 + (a+3) b + (a^2 + 3a - q_cap) <= 0
         disc = (a + 3) * (a + 3) - 4 * (a * a + 3 * a - q_cap)
-        b_max = (math.isqrt(disc) - (a + 3)) // 2
-        if b_max >= 0:
-            yield a, b_max
+        yield a, (math.isqrt(disc) - (a + 3)) // 2
         a += 1
 
 
-def _torus_k2_bounds(rem: np.ndarray) -> np.ndarray:
-    """floor(sqrt(rem)) for an int64 array with exact integer correction."""
-    out = np.floor(np.sqrt(np.maximum(rem, 0).astype(np.float64))).astype(np.int64)
-    out = np.where((out + 1) * (out + 1) <= rem, out + 1, out)
-    out = np.where(out * out > rem, out - 1, out)
-    out[rem < 0] = -1
-    return out
+def _su3_sorted(threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and D = d^2 of all su3 labels, stably sorted by q."""
+    qd = [_su3(a, np.arange(b_max + 1, dtype=np.int64)) for a, b_max in _su3_rows(threshold)]
+    q = np.concatenate([x[0] for x in qd])
+    d = np.concatenate([x[1] for x in qd]).astype(np.float64)
+    del qd  # the row arrays would double the peak memory
+    d *= d
+    order = np.argsort(q, kind="stable")
+    return q[order] / 9.0, d[order]
 
 
 def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
@@ -231,48 +267,36 @@ def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
     t = geom.lambda_threshold(weight_cutoff)
     if geom.kind == "torus":
         yield from _enumerate_torus(geom, t)
-    elif geom.kind == "su2":
-        for n in range(_su2_label_max(t) + 1):
-            d = n + 1
-            yield _mk_point(geom, (n,), d, d * d, d, n * (n + 2) / 4.0)
-    elif geom.kind == "so3":
-        for l in range(_quadratic_label_max(t, 1) + 1):
-            d = 2 * l + 1
-            yield _mk_point(geom, (l,), d, d * d, d, float(l * (l + 1)))
     elif geom.kind == "su3":
         pts = []
         for a, b_max in _su3_rows(t):
             for b in range(b_max + 1):
-                q = a * a + b * b + a * b + 3 * a + 3 * b
-                d = (a + 1) * (b + 1) * (a + b + 2) // 2
+                q, d = _su3(a, b)
                 pts.append((q, (a, b), d))
         pts.sort()
         for q, label, d in pts:
             yield _mk_point(geom, label, d, d * d, d, q / 9.0)
-    elif geom.kind == "sphere":
-        n = geom.rank
-        for l in range(_quadratic_label_max(t, n - 1) + 1):
-            d = sphere_harmonic_dim(n, l)
-            yield _mk_point(geom, (l,), d, d, 1, float(l * (l + n - 1)))
     elif geom.kind == "file":
         for row in _load_spectrum(geom):
             if row.eigenvalue <= t:
                 yield row
+    else:  # rank one: su2, so3, sphere
+        r = _rank_one(geom)
+        for l in range(r.label_max(t) + 1):
+            lam, d, k = r.point(l)
+            yield _mk_point(geom, (l,), d, d * k, k, lam)
 
 
 def _enumerate_torus(geom: Geometry, t: float) -> Iterator[DualPoint]:
     n = geom.rank
-    if t < 0:
-        return
+    m = math.isqrt(int(t))
     if n == 1:
-        m = math.isqrt(int(t))
         yield _mk_point(geom, (0,), 1, 1, 1, 0.0)
         for r in range(1, m + 1):
             lam = float(r * r)
             yield _mk_point(geom, (-r,), 1, 1, 1, lam)
             yield _mk_point(geom, (r,), 1, 1, 1, lam)
         return
-    m = math.isqrt(int(t))
     count_bound = (2 * m + 1) ** n
     if count_bound > _MAX_MATERIALIZED_POINTS:
         raise SizeError(
@@ -297,51 +321,24 @@ def counting_function(geom: Geometry, weight_cutoff: float) -> int:
     enumerate_dual at the same cutoff.
     """
     t = geom.lambda_threshold(weight_cutoff)
-    if t < 0:
-        return 0
     if geom.kind == "torus":
-        return _count_torus(geom.rank, t)
-    if geom.kind == "su2":
-        nmax = _su2_label_max(t)
-        m = nmax + 1
-        return m * (m + 1) * (2 * m + 1) // 6
-    if geom.kind == "so3":
-        lmax = _quadratic_label_max(t, 1)
-        return (lmax + 1) * (2 * lmax + 1) * (2 * lmax + 3) // 3
+        return _count_torus(geom.rank, int(t))
     if geom.kind == "su3":
-        total = 0
-        for a, b_max in _su3_rows(t):
-            for b in range(b_max + 1):
-                d = (a + 1) * (b + 1) * (a + b + 2) // 2
-                total += d * d
-        return total
-    if geom.kind == "sphere":
-        n = geom.rank
-        lmax = _quadratic_label_max(t, n - 1)
-        return sum(sphere_harmonic_dim(n, l) for l in range(lmax + 1))
+        return sum(_su3(a, b)[1] ** 2 for a, b_max in _su3_rows(t)
+                   for b in range(b_max + 1))
     if geom.kind == "file":
         return sum(p.eigenspace_dim for p in _load_spectrum(geom) if p.eigenvalue <= t)
-    raise ConfigError("unsupported geometry kind: %r" % (geom.kind,))
+    r = _rank_one(geom)
+    return r.count(r.label_max(t))
 
 
-def _count_torus(n: int, t: float) -> int:
-    m = math.isqrt(int(t))
+def _count_torus(n: int, cap: int) -> int:
+    """Number of k in Z^n with |k|^2 <= cap."""
+    m = math.isqrt(cap)
     if n == 1:
         return 2 * m + 1
-    if n == 2:
-        k1 = np.arange(0, m + 1, dtype=np.int64)
-        rem = np.int64(int(t)) - k1 * k1
-        k2 = _torus_k2_bounds(rem)
-        w1 = np.where(k1 == 0, 1, 2).astype(np.int64)
-        per_row = np.where(k2 >= 0, 2 * k2 + 1, 0)
-        return int(np.sum(w1 * per_row))
-    # small ranks: recurse over the first coordinate
-    total = 0
-    for x in range(-m, m + 1):
-        rem = t - float(x * x)
-        if rem >= 0:
-            total += _count_torus(n - 1, rem)
-    return total
+    return _count_torus(n - 1, cap) + 2 * sum(
+        _count_torus(n - 1, cap - x * x) for x in range(1, m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +355,6 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
     sum of their eigenspace dimensions (exact in float64 up to 2**53).
     """
     t = geom.lambda_threshold(weight_cutoff)
-    if t < 0:
-        return
     if geom.kind == "torus" and geom.rank == 1:
         m = math.isqrt(int(t))
         for a in range(0, m + 1, _CHUNK):
@@ -371,34 +366,19 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
             yield r * r, dsum
     elif geom.kind == "torus" and geom.rank == 2:
         yield from _torus2_shells(t)
-    elif geom.kind == "torus":
-        geom_pts = list(enumerate_dual(geom, weight_cutoff))
-        lam = np.array([p.eigenvalue for p in geom_pts])
-        dd = np.array([float(p.eigenspace_dim) for p in geom_pts])
-        yield from _group_sorted(lam, dd)
-    elif geom.kind in ("su2", "so3", "sphere"):
-        yield from _rank_one_shells(geom, t)
     elif geom.kind == "su3":
-        rows = list(_su3_rows(t))
-        if not rows:
-            return
-        qs, ds = [], []
-        for a, b_max in rows:
-            b = np.arange(0, b_max + 1, dtype=np.int64)
-            qs.append(a * a + b * b + a * b + 3 * a + 3 * b)
-            ds.append((a + 1) * (b + 1) * (a + b + 2) // 2)
-        q = np.concatenate(qs)
-        d = np.concatenate(ds).astype(np.float64)
-        order = np.argsort(q, kind="stable")
-        q, d = q[order], d[order]
-        uq, start = np.unique(q, return_index=True)
-        dsum = np.add.reduceat(d * d, start)
-        yield uq.astype(np.float64) / 9.0, dsum
-    elif geom.kind == "file":
-        pts = [p for p in _load_spectrum(geom) if p.eigenvalue <= t]
-        lam = np.array([p.eigenvalue for p in pts])
-        dd = np.array([float(p.eigenspace_dim) for p in pts])
-        yield from _group_sorted(lam, dd)
+        yield from _group_sorted(*_su3_sorted(t))
+    elif geom.kind in ("torus", "file"):
+        # torus rank >= 3 and file spectra: group the enumerated points
+        pts = list(enumerate_dual(geom, weight_cutoff))
+        yield from _group_sorted(np.array([p.eigenvalue for p in pts]),
+                                 np.array([float(p.eigenspace_dim) for p in pts]))
+    else:  # rank one: su2, so3, sphere
+        r = _rank_one(geom)
+        lmax = r.label_max(t)
+        for a in range(0, lmax + 1, _CHUNK):
+            lam, d, k = r.point(np.arange(a, min(a + _CHUNK, lmax + 1), dtype=np.float64))
+            yield lam, d * k
 
 
 def _group_sorted(lam: np.ndarray, dsum: np.ndarray):
@@ -406,29 +386,6 @@ def _group_sorted(lam: np.ndarray, dsum: np.ndarray):
         return
     ulam, start = np.unique(lam, return_index=True)
     yield ulam, np.add.reduceat(dsum, start)
-
-
-def _rank_one_shells(geom: Geometry, t: float):
-    if geom.kind == "su2":
-        lmax = _su2_label_max(t)
-    else:
-        c = 1 if geom.kind == "so3" else geom.rank - 1
-        lmax = _quadratic_label_max(t, c)
-    for a in range(0, lmax + 1, _CHUNK):
-        b = min(a + _CHUNK, lmax + 1)
-        l = np.arange(a, b, dtype=np.float64)
-        if geom.kind == "su2":
-            lam = l * (l + 2.0) / 4.0
-            dsum = (l + 1.0) ** 2
-        elif geom.kind == "so3":
-            lam = l * (l + 1.0)
-            dsum = (2.0 * l + 1.0) ** 2
-        else:
-            n = geom.rank
-            lam = l * (l + n - 1.0)
-            # harmonic dimensions via the binomial formula, vectorized
-            dsum = np.array([float(sphere_harmonic_dim(n, int(x))) for x in l])
-        yield lam, dsum
 
 
 def _torus2_shells(t: float):

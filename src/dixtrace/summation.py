@@ -70,6 +70,16 @@ def dyadic_grid(n_max: float, points_per_octave: int = 4) -> np.ndarray:
     return np.array(vals)
 
 
+def check_grid(grid) -> np.ndarray:
+    """The cutoff grid as float64: nonempty, increasing, 1-d, from 2 up."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
+        raise ConfigError("grid must be a nonempty increasing 1-d array")
+    if grid[0] < 2.0:
+        raise ConfigError("grid cutoffs must start at 2 or above")
+    return grid
+
+
 @dataclass
 class PartialSumSeries:
     """Cutoff grid with partial sums and eigenvalue counts.
@@ -241,11 +251,7 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
     lift makes them agree numerically); the picture tag records which
     normalization downstream estimators should apply.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("grid must be a nonempty increasing 1-d array")
-    if grid[0] < 2.0:
-        raise ConfigError("grid cutoffs must start at 2 or above")
+    grid = check_grid(grid)
     if picture is None:
         picture = default_picture(geom)
     if picture == "boundary-index":

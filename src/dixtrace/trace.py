@@ -22,13 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, FitError
-from .summation import PartialSumSeries, scale_series
+from .summation import SCHEMA_VERSION, PartialSumSeries, scale_series
 
 DIVERGENCE_THRESHOLD = 0.1
 VANISHING_REL = 1e-3
 STABILITY_RTOL = 0.01
-
-SCHEMA_VERSION = 1
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_file_round_trip_and_resorting(tmp_path):
     np.testing.assert_array_equal(sym.lam, back.lam)
     np.testing.assert_array_equal(sym.values, back.values)
     # rows shuffled on disk come back in canonical enumeration order
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     body = lines[1:]
     shuffled = str(tmp_path / "shuffled.txt")
     with open(shuffled, "w") as fh:

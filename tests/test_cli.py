@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def test_trace_convergent_exits_zero(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "convergent" in text
-    doc = json.load(open(out_json))
+    doc = json.loads(Path(out_json).read_text())
     assert doc["schema_version"] == 1
     assert doc["command"] == "trace"
     assert doc["estimate"]["verdict"] == "convergent"
@@ -41,7 +42,7 @@ def test_series_csv_round_trips(tmp_path):
     back = PartialSumSeries.from_csv(out_csv)
     assert len(back) > 10
     assert back.cutoffs[-1] == 1e4
-    header = open(out_csv).readline().strip()
+    header = Path(out_csv).read_text().splitlines()[0]
     assert header == "cutoff,count,sum,f"
 
 
@@ -102,7 +103,7 @@ def test_residue_from_samples_file(tmp_path, capsys):
                "--nmax", "1e4", "--density-samples-file", str(samples),
                "--out-json", out_json)
     assert code == 0
-    doc = json.load(open(out_json))
+    doc = json.loads(Path(out_json).read_text())
     assert doc["a_integral"] == pytest.approx(1.0)
     assert doc["estimate"]["value"] == pytest.approx(2.0, rel=0.02)
 
@@ -124,7 +125,7 @@ def test_weyl_command(tmp_path, capsys):
     code = run("weyl", "--geometry", "su2", "--nmax", "512",
                "--out-json", out_json)
     assert code == 0
-    doc = json.load(open(out_json))
+    doc = json.loads(Path(out_json).read_text())
     assert doc["kappa_hat"] == pytest.approx(3.0, rel=0.03)
 
 
@@ -136,8 +137,8 @@ def test_boundary_and_parametrix_agree(tmp_path, capsys):
                "--out-json", j1) == 0
     assert run("parametrix", "--a", a, "--b", "1", "--nmax", "1e4",
                "--out-json", j2) == 0
-    v1 = json.load(open(j1))["estimate"]["value"]
-    v2 = json.load(open(j2))["estimate"]["value"]
+    v1 = json.loads(Path(j1).read_text())["estimate"]["value"]
+    v2 = json.loads(Path(j2).read_text())["estimate"]["value"]
     assert v1 == v2
     assert v1 == pytest.approx(1 / math.pi, rel=0.02)
     capsys.readouterr()
@@ -167,7 +168,7 @@ def test_oracle_check_passes(tmp_path, capsys):
     code = run("oracle-check", "--geometry", "torus:1", "--symbol",
                "bessel:1:2", "--cutoff", "50", "--out-json", out_json)
     assert code == 0
-    doc = json.load(open(out_json))
+    doc = json.loads(Path(out_json).read_text())
     assert doc["report"]["passed"] is True
     assert doc["report"]["max_abs"] < 1e-10
 

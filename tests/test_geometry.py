@@ -1,4 +1,5 @@
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -16,16 +17,41 @@ ALL_GEOMS = [Geometry.torus(1), Geometry.torus(2), Geometry.su2(),
              Geometry.sphere(3)]
 
 
+# cutoff caps for geometries whose full enumeration gets slow beyond them
+SMALL_CUTOFF = {"su3": 20.0, "torus:3": 12.0, "torus:4": 6.0}
+
+
 def brute_count(geom, cutoff):
     return sum(p.eigenspace_dim for p in enumerate_dual(geom, cutoff))
 
 
-@pytest.mark.parametrize("geom", ALL_GEOMS, ids=lambda g: g.describe())
+@pytest.mark.parametrize("geom", ALL_GEOMS + [Geometry.sphere(4), Geometry.sphere(5),
+                                              Geometry.torus(3), Geometry.torus(4)],
+                         ids=lambda g: g.describe())
 @pytest.mark.parametrize("cutoff", [2.0, 5.1, 17.3, 40.0])
 def test_counting_matches_enumeration(geom, cutoff):
-    if geom.kind == "su3" and cutoff > 20:
-        cutoff = 20.0  # keep the 8-dimensional dual small
+    cutoff = min(cutoff, SMALL_CUTOFF.get(geom.describe(), cutoff))
     assert counting_function(geom, cutoff) == brute_count(geom, cutoff)
+
+
+@pytest.mark.parametrize("kind", ["torus:1", "torus:2", "torus:3", "su2", "so3", "su3",
+                                  "sphere:2", "sphere:3", "sphere:4", "file"])
+def test_radial_shells_group_the_enumeration(kind, tmp_path):
+    # every shell stream is the per-eigenvalue grouping of enumerate_dual
+    if kind == "file":
+        path = str(tmp_path / "spec.txt")
+        save_spectrum_file(enumerate_dual(Geometry.so3(), 20.0), path)
+        kind = "file:" + path
+    geom = parse_geometry(kind)
+    cutoff = SMALL_CUTOFF.get(kind, 20.0)
+    chunks = list(radial_shells(geom, cutoff))
+    lam = np.concatenate([c[0] for c in chunks])
+    dsum = np.concatenate([c[1] for c in chunks])
+    keep = dsum != 0  # the torus:2 histogram also holds empty shells
+    shells = [(ev, float(sum(p.eigenspace_dim for p in pts)))
+              for ev, pts in groupby(enumerate_dual(geom, cutoff), key=lambda p: p.eigenvalue)]
+    assert lam[keep].tolist() == [ev for ev, _ in shells]
+    assert dsum[keep].tolist() == [dd for _, dd in shells]
 
 
 def test_su2_count_at_golden_cutoff():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ def test_csv_header_only_for_empty_series(tmp_path):
                              dim=1, picture="manifold")
     path = str(tmp_path / "empty.csv")
     empty.to_csv(path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines == ["cutoff,count,sum"]
 
 
@@ -223,7 +224,7 @@ def test_json_round_trip_is_bitwise(tmp_path):
     np.testing.assert_array_equal(series.sums, back.sums)
     np.testing.assert_array_equal(series.cutoffs, back.cutoffs)
     assert back.dim == 3 and back.picture == "group"
-    doc = json.load(open(path))
+    doc = json.loads(Path(path).read_text())
     assert doc["schema_version"] == 1
 
 
