@@ -28,8 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, DomainError, EllipticityError,
-                     FitError, SpectrumFormatError)
+from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
+                     SpectrumFormatError)
+from .geometry import _MAX_MATERIALIZED_POINTS
 from .summation import PartialSumSeries, check_grid
 from .trace import (DIVERGENCE_THRESHOLD, VANISHING_REL, TraceEstimate,
                     _estimate)
@@ -98,9 +99,17 @@ class IntervalBC:
 
 
 def enumeration_js(j_max: int) -> np.ndarray:
-    """Index labels in canonical order: 0, 1, -1, 2, -2, ..., j_max, -j_max."""
+    """Index labels in canonical order: 0, 1, -1, 2, -2, ..., j_max, -j_max.
+
+    More than _MAX_MATERIALIZED_POINTS labels raise SizeError before any
+    array is allocated.
+    """
     if j_max < 0:
         raise ConfigError("j_max must be >= 0")
+    if 2 * j_max + 1 > _MAX_MATERIALIZED_POINTS:
+        raise SizeError("boundary enumeration |j| <= %d holds %d points, above the "
+                        "cap of %d; lower the cutoff"
+                        % (j_max, 2 * j_max + 1, _MAX_MATERIALIZED_POINTS))
     js = np.zeros(2 * j_max + 1, dtype=np.int64)
     js[1::2] = np.arange(1, j_max + 1)
     js[2::2] = -np.arange(1, j_max + 1)
@@ -136,7 +145,9 @@ def interval_spectrum(bc: IntervalBC, j_max: int):
     domain error naming j.
     """
     js = enumeration_js(j_max)
-    lam = 2.0 * math.pi * js - 1j * bc.log_ratio() + _alpha_values(bc, js)
+    lam = 2.0 * math.pi * js - 1j * bc.log_ratio()
+    if bc.alpha is not None:
+        lam += _alpha_values(bc, js)
     bad = np.abs(lam) < ZERO_EIGENVALUE_TOL
     if np.any(bad):
         j_bad = int(js[np.argmax(bad)])
@@ -239,8 +250,8 @@ def boundary_series(sym: BoundarySymbol, grid: np.ndarray) -> PartialSumSeries:
     grid = check_grid(grid)
     if len(sym) == 0:
         raise ConfigError("empty boundary symbol")
-    absvals = np.abs(sym.values)
-    cs = np.cumsum(absvals)
+    cs = np.abs(sym.values)
+    np.cumsum(cs, out=cs)
     idx = np.minimum(np.floor(grid).astype(np.int64), len(sym) - 1)
     sums = cs[idx]
     counts = (idx + 1).astype(np.float64)
@@ -269,7 +280,8 @@ def boundary_weyl_series(sym: BoundarySymbol, kappa: int,
     x = np.abs(sym.lam) ** (1.0 / sym.order)
     order_key = np.argsort(x, kind="stable")
     x_sorted = x[order_key]
-    cs = np.cumsum(np.abs(sym.values)[order_key])
+    cs = np.abs(sym.values)[order_key]
+    np.cumsum(cs, out=cs)
     idx = np.searchsorted(x_sorted, grid, side="right") - 1
     sums = np.where(idx >= 0, cs[np.maximum(idx, 0)], 0.0)
     counts = (idx + 1).astype(np.float64)

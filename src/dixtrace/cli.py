@@ -27,7 +27,7 @@ from .boundary import (AlphaTable, BoundarySymbol, IntervalBC, PowerDecay,
                        boundary_dixmier, boundary_dixmier_weyl, boundary_series,
                        boundary_weyl_series, parametrix_trace,
                        s0_summability_check)
-from .errors import ConfigError, DixtraceError
+from .errors import ConfigError, DixtraceError, SizeError
 from .geometry import Geometry, parse_geometry
 from .oracle import compare_symbol_vs_oracle
 from .summation import (SCHEMA_VERSION, PartialSumSeries, counting_series,
@@ -203,11 +203,17 @@ def _threads(ns: dict) -> int | None:
     return None
 
 
-def _grid(ns: dict) -> np.ndarray:
+def _nmax(ns: dict) -> float:
     nmax = float(ns["nmax"]) if ns.get("nmax") is not None else DEFAULT_NMAX
+    if not math.isfinite(nmax):
+        raise ConfigError("--nmax must be finite, got %r" % (nmax,))
+    return nmax
+
+
+def _grid(ns: dict) -> np.ndarray:
     ppo = int(ns["points_per_octave"]) if ns.get("points_per_octave") is not None \
         else DEFAULT_PPO
-    return dyadic_grid(nmax, ppo)
+    return dyadic_grid(_nmax(ns), ppo)
 
 
 def _geometry(ns: dict) -> Geometry:
@@ -301,10 +307,13 @@ def _build_boundary_symbol(ns: dict, default_kind: str) -> BoundarySymbol:
         order = int(ns["order"]) if ns.get("order") is not None else 1
         return BoundarySymbol.from_file(tail, order=order)
     bc = _build_bc(ns)
-    nmax = float(ns["nmax"]) if ns.get("nmax") is not None else DEFAULT_NMAX
+    nmax = _nmax(ns)
     if ns.get("cutoff_kind") == "eigenvalue":
         # weight cutoff N reaches |lambda| ~ N^m; indices run to N^m/(2 pi)
-        j_max = int(nmax ** bc.order / (2.0 * math.pi)) + 2
+        try:
+            j_max = int(nmax ** bc.order / (2.0 * math.pi)) + 2
+        except OverflowError:
+            raise SizeError("--nmax %g to the power %d overflows" % (nmax, bc.order)) from None
     else:
         j_max = int(nmax // 2) + 1
     if head == "inverse":

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, SizeError
 from .geometry import Geometry, counting_function, enumerate_dual, label_text
 from .summation import default_picture
-from .symbol import SymbolSpec, eval_symbol, singular_values
+from .symbol import ClassOneMask, SymbolSpec, eval_symbol, singular_values
 
 DEFAULT_CAP = 10_000
 DENSE_DIM_CAP = 300
@@ -57,10 +57,11 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
         raise SizeError("truncation at cutoff %g holds %d weighted dimensions; "
                         "pass cap >= %d to allow it" % (cutoff, total, total))
     masked, lifted = geom.block_rule(picture)
+    spec = ClassOneMask(spec) if masked else spec
     blocks = []
     total_dim = 0
     for point in enumerate_dual(geom, cutoff):
-        m = eval_symbol(spec, point, geom, masked=masked)
+        m = eval_symbol(spec, point, geom)
         mult = point.rep_dim if lifted else 1
         blocks.append((label_text(point), m, mult))
         total_dim += mult * m.shape[0]
@@ -132,20 +133,17 @@ def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
                              tolerance: float = ORACLE_TOL) -> dict:
     """Cross-check the symbol-side SVD against the operator-level one.
 
-    Both sides produce the full weighted singular-value list below the
-    cutoff; the lists are sorted and compared elementwise, and their total
-    sums compared in relative terms.  The two routes share no decomposition
-    code: the symbol side runs the one-sided Jacobi / Hermitian paths, the
-    oracle side runs LAPACK on materialized blocks.
+    Both sides decompose the same materialized blocks into the full
+    weighted singular-value list below the cutoff; the lists are sorted and
+    compared elementwise, and their total sums compared in relative terms.
+    The two routes share no decomposition code: the symbol side runs the
+    one-sided Jacobi / Hermitian paths, the oracle side runs LAPACK.
     """
     op = truncate_operator(geom, spec, cutoff, cap=cap, picture=picture)
     oracle_vals = operator_singular_values(op)
     parts = []
-    masked, lifted = geom.block_rule(op.picture)
-    for point in enumerate_dual(geom, cutoff):
-        m = eval_symbol(spec, point, geom, masked=masked)
-        s = singular_values(m, label=label_text(point))
-        mult = point.rep_dim if lifted else 1
+    for label, m, mult in op.blocks:
+        s = singular_values(m, label=label)
         parts.append(np.tile(s, mult) if mult > 1 else s)
     if parts:
         symbol_vals = np.sort(np.concatenate(parts))[::-1]

@@ -6,12 +6,13 @@ weight <= N_k, and the eigenvalue counts at the same cutoffs.
 
 Two evaluation strategies produce series:
 
-  * a radial bulk path for scalar symbols and for class-one masks of
-    scalar symbols, streaming (eigenvalue, total multiplicity) shell chunks
-    from the geometry and evaluating the scalar vectorized;
+  * a radial bulk path for specs built from radial scalars, Scaled,
+    SymbolSum and (on lifted kinds, all but file:) ClassOneMask, streaming
+    (eigenvalue, total multiplicity) shell chunks from the geometry and
+    evaluating the scalar vectorized;
   * a per-point object path for everything else (tables, masks on file
-    spectra, combinators around masks), which also carries the optional
-    thread fan-out.
+    spectra), wrapping the spec in ClassOneMask where the picture masks
+    blocks; it also carries the optional thread fan-out.
 
 Both share one accumulation contract so results are reproducible bit for
 bit: per-shell totals (exact fsum over the points of one eigenvalue) are
@@ -53,8 +54,8 @@ SCHEMA_VERSION = 1
 
 def dyadic_grid(n_max: float, points_per_octave: int = 4) -> np.ndarray:
     """Geometric cutoff grid from 2 to n_max, last point exactly n_max."""
-    if not n_max >= 4:
-        raise ConfigError("grid n_max must be >= 4, got %r" % (n_max,))
+    if not 4 <= n_max < math.inf:
+        raise ConfigError("grid n_max must be finite and >= 4, got %r" % (n_max,))
     if points_per_octave < 1:
         raise ConfigError("points_per_octave must be >= 1")
     n_max = float(n_max)
@@ -260,14 +261,12 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
         raise ConfigError("unknown picture %r" % (picture,))
     thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
     n_max = float(grid[-1])
-    if is_radial_scalar(spec):
+    masked, lifted = geom.block_rule(picture)
+    if is_radial_scalar(spec, lifted):
         chunks = _radial_chunks(geom, spec, n_max)
-    elif (isinstance(spec, ClassOneMask) and is_radial_scalar(spec.inner)
-          and geom.block_rule(picture)[1]):
-        # lifted: rep_dim copies of f on a class_one_dim block, D |f| per point
-        chunks = _radial_chunks(geom, spec.inner, n_max)
     else:
-        chunks = _evaluated_blocks(_point_blocks(geom, spec, n_max, picture), workers)
+        spec = ClassOneMask(spec) if masked else spec
+        chunks = _evaluated_blocks(_point_blocks(geom, spec, n_max, lifted), workers)
     sums, counts = _stream_snapshots(chunks, thresholds)
     return PartialSumSeries(grid.copy(), sums, counts, dim=geom.dim, picture=picture)
 
@@ -280,9 +279,8 @@ def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[t
         yield lam, dsum * np.abs(f), dsum
 
 
-def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, picture: str):
+def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, lifted: bool):
     """Group dual points into shells, shells into fixed-size blocks."""
-    mask, lifted = geom.block_rule(picture)
     shells = groupby(enumerate_dual(geom, n_max), key=lambda p: p.eigenvalue)
 
     def shell_list():
@@ -294,11 +292,11 @@ def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, picture: str):
         block = list(islice(gen, _SHELLS_PER_BLOCK))
         if not block:
             return
-        yield geom, spec, mask, lifted, block
+        yield geom, spec, lifted, block
 
 
 def _eval_block(args) -> tuple:
-    geom, spec, mask, lifted, block = args
+    geom, spec, lifted, block = args
     lam = np.empty(len(block))
     contrib = np.empty(len(block))
     dsum = np.empty(len(block))
@@ -307,8 +305,7 @@ def _eval_block(args) -> tuple:
         terms = []
         total_d = 0.0
         for p in pts:
-            t = nuclear_trace_abs(eval_symbol(spec, p, geom, masked=mask),
-                                  label=label_text(p))
+            t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=label_text(p))
             terms.append(p.rep_dim * t if lifted else t)
             total_d += p.eigenspace_dim
         contrib[i] = math.fsum(terms)

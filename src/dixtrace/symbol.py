@@ -15,10 +15,11 @@ Matrix families read per-label tables from text files:
   FullMatrixTable(path)  label line + d lines of d entries
 
 ClassOneMask(inner) zeroes everything outside the top-left k x k block of a
-point, the structure class-one (homogeneous-space) symbols carry.  The
-homogeneous picture applies this mask implicitly.  A mask of a scalar f has
-nuclear trace k |f| in closed form, so the summation engine streams it by
-shell instead of calling eval_symbol; eval_symbol refuses any block with d
+point, the structure class-one (homogeneous-space) symbols carry; callers
+wrap the spec in one where the geometry's block rule masks the picture.  On
+lifted duals d k = D, so a mask keeps D |f| per point and specs built from
+radial scalars, Scaled, SymbolSum and ClassOneMask stream by shell there
+(is_radial_scalar(spec, lifted=True)).  eval_symbol refuses any block with d
 above _MAX_BLOCK_DIM before allocating it.
 
 Nuclear traces of evaluated blocks are sums of singular values.  Per the
@@ -156,14 +157,17 @@ def parse_symbol(text: str) -> SymbolSpec:
     raise ConfigError("unknown symbol spec %r" % (text,))
 
 
-def is_radial_scalar(spec: SymbolSpec) -> bool:
-    """True when the spec is a scalar function of the eigenvalue alone."""
+def is_radial_scalar(spec: SymbolSpec, lifted: bool = False) -> bool:
+    """True when the spec is a scalar function of the eigenvalue alone; with
+    lifted=True masks count too, as d k = D keeps D |f| per point there."""
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
         return True
     if isinstance(spec, Scaled):
-        return is_radial_scalar(spec.inner)
+        return is_radial_scalar(spec.inner, lifted)
+    if isinstance(spec, ClassOneMask):
+        return lifted and is_radial_scalar(spec.inner, lifted)
     if isinstance(spec, SymbolSum):
-        return all(is_radial_scalar(p) for p in spec.parts)
+        return all(is_radial_scalar(p, lifted) for p in spec.parts)
     return False
 
 
@@ -182,6 +186,8 @@ def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarr
         return (1.0 + np.sqrt(lam)) ** (-spec.s)
     if isinstance(spec, Scaled):
         return spec.c * scalar_values(spec.inner, lam, geom)
+    if isinstance(spec, ClassOneMask):
+        return scalar_values(spec.inner, lam, geom)
     if isinstance(spec, SymbolSum):
         acc = scalar_values(spec.parts[0], lam, geom)
         for p in spec.parts[1:]:
@@ -190,36 +196,37 @@ def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarr
     raise ConfigError("not a scalar spec: %r" % (spec,))
 
 
-def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry,
-                masked: bool = False) -> np.ndarray:
+def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarray:
     """Evaluate the spec at one dual point as a rep_dim x rep_dim matrix.
 
-    masked=True (or a ClassOneMask wrapper) zeroes entries outside the
-    top-left class_one_dim block.  A point with rep_dim above _MAX_BLOCK_DIM
-    raises SizeError before anything is allocated.
+    A ClassOneMask zeroes entries outside the top-left class_one_dim block.
+    A point with rep_dim above _MAX_BLOCK_DIM raises SizeError before
+    anything is allocated.
     """
     d = point.rep_dim
     if d > _MAX_BLOCK_DIM:
         raise SizeError("label %s needs a dense %d x %d symbol block, above the "
-                        "cap d <= %d; lower the cutoff (scalar and mask:SCALAR "
-                        "symbols on built-in geometries stream by shell instead)"
+                        "cap d <= %d; lower the cutoff (radial scalars under "
+                        "scaled:, sums and mask: stream by shell on built-in "
+                        "geometries instead)"
                         % (label_text(point), d, d, _MAX_BLOCK_DIM))
     if isinstance(spec, ClassOneMask):
-        return eval_symbol(spec.inner, point, geom, masked=True)
+        m = eval_symbol(spec.inner, point, geom)
+        m[point.class_one_dim:] = m[:, point.class_one_dim:] = 0.0
+        return m
     if isinstance(spec, Scaled):
-        return spec.c * eval_symbol(spec.inner, point, geom, masked=masked)
+        return spec.c * eval_symbol(spec.inner, point, geom)
     if isinstance(spec, SymbolSum):
-        acc = eval_symbol(spec.parts[0], point, geom, masked=masked)
+        acc = eval_symbol(spec.parts[0], point, geom)
         for p in spec.parts[1:]:
-            acc = acc + eval_symbol(p, point, geom, masked=masked)
+            acc = acc + eval_symbol(p, point, geom)
         return acc
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
         value = float(scalar_values(spec, np.array([point.eigenvalue]), geom)[0])
         if not math.isfinite(value):
             raise DomainError("symbol value not finite at label %s" % label_text(point))
         m = np.zeros((d, d), dtype=np.complex128)
-        k = point.class_one_dim if masked else d
-        np.fill_diagonal(m[:k, :k], value)
+        np.fill_diagonal(m, value)
         return m
     if isinstance(spec, (DiagonalTable, FullMatrixTable)):
         key = label_text(point)
@@ -241,11 +248,6 @@ def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry,
             m = entry.astype(np.complex128, copy=True)
         if not np.all(np.isfinite(m.view(np.float64))):
             raise DomainError("symbol value not finite at label %s" % key)
-        if masked:
-            k = point.class_one_dim
-            out = np.zeros_like(m)
-            out[:k, :k] = m[:k, :k]
-            return out
         return m
     raise ConfigError("unknown symbol spec %r" % (spec,))
 

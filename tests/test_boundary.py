@@ -12,7 +12,7 @@ from dixtrace.boundary import (AlphaTable, BoundarySymbol, IntervalBC,
                                interval_eigenvalue, interval_spectrum,
                                parametrix_trace, s0_summability_check)
 from dixtrace.errors import (ConfigError, DomainError, EllipticityError,
-                             SpectrumFormatError)
+                             SizeError, SpectrumFormatError)
 from dixtrace.summation import dyadic_grid
 
 BC = IntervalBC(a=-math.e, b=1.0)
@@ -40,6 +40,12 @@ def test_enumeration_order():
     js, lam = interval_spectrum(BC, 4)
     np.testing.assert_array_equal(js, [0, 1, -1, 2, -2, 3, -3, 4, -4])
     assert lam[0] == pytest.approx(-1j)
+
+
+def test_enumeration_size_guard():
+    # far above the point cap, so the guard must fire before allocating
+    with pytest.raises(SizeError, match="above the cap"):
+        enumeration_js(10 ** 12)
 
 
 def test_bc_validation():

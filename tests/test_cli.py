@@ -223,3 +223,31 @@ def test_non_finite_streamed_mask_exits_one(capsys):
                    "--nmax", "20")
     assert code == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_streamed_scaled_mask_exits_zero(capsys):
+    # scaled: around a mask streams by shell on sphere:3; per point the
+    # degree-99 label would need a 10000 x 10000 block, above the cap
+    assert run("trace", "--geometry", "sphere:3", "--symbol", "scaled:2:mask:radial:3",
+               "--nmax", "100") == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "--geometry", "su2", "--symbol", "radial:3"),
+    ("weyl", "--geometry", "su2"),
+    ("boundary", "--cutoff-kind", "eigenvalue")])
+def test_non_finite_nmax_exits_one(capsys, argv):
+    assert run(*argv, "--nmax", "inf") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oversized_boundary_exits_one(capsys):
+    # 1e12 points: the size guard fires before any array is allocated
+    assert run("boundary", "--nmax", "1e12") == 1
+    assert "above the cap" in capsys.readouterr().err
+    # N^m itself overflows a float
+    assert run("boundary", "--cutoff-kind", "eigenvalue", "--order", "2",
+               "--nmax", "1e200") == 1
+    assert "overflows" in capsys.readouterr().err

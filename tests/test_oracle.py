@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dixtrace.errors import ConfigError, SizeError
-from dixtrace.geometry import Geometry
+from dixtrace.geometry import Geometry, parse_geometry
 from dixtrace.oracle import (compare_symbol_vs_oracle, dixmier_partial_norm,
                              lpinf_partial_norm, operator_singular_values,
                              truncate_operator)
@@ -75,6 +75,17 @@ def test_matched_count_correspondence():
     for n, s in zip(series.counts, series.sums):
         got = dixmier_partial_norm(svals, int(n))
         assert got == pytest.approx(s / math.log(int(n)), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sphere:3", "su2", "torus:2"])
+def test_truncation_total_matches_partial_sum(name):
+    # the truncation follows the series' block rule (the sphere's implied
+    # mask, the lift), so all its singular values add up to S(cutoff)
+    g = parse_geometry(name)
+    spec = parse_symbol("radial:3")
+    svals = operator_singular_values(truncate_operator(g, spec, 12.0))
+    series = partial_sums(g, spec, dyadic_grid(12.0, 2))
+    assert math.fsum(svals) == pytest.approx(series.sums[-1], rel=1e-12)
 
 
 def test_partial_norm_domains():

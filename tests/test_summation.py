@@ -13,8 +13,9 @@ from dixtrace.geometry import (Geometry, counting_function, enumerate_dual,
 from dixtrace.summation import (PartialSumSeries, counting_series,
                                 default_picture, dyadic_grid, partial_sums,
                                 scale_series, weyl_fit)
-from dixtrace.symbol import (ClassOneMask, DiagonalTable, RadialWeight,
-                             SymbolSum, parse_symbol, scalar_values)
+from dixtrace.symbol import (ClassOneMask, DiagonalTable, RadialWeight, Scaled,
+                             SymbolSum, is_radial_scalar, parse_symbol,
+                             scalar_values)
 
 
 def diag_table(path, geom, cutoff, inner):
@@ -30,6 +31,12 @@ def diag_table(path, geom, cutoff, inner):
 
 def test_dyadic_grid_one_point_per_octave():
     np.testing.assert_array_equal(dyadic_grid(16, 1), [2.0, 4.0, 8.0, 16.0])
+
+
+def test_dyadic_grid_rejects_non_finite_cutoff():
+    for n_max in (math.inf, math.nan, 3.0):
+        with pytest.raises(ConfigError):
+            dyadic_grid(n_max)
 
 
 def test_dyadic_grid_caps_exactly():
@@ -153,25 +160,38 @@ def test_block_path_agrees_with_radial_path(tmp_path):
     ("su2", 150.0), ("so3", 80.0), ("su3", 4.0), ("sphere:3", 40.0),
     ("torus:1", 1e4), ("torus:2", 60.0), ("file", 30.0)])
 def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
-    # mask:SCALAR streams by shell on lifted kinds; a mask of a diag: table
-    # with the same scalar runs per point.  The fold groups shells
-    # differently (2**21 vs 256 per chunk), so sums agree to rounding and
-    # counts exactly.  On a file spectrum both sides run per point, with
-    # weight 1 per point rather than D.
+    # specs built from radial scalars, scaled:, sums and mask: stream by
+    # shell on lifted kinds; the same spec over diag: tables holding the
+    # same scalars runs per point.  The fold groups shells differently
+    # (2**21 vs 256 per chunk), so sums agree to rounding and counts
+    # exactly.  On a file spectrum both sides of a mask run per point, with
+    # weight 1 per point rather than D.  A bare table on a sphere takes the
+    # mask its picture implies (a bare scalar on a file spectrum streams
+    # with weight D, which its table does not match, so it is left out).
     if name == "file":
         path = str(tmp_path / "su2-spec.txt")  # d = n + 1, D = d^2
         save_spectrum_file(enumerate_dual(Geometry.su2(), cutoff), path)
         g = Geometry.from_file(path, dim=3)
     else:
         g = parse_geometry(name)
-    inner = RadialWeight(3.0)
+    f, h = RadialWeight(3.0), RadialWeight(4.0)
+    tables = (diag_table(tmp_path / "f.txt", g, cutoff, f),
+              diag_table(tmp_path / "h.txt", g, cutoff, h))
     grid = dyadic_grid(cutoff, 4)
-    streamed = partial_sums(g, ClassOneMask(inner), grid)
-    table = diag_table(tmp_path / "t.txt", g, cutoff, inner)
-    per_point = partial_sums(g, ClassOneMask(table), grid)
-    np.testing.assert_allclose(streamed.sums, per_point.sums, rtol=1e-14, atol=0)
-    np.testing.assert_array_equal(streamed.counts, per_point.counts)
-    assert streamed.sums[-1] > 0
+    lifted = g.block_rule(default_picture(g))[1]
+    shapes = [lambda f, h: ClassOneMask(f),
+              lambda f, h: Scaled(2.0, ClassOneMask(f)),
+              lambda f, h: SymbolSum([ClassOneMask(f), h])]
+    if lifted:
+        shapes.append(lambda f, h: f)
+    for build in shapes:
+        spec = build(f, h)
+        assert is_radial_scalar(spec, lifted) == lifted
+        streamed = partial_sums(g, spec, grid)
+        per_point = partial_sums(g, build(*tables), grid)
+        np.testing.assert_allclose(streamed.sums, per_point.sums, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(streamed.counts, per_point.counts)
+        assert streamed.sums[-1] > 0
 
 
 def test_partial_sums_grid_validation():

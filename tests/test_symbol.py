@@ -143,15 +143,18 @@ def test_eval_radial_on_group_point():
     assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
 
 
-def test_mask_zeroes_outside_class_one_block():
+def test_mask_zeroes_outside_class_one_block(tmp_path):
     g = Geometry.sphere(2)
     p = point_of(g, (2,))  # d = 5, k = 1
     m = eval_symbol(ClassOneMask(RadialWeight(2.0)), p, g)
     assert m[0, 0] != 0
     assert np.count_nonzero(m) == 1
-    # same through the masked flag
-    m2 = eval_symbol(RadialWeight(2.0), p, g, masked=True)
+    # same for a diag: table holding the radial values on all five entries
+    path = tmp_path / "diag.txt"
+    path.write_text("2\n%s\n" % " ".join([repr(float(m[0, 0].real))] * 5))
+    m2 = eval_symbol(ClassOneMask(DiagonalTable(str(path))), p, g)
     assert np.array_equal(m, m2)
+    assert np.count_nonzero(eval_symbol(DiagonalTable(str(path)), p, g)) == 5
 
 
 def test_block_size_guard_before_allocation():
@@ -191,6 +194,10 @@ def test_sum_and_scale_compose():
     np.testing.assert_allclose(got, want, rtol=1e-15)
     assert is_radial_scalar(spec)
     assert not is_radial_scalar(ClassOneMask(spec))
+    # on lifted kinds a mask streams, and its scalar looks through it
+    assert is_radial_scalar(SymbolSum([Scaled(2.0, ClassOneMask(spec)), spec]), lifted=True)
+    assert not is_radial_scalar(ClassOneMask(DiagonalTable("t", entries={})), lifted=True)
+    np.testing.assert_array_equal(scalar_values(ClassOneMask(spec), lam, g), got)
 
 
 # ---------------------------------------------------------------------------
