@@ -433,9 +433,7 @@ def _cmd_parametrix(ns: dict) -> int:
     print("parametrix of a %d-point boundary symbol, index cutoffs" % len(sym))
     _print_estimate(est)
     if ns.get("out_csv"):
-        inv = BoundarySymbol(js=sym.js.copy(), lam=sym.lam.copy(),
-                             values=1.0 / sym.values, order=sym.order)
-        _write_csv(ns, boundary_series(inv, grid))
+        _write_csv(ns, boundary_series(sym.reciprocal(), grid))
     _write_json(ns, {"command": "parametrix", "points": len(sym),
                      "estimate": est.to_json_dict()})
     return _verdict_exit(est.verdict)

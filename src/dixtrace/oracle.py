@@ -43,30 +43,33 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
                       picture: str | None = None) -> TruncatedOperator:
     """Materialize all symbol blocks with weight <= cutoff.
 
-    The total dimension is checked against cap via the counting function
-    before any matrix is built, so an oversized request fails fast with the
-    cap that would be needed.
+    The total dimension, sum of mult * rep_dim over the points, is checked
+    against cap before any matrix is built, so an oversized request fails
+    fast with the cap that would be needed.  The counting function goes
+    first and bounds the enumeration itself.
     """
     if picture is None:
         picture = default_picture(geom)
     if picture == "boundary-index":
         raise ConfigError("boundary symbols have no block truncation; "
                           "use the boundary module directly")
-    total = counting_function(geom, cutoff)
+    _check_cap(counting_function(geom, cutoff), cutoff, cap)
+    masked, lifted = geom.block_rule(picture)
+    spec = ClassOneMask(spec) if masked else spec
+    points = list(enumerate_dual(geom, cutoff))
+    mults = [p.rep_dim if lifted else 1 for p in points]
+    total_dim = sum(mult * p.rep_dim for mult, p in zip(mults, points))
+    _check_cap(total_dim, cutoff, cap)
+    blocks = [(label_text(p), eval_symbol(spec, p, geom), mult)
+              for p, mult in zip(points, mults)]
+    return TruncatedOperator(blocks=blocks, total_dim=total_dim,
+                             geometry=geom, picture=picture)
+
+
+def _check_cap(total: int, cutoff: float, cap: int) -> None:
     if total > cap:
         raise SizeError("truncation at cutoff %g holds %d weighted dimensions; "
                         "pass cap >= %d to allow it" % (cutoff, total, total))
-    masked, lifted = geom.block_rule(picture)
-    spec = ClassOneMask(spec) if masked else spec
-    blocks = []
-    total_dim = 0
-    for point in enumerate_dual(geom, cutoff):
-        m = eval_symbol(spec, point, geom)
-        mult = point.rep_dim if lifted else 1
-        blocks.append((label_text(point), m, mult))
-        total_dim += mult * m.shape[0]
-    return TruncatedOperator(blocks=blocks, total_dim=total_dim,
-                             geometry=geom, picture=picture)
 
 
 def operator_singular_values(op: TruncatedOperator,

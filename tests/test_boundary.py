@@ -11,6 +11,7 @@ from dixtrace.boundary import (AlphaTable, BoundarySymbol, IntervalBC,
                                boundary_weyl_series, enumeration_js,
                                interval_eigenvalue, interval_spectrum,
                                parametrix_trace, s0_summability_check)
+from dixtrace import boundary
 from dixtrace.errors import (ConfigError, DomainError, EllipticityError,
                              SizeError, SpectrumFormatError)
 from dixtrace.summation import dyadic_grid
@@ -33,6 +34,9 @@ def test_self_adjoint_case_is_real_multiples_of_2pi():
     with pytest.raises(DomainError) as err:
         interval_spectrum(bc, 5)
     assert "j = 0" in str(err.value)
+    # the streamed closed form keeps the check, chunk by chunk
+    with pytest.raises(DomainError, match="j = 0"):
+        boundary_series(BoundarySymbol.inverse_spectrum(bc, 5), dyadic_grid(8, 2))
 
 
 def test_enumeration_order():
@@ -46,6 +50,13 @@ def test_enumeration_size_guard():
     # far above the point cap, so the guard must fire before allocating
     with pytest.raises(SizeError, match="above the cap"):
         enumeration_js(10 ** 12)
+    # closed-form symbols stream, under their own label cap
+    with pytest.raises(SizeError, match="above the cap"):
+        BoundarySymbol.inverse_spectrum(BC, 10 ** 12)
+    big = BoundarySymbol.spectrum_symbol(BC, 30_000_000)
+    assert len(big) == 60_000_001
+    with pytest.raises(SizeError, match="above the cap"):
+        big.lam  # materializing it is refused before allocating
 
 
 def test_bc_validation():
@@ -109,6 +120,33 @@ def test_parametrix_rejects_zero_symbol_value():
     assert "l = 7" in str(err.value)
 
 
+def test_index_sums_match_fsum():
+    # a = b = 1: lambda_j = pi (2j + 1), so |sigma_l| = 1 / (pi |2j + 1|)
+    bc = IntervalBC(a=1.0, b=1.0)
+    grid = dyadic_grid(1e6, 4)
+    series = boundary_series(BoundarySymbol.inverse_spectrum(bc, 500_001), grid)
+    js, lam = interval_spectrum(bc, 500_001)
+    assert np.all(lam.imag == 0)
+    terms = np.abs(1.0 / lam).tolist()
+    for n, count, s in zip(grid, series.counts, series.sums):
+        assert count == math.floor(n) + 1
+        ref = math.fsum(terms[:int(count)])
+        assert abs(s - ref) <= 1e-14 * ref
+
+
+def test_grid_extension_reproduces_snapshots():
+    # chunks are fixed by the label index, so a longer grid over more labels
+    # repeats every earlier snapshot bit for bit
+    grid = dyadic_grid(3e5, 4)
+    short, long_ = (boundary_series(BoundarySymbol.inverse_spectrum(BC, int(n // 2) + 1),
+                                    grid[grid <= n])
+                    for n in (2e4, 3e5))
+    k = len(short)
+    assert k > 30 and len(long_) > k
+    np.testing.assert_array_equal(short.sums, long_.sums[:k])
+    np.testing.assert_array_equal(short.counts, long_.counts[:k])
+
+
 def test_boundary_series_counts():
     sym = BoundarySymbol.from_callable(BC, 50, lambda j, lam: 1.0)
     series = boundary_series(sym, np.array([2.0, 10.0, 200.0]))
@@ -124,6 +162,18 @@ def test_weyl_cutoff_variant_matches_index_variant():
     series = boundary_weyl_series(sym, 1, dyadic_grid(1e4, 4))
     # weight cutoff N keeps the ~ N/pi eigenvalues in [-N, N]
     assert series.counts[-1] == pytest.approx(1e4 / math.pi, rel=0.01)
+
+
+def test_weyl_ties_across_chunks():
+    # equal keys straddling a chunk boundary all count at a cutoff on them
+    n = boundary._LABEL_CHUNK + 3
+    js = enumeration_js(n // 2)
+    lam = np.full(n, 2.0 + 0j)
+    lam[-1] = 3.0
+    sym = BoundarySymbol(js=js, lam=lam, values=np.ones(n, dtype=complex))
+    series = boundary_weyl_series(sym, 1, np.array([2.0, 2.5, 3.0]))
+    np.testing.assert_array_equal(series.counts, [n - 1, n - 1, n])
+    np.testing.assert_array_equal(series.sums, series.counts)
 
 
 def test_weyl_respects_order():
@@ -153,6 +203,18 @@ def test_file_round_trip_and_resorting(tmp_path):
     again = BoundarySymbol.from_file(shuffled)
     np.testing.assert_array_equal(again.js, back.js)
     np.testing.assert_array_equal(again.values, back.values)
+
+
+def test_file_round_trip_gives_identical_sums(tmp_path):
+    # the file form is sliced at the closed form's chunk boundaries
+    sym = BoundarySymbol.inverse_spectrum(BC, 3 * boundary._LABEL_CHUNK)
+    path = str(tmp_path / "sym.txt")
+    sym.to_file(path)
+    grid = dyadic_grid(len(sym) - 1, 4)
+    direct = boundary_series(sym, grid)
+    back = boundary_series(BoundarySymbol.from_file(path), grid)
+    np.testing.assert_array_equal(direct.sums, back.sums)
+    np.testing.assert_array_equal(direct.counts, back.counts)
 
 
 def test_symbol_validation():

@@ -178,6 +178,10 @@ def test_oracle_check_cap_error(capsys):
                "--cutoff", "100000")
     assert code == 1
     capsys.readouterr()
+    code = run("oracle-check", "--geometry", "sphere:3", "--symbol", "radial:3",
+               "--cutoff", "20", "--cap", "3000")
+    assert code == 1
+    assert "cap >= 722666" in capsys.readouterr().err
 
 
 def test_s0_check_exit_codes(capsys):

@@ -24,11 +24,21 @@ def test_truncation_shape_and_dimension():
         assert mult == n + 1
 
 
-def test_truncation_cap_reports_requirement():
+def test_truncation_cap_reports_requirement(monkeypatch):
     with pytest.raises(SizeError) as err:
         truncate_operator(Geometry.torus(1), parse_symbol("radial:1"), 1000.0,
                           cap=100)
     assert "1999" in str(err.value)
+    # sphere:3 counts 2870 eigenfunctions below 20, but its masked blocks
+    # stay d x d: the cap holds the 722666 dimensions actually built, and
+    # no block is evaluated before it is checked
+    def no_blocks(*args):
+        raise AssertionError("a block was evaluated before the cap check")
+
+    monkeypatch.setattr("dixtrace.oracle.eval_symbol", no_blocks)
+    with pytest.raises(SizeError, match="cap >= 722666"):
+        truncate_operator(parse_geometry("sphere:3"), parse_symbol("radial:3"), 20.0,
+                          cap=3000)
 
 
 def test_dense_assembly_matches_block_svd():
@@ -80,10 +90,12 @@ def test_matched_count_correspondence():
 @pytest.mark.parametrize("name", ["sphere:3", "su2", "torus:2"])
 def test_truncation_total_matches_partial_sum(name):
     # the truncation follows the series' block rule (the sphere's implied
-    # mask, the lift), so all its singular values add up to S(cutoff)
+    # mask, the lift), so all its singular values add up to S(cutoff); the
+    # masked sphere:3 blocks stay d x d, 60710 dimensions, above the
+    # default cap
     g = parse_geometry(name)
     spec = parse_symbol("radial:3")
-    svals = operator_singular_values(truncate_operator(g, spec, 12.0))
+    svals = operator_singular_values(truncate_operator(g, spec, 12.0, cap=100_000))
     series = partial_sums(g, spec, dyadic_grid(12.0, 2))
     assert math.fsum(svals) == pytest.approx(series.sums[-1], rel=1e-12)
 
