@@ -19,13 +19,14 @@ the index-cutoff form, which is why parametrix_trace(P = L) and
 boundary_dixmier on sigma = 1/lambda produce identical floats.
 
 Both forms sum through the compensated fold the closed geometries use
-(summation._stream_snapshots): plain cumulative sums inside fixed chunks of
-_LABEL_CHUNK labels, chunk totals folded with a Neumaier carry.  Index
-sums are keyed by l with a unit count per label; the closed-form symbols
-1/lambda and lambda generate their chunks on the fly, so they run in flat
-memory up to _MAX_STREAMED_LABELS (2^30) labels.  Symbols held as arrays
-(files, callables, --alpha table:) and the Weyl form, which sorts by
-|lambda|, stay materialized under the 5e7-point cap.
+(summation._stream_snapshots): pairwise sums of chunk prefixes, in chunks
+of the one stream length geometry._CHUNK, chunk totals folded with a
+Neumaier carry.  Index sums are keyed by l with a unit count per label;
+the closed-form symbols 1/lambda, lambda and 1 generate their chunks on
+the fly, so they run in flat memory up to _MAX_STREAMED_LABELS (2^30)
+labels.  Symbols held as arrays (files, callables, --alpha table:) and the
+Weyl form, which sorts by |lambda|, stay materialized under the 5e7-point
+cap.
 """
 
 from __future__ import annotations
@@ -39,18 +40,13 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
                      SpectrumFormatError)
-from .geometry import _MAX_MATERIALIZED_POINTS
+from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS
 from .summation import PartialSumSeries, _stream_snapshots, check_grid
 from .trace import (DIVERGENCE_THRESHOLD, VANISHING_REL, TraceEstimate,
                     _estimate)
 
 ZERO_EIGENVALUE_TOL = 1e-12
 
-# Labels per chunk, fixed for reproducibility.  The fold sums inside a chunk
-# by plain cumsum, whose error grows with the chunk's length; at 2^12 the
-# index sums stay within 1e-14 of math.fsum (2^16 gives 2e-14) at the same
-# speed.
-_LABEL_CHUNK = 1 << 12
 # closed-form index sums stream in flat memory; this bounds their run time
 # (about a minute per 1e9 labels for the two passes of `dixtrace boundary`)
 _MAX_STREAMED_LABELS = 1 << 30
@@ -198,8 +194,9 @@ def _check_finite(values: np.ndarray) -> None:
 
 
 # closed-form symbol kinds: values from lambda, and the kind of 1/sigma
-_CLOSED_VALUES = {"inverse": lambda lam: 1.0 / lam, "spectrum": lambda lam: lam}
-_RECIPROCAL = {"inverse": "spectrum", "spectrum": "inverse"}
+_CLOSED_VALUES = {"inverse": lambda lam: 1.0 / lam, "spectrum": lambda lam: lam,
+                  "one": np.ones_like}
+_RECIPROCAL = {"inverse": "spectrum", "spectrum": "inverse", "one": "one"}
 
 
 class BoundarySymbol:
@@ -209,9 +206,9 @@ class BoundarySymbol:
     <xi> = (1+|lambda|^2)^(1/2m).
 
     A symbol read from a file or a callable holds its arrays js, lam and
-    values.  A closed-form symbol (inverse_spectrum, spectrum_symbol) holds
-    only (bc, j_max, kind) and generates its labels chunk by chunk, so its
-    index sums run in flat memory up to _MAX_STREAMED_LABELS labels.  Both
+    values.  A closed-form symbol (inverse_spectrum, spectrum_symbol, one)
+    holds only (bc, j_max, kind) and generates its labels chunk by chunk, so
+    its index sums run in flat memory up to _MAX_STREAMED_LABELS labels.  Both
     hand out the same fixed chunks (chunks()), so equal values give equal
     sums bit for bit.  Reading js, lam or values of a closed-form symbol
     materializes it under the point cap.
@@ -265,11 +262,11 @@ class BoundarySymbol:
     def chunks(self) -> Iterator[tuple]:
         """(l0, js, lam, values) for enumeration indices l0 <= l < l0 + C.
 
-        C is _LABEL_CHUNK.  Chunk boundaries depend on the label index
+        C is geometry._CHUNK.  Chunk boundaries depend on the label index
         alone, never on the grid or on how the symbol is held.
         """
-        for l0 in range(0, self._n, _LABEL_CHUNK):
-            l1 = min(l0 + _LABEL_CHUNK, self._n)
+        for l0 in range(0, self._n, _CHUNK):
+            l1 = min(l0 + _CHUNK, self._n)
             if self._arrays is not None:
                 js, lam, values = (a[l0:l1] for a in self._arrays)
             else:
@@ -316,6 +313,11 @@ class BoundarySymbol:
     def spectrum_symbol(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
         """sigma(xi_j) = lambda_j, the symbol of the model operator itself."""
         return BoundarySymbol._closed_form(bc, j_max, "spectrum")
+
+    @staticmethod
+    def one(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
+        """sigma(xi_j) = 1, in closed form; its own reciprocal."""
+        return BoundarySymbol._closed_form(bc, j_max, "one")
 
     @staticmethod
     def from_file(path: str, order: int = 1) -> "BoundarySymbol":
@@ -365,7 +367,7 @@ class BoundarySymbol:
 
 def _index_chunks(sym: BoundarySymbol, terms: Callable) -> Iterator[tuple]:
     """(l, terms(lam, values), 1) per symbol chunk, for _stream_snapshots."""
-    unit = np.ones(_LABEL_CHUNK)
+    unit = np.ones(_CHUNK)
     for l0, _js, lam, values in sym.chunks():
         n = len(values)
         yield np.arange(l0, l0 + n, dtype=np.float64), terms(lam, values), unit[:n]
@@ -396,11 +398,11 @@ def boundary_dixmier(sym: BoundarySymbol, grid: np.ndarray,
 
 
 def _sorted_chunks(x: np.ndarray, terms: np.ndarray) -> Iterator[tuple]:
-    """Slices of ascending keys x, _LABEL_CHUNK long and each extended to
+    """Slices of ascending keys x, _CHUNK long and each extended to
     the end of its run of equal keys, so no threshold splits a tie."""
     start = 0
     while start < len(x):
-        end = min(start + _LABEL_CHUNK, len(x))
+        end = min(start + _CHUNK, len(x))
         end = int(np.searchsorted(x, x[end - 1], side="right"))
         yield x[start:end], terms[start:end], np.ones(end - start)
         start = end

@@ -321,7 +321,7 @@ def _build_boundary_symbol(ns: dict, default_kind: str) -> BoundarySymbol:
     if head == "spectrum":
         return BoundarySymbol.spectrum_symbol(bc, j_max)
     if head == "one":
-        return BoundarySymbol.from_callable(bc, j_max, lambda j, lam: 1.0)
+        return BoundarySymbol.one(bc, j_max)
     raise ConfigError("unknown boundary symbol %r" % kind)
 
 

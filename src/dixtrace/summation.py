@@ -15,17 +15,21 @@ Two evaluation strategies produce series:
     blocks; it also carries the optional thread fan-out.
 
 Both share one accumulation contract so results are reproducible bit for
-bit: per-shell totals (exact fsum over the points of one eigenvalue) are
-combined in ascending eigenvalue order inside fixed-size chunks by plain
-cumulative summation, and chunk totals are folded together with a
-Neumaier-compensated carry.  Chunk boundaries depend only on the geometry,
-never on the grid or the thread count, so extending the grid or running the
-per-point path in parallel reproduces every earlier snapshot exactly.
+bit: pairwise sums of chunk prefixes, with one chunk length.  Per-shell
+totals (exact fsum over the points of one eigenvalue) come in ascending
+eigenvalue order in fixed chunks (geometry._CHUNK shells or labels on every
+stream, _SHELLS_PER_BLOCK shells on the per-point path); a snapshot is the
+Neumaier-compensated carry of the earlier chunk totals plus the pairwise
+sum (np.sum) of its chunk's prefix.  No cumulative sum is formed, so the
+in-chunk error grows like log of the chunk length, not like the length.
+Chunk boundaries depend only on the geometry, never on the grid or the
+thread count, so extending the grid or running the per-point path in
+parallel reproduces every earlier snapshot exactly.
 
 Cutoffs act through the eigenvalue threshold lambda <= N^nu - 1 (ties
-included).  Counts are kept in float64; they are exact integers up to 2**53,
-beyond which (huge SU(2)/SU(3) grids) they round in the last few ulp while
-counting_function itself stays exact.
+included).  Counts are kept in float64 and fold the same way; they are
+exact integers up to 2**53 and beyond that (huge SU(2)/SU(3) grids) stay
+within a few ulp of counting_function, which is exact.
 """
 
 from __future__ import annotations
@@ -197,8 +201,11 @@ class _Carry:
 def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
     """Fold (lam, contrib, dsum) chunks into snapshot sums/counts.
 
-    Every snapshot is computed as carry-before-chunk + in-chunk prefix, so
-    values never depend on how far the stream continues afterwards.
+    A chunk's totals are pairwise sums (np.sum) folded into a Neumaier
+    carry; a snapshot whose threshold lands in a chunk is the carry before
+    the chunk plus the pairwise sum of the chunk's prefix up to it.  Each
+    prefix depends only on the chunk and the prefix length, so values never
+    depend on how far the stream continues afterwards.
     """
     k_total = len(thresholds)
     sums = np.zeros(k_total)
@@ -206,32 +213,23 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
     carry_s = _Carry()
     carry_c = _Carry()
     ptr = 0
-    last = None  # (lam, cs, cc, carry_s_before, carry_c_before)
+    last = (0.0, 0.0)  # the snapshot at the last shell streamed so far
     for lam, contrib, dsum in chunks:
         if lam.size == 0:
             continue
-        cs = np.cumsum(contrib)
-        cc = np.cumsum(dsum)
         while ptr < k_total and thresholds[ptr] <= lam[-1]:
-            idx = int(np.searchsorted(lam, thresholds[ptr], side="right")) - 1
-            if idx >= 0:
-                sums[ptr] = carry_s.value() + cs[idx]
-                counts[ptr] = carry_c.value() + cc[idx]
-            else:
-                sums[ptr] = carry_s.value()
-                counts[ptr] = carry_c.value()
+            n = int(np.searchsorted(lam, thresholds[ptr], side="right"))
+            sums[ptr] = carry_s.value() + float(np.sum(contrib[:n]))
+            counts[ptr] = carry_c.value() + float(np.sum(dsum[:n]))
             ptr += 1
-        last = (carry_s.value(), carry_c.value(), float(cs[-1]), float(cc[-1]))
-        carry_s.add(float(cs[-1]))
-        carry_c.add(float(cc[-1]))
-    while ptr < k_total:
-        if last is None:
-            sums[ptr] = 0.0
-            counts[ptr] = 0.0
-        else:
-            sums[ptr] = last[0] + last[2]
-            counts[ptr] = last[1] + last[3]
-        ptr += 1
+        total_s = float(np.sum(contrib))
+        total_c = float(np.sum(dsum))
+        last = (carry_s.value() + total_s, carry_c.value() + total_c)
+        carry_s.add(total_s)
+        carry_c.add(total_c)
+    # thresholds past the end read the last shell's snapshot, as they
+    # would on a longer stream
+    sums[ptr:], counts[ptr:] = last
     return sums, counts
 
 
@@ -273,10 +271,12 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
 
 def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[tuple]:
     for lam, dsum in radial_shells(geom, n_max):
-        f = scalar_values(spec, lam, geom)
+        f = scalar_values(spec, lam, geom)  # a fresh array, so D |f| forms in place
         if not np.all(np.isfinite(f)):
             raise ConfigError("symbol produced non-finite values on %s" % geom.describe())
-        yield lam, dsum * np.abs(f), dsum
+        np.abs(f, out=f)
+        f *= dsum
+        yield lam, f, dsum
 
 
 def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, lifted: bool):

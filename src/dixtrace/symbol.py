@@ -172,7 +172,10 @@ def is_radial_scalar(spec: SymbolSpec, lifted: bool = False) -> bool:
 
 
 def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarray:
-    """Vectorized scalar evaluation on an eigenvalue array."""
+    """Vectorized scalar evaluation on an eigenvalue array.
+
+    The result is always a fresh float64 array that callers may overwrite.
+    """
     if isinstance(spec, RadialWeight):
         return (1.0 + lam) ** (-spec.s / geom.nu)
     if isinstance(spec, BesselPotential):

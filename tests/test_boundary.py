@@ -11,9 +11,9 @@ from dixtrace.boundary import (AlphaTable, BoundarySymbol, IntervalBC,
                                boundary_weyl_series, enumeration_js,
                                interval_eigenvalue, interval_spectrum,
                                parametrix_trace, s0_summability_check)
-from dixtrace import boundary
 from dixtrace.errors import (ConfigError, DomainError, EllipticityError,
                              SizeError, SpectrumFormatError)
+from dixtrace.geometry import _CHUNK
 from dixtrace.summation import dyadic_grid
 
 BC = IntervalBC(a=-math.e, b=1.0)
@@ -131,7 +131,7 @@ def test_index_sums_match_fsum():
     for n, count, s in zip(grid, series.counts, series.sums):
         assert count == math.floor(n) + 1
         ref = math.fsum(terms[:int(count)])
-        assert abs(s - ref) <= 1e-14 * ref
+        assert abs(s - ref) <= 1e-15 * ref
 
 
 def test_grid_extension_reproduces_snapshots():
@@ -155,6 +155,22 @@ def test_boundary_series_counts():
     assert series.picture == "boundary-index"
 
 
+def test_closed_form_one_matches_callable():
+    # sigma = 1 streamed in closed form gives the materialized callable's
+    # sums bit for bit, also for its reciprocal and under the Weyl cutoff
+    j_max = 2 * _CHUNK
+    one = BoundarySymbol.one(BC, j_max)
+    ref = BoundarySymbol.from_callable(BC, j_max, lambda j, lam: 1.0)
+    grid = dyadic_grid(len(ref) - 1, 4)
+    for a, b in ((one, ref), (one.reciprocal(), ref.reciprocal())):
+        sa, sb = boundary_series(a, grid), boundary_series(b, grid)
+        np.testing.assert_array_equal(sa.sums, sb.sums)
+        np.testing.assert_array_equal(sa.counts, sb.counts)
+    wa, wb = (boundary_weyl_series(s, 1, dyadic_grid(1e4, 4)) for s in (one, ref))
+    np.testing.assert_array_equal(wa.sums, wb.sums)
+    np.testing.assert_array_equal(wa.counts, wb.counts)
+
+
 def test_weyl_cutoff_variant_matches_index_variant():
     sym = BoundarySymbol.inverse_spectrum(BC, 50_000)
     est = boundary_dixmier_weyl(sym, kappa=1, grid=dyadic_grid(1e5, 4))
@@ -166,7 +182,7 @@ def test_weyl_cutoff_variant_matches_index_variant():
 
 def test_weyl_ties_across_chunks():
     # equal keys straddling a chunk boundary all count at a cutoff on them
-    n = boundary._LABEL_CHUNK + 3
+    n = _CHUNK + 3
     js = enumeration_js(n // 2)
     lam = np.full(n, 2.0 + 0j)
     lam[-1] = 3.0
@@ -207,7 +223,7 @@ def test_file_round_trip_and_resorting(tmp_path):
 
 def test_file_round_trip_gives_identical_sums(tmp_path):
     # the file form is sliced at the closed form's chunk boundaries
-    sym = BoundarySymbol.inverse_spectrum(BC, 3 * boundary._LABEL_CHUNK)
+    sym = BoundarySymbol.inverse_spectrum(BC, 3 * _CHUNK)
     path = str(tmp_path / "sym.txt")
     sym.to_file(path)
     grid = dyadic_grid(len(sym) - 1, 4)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dixtrace.boundary import BoundarySymbol
 from dixtrace.cli import main
 from dixtrace.summation import PartialSumSeries
 
@@ -255,3 +256,18 @@ def test_oversized_boundary_exits_one(capsys):
     assert run("boundary", "--cutoff-kind", "eigenvalue", "--order", "2",
                "--nmax", "1e200") == 1
     assert "overflows" in capsys.readouterr().err
+
+
+def test_boundary_symbol_one_streams(tmp_path, capsys, monkeypatch):
+    # sigma = 1 is a closed form: no per-label callable, sums equal counts
+    def refuse(*args):
+        raise AssertionError("sigma = 1 went through from_callable")
+
+    monkeypatch.setattr(BoundarySymbol, "from_callable", staticmethod(refuse))
+    out_csv = str(tmp_path / "one.csv")
+    assert run("boundary", "--boundary-symbol", "one", "--nmax", "1e5",
+               "--out-csv", out_csv) == 2  # a constant diverges
+    capsys.readouterr()
+    back = PartialSumSeries.from_csv(out_csv)
+    np.testing.assert_array_equal(back.counts, np.floor(back.cutoffs) + 1)
+    np.testing.assert_array_equal(back.sums, back.counts)

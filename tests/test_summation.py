@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dixtrace.boundary import BoundarySymbol, IntervalBC, boundary_series
 from dixtrace.errors import ConfigError, ContractError, FitError
-from dixtrace.geometry import (Geometry, counting_function, enumerate_dual,
-                               label_text, parse_geometry, save_spectrum_file)
+from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
+                               enumerate_dual, label_text, parse_geometry,
+                               radial_shells, save_spectrum_file)
 from dixtrace.summation import (PartialSumSeries, counting_series,
                                 default_picture, dyadic_grid, partial_sums,
                                 scale_series, weyl_fit)
@@ -109,16 +112,82 @@ def test_additivity_of_nonnegative_scalars():
 
 
 def test_grid_extension_keeps_prefix_bits():
-    # the stream must not let later chunks perturb earlier snapshots
+    # the stream must not let later chunks perturb earlier snapshots.  The
+    # short grid crosses two chunk boundaries of torus:1 shells, with cutoffs
+    # stopping on the last shell of a chunk and on the first of the next.
+    # Most snapshots come out correctly rounded under any chunking, so the
+    # grid is dense: a chunk length that depends on the cutoff changes a few.
     g = Geometry.torus(1)
-    spec = RadialWeight(1.0)
-    short = dyadic_grid(1e3, 4)
-    long = dyadic_grid(1e5, 4)
+    spec = parse_symbol("modulus:0.5")
+    edges = [r for k in (1, 2) for r in (k * _CHUNK - 1, k * _CHUNK)]
+    edge_cutoffs = [math.sqrt(r * r + 1.5) for r in edges]  # stop on shell r
+    long = np.union1d(dyadic_grid(12 * _CHUNK, 32), edge_cutoffs)
+    short = long[long <= 3 * _CHUNK]
     a = partial_sums(g, spec, short)
     b = partial_sums(g, spec, long)
-    k = len(short) - 1  # every short cutoff except the appended endpoint
-    np.testing.assert_array_equal(a.sums[:k], b.sums[:k])
-    np.testing.assert_array_equal(a.counts[:k], b.counts[:k])
+    np.testing.assert_array_equal(a.counts[np.isin(short, edge_cutoffs)],
+                                  [2 * r + 1 for r in edges])
+    k = len(short)
+    np.testing.assert_array_equal(a.sums, b.sums[:k])
+    np.testing.assert_array_equal(a.counts, b.counts[:k])
+
+
+def test_su2_stream_sums_match_fsum():
+    # every snapshot of the shell stream against math.fsum of its D |f| terms
+    g = Geometry.su2()
+    spec = parse_symbol("bessel:3:2")
+    grid = dyadic_grid(1e6, 4)
+    series = partial_sums(g, spec, grid)
+    lam, dsum = (np.concatenate(x) for x in zip(*radial_shells(g, grid[-1])))
+    assert len(lam) > 100 * _CHUNK
+    terms = (dsum * np.abs(scalar_values(spec, lam, g))).tolist()
+    for n, s in zip(grid, series.sums):
+        ref = math.fsum(terms[:int(np.searchsorted(lam, g.lambda_threshold(n), "right"))])
+        assert abs(s - ref) <= 1e-15 * ref
+
+
+def test_torus1_sums_match_mpmath():
+    # S(N) = 1 + 2 sum_{1 <= r <= m} (1 + r^2)^(-1/2), m = floor(sqrt(N^2 - 1)),
+    # summed exactly in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    g = Geometry.torus(1)
+    grid = dyadic_grid(6 * _CHUNK, 4)
+    series = partial_sums(g, RadialWeight(1.0), grid)
+    with mpmath.workdps(40):
+        ref, r = mpmath.mpf(1), 0
+        for n, s in zip(grid, series.sums):
+            m = math.isqrt(int(g.lambda_threshold(n)))
+            ref += 2 * mpmath.fsum(1 / mpmath.sqrt(1 + mpmath.mpf(k) ** 2)
+                                   for k in range(r + 1, m + 1))
+            r = m
+            assert abs(s - ref) <= 1e-15 * ref
+
+
+def test_su2_counts_past_2_53_match_counting_function():
+    g = Geometry.su2()
+    grid = dyadic_grid(1e7, 4)
+    counts = partial_sums(g, RadialWeight(0.0), grid).counts
+    assert counts[-1] > 2.0 ** 53
+    for n, c in zip(grid, counts):
+        exact = counting_function(g, n)
+        assert abs(c - exact) <= 1e-15 * exact
+
+
+def test_streamed_sums_run_in_flat_memory():
+    # the streams hold one chunk at a time, whatever the cutoff
+    bc = IntervalBC(a=-math.e, b=1.0)
+    runs = [lambda: partial_sums(Geometry.torus(1), parse_symbol("modulus:0.5"),
+                                 dyadic_grid(1e7)),
+            lambda: boundary_series(BoundarySymbol.inverse_spectrum(bc, 500_001),
+                                    dyadic_grid(1e6))]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 def test_grid_extension_on_object_path(tmp_path):

@@ -185,6 +185,20 @@ def test_scalar_values_semantics():
         scalar_values(PowerOfEigenvalue(1.0), lam, g)  # hits 1/0 at lam = 0
 
 
+def test_scalar_values_are_fresh_arrays():
+    # the shell stream overwrites the result with D |f| in place
+    g = Geometry.torus(1)
+    lam = np.array([1.0, 3.0, 99.0])
+    base = RadialWeight(0.0)
+    for spec in (base, BesselPotential(1.0, 1.0), PowerOfEigenvalue(-1.0),
+                 ModulusWeight(0.0), Scaled(1.0, base), ClassOneMask(base),
+                 SymbolSum([base]), SymbolSum([base, base])):
+        f = scalar_values(spec, lam, g)
+        assert f.dtype == np.float64 and f.flags.writeable
+        assert not np.shares_memory(f, lam)
+        assert not np.shares_memory(f, scalar_values(spec, lam, g))
+
+
 def test_sum_and_scale_compose():
     g = Geometry.torus(1)
     lam = np.array([1.0, 7.0])
