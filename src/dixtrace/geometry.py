@@ -21,11 +21,15 @@ Built-in kinds:
              record per line.
 
 enumerate_dual, counting_function and radial_shells read each kind's
-formulas from one place (_RankOne, _su3 and _su3_rows for the built-ins).
+formulas from one place (_RankOne, and the row rules _Torus2 and _SU3 for
+the rank-two lattices).
 
 The weight of a point is w = (1+lambda)^(1/nu).  All cutoffs N act through
-the equivalent rule lambda <= N^nu - 1, evaluated once in float64, so that
-boundary ties are included the same way on every code path.
+the equivalent rule lambda <= N^nu - 1, so that boundary ties are included
+the same way on every code path.  On the lattice kinds (tori, su3), whose
+eigenvalues lie in (1/den)Z, the rule is exact: Geometry.lattice_cap reads
+N as the rational value of its float64.  Rank-one kinds and file spectra
+evaluate N^nu - 1 once in float64.
 """
 
 from __future__ import annotations
@@ -42,11 +46,15 @@ _BUILTIN_KINDS = ("torus", "su2", "so3", "su3", "sphere", "file")
 
 # Guard for paths that must materialize every dual point at once.
 _MAX_MATERIALIZED_POINTS = 50_000_000
-# Guard for the torus:2 eigenvalue histogram (N_max^2 float64 entries).
-_MAX_TORUS2_CUTOFF = 12_000.0
+# Guard for the rank-two lattice scans (torus:2, su3): labels (a, b) with
+# a, b >= 0 below the cutoff, counted before the first window is built.
+_MAX_LATTICE_LABELS = 1 << 27
+# den * lambda is an integer on the lattice kinds.
+_LATTICE_DEN = {"torus": 1, "su3": 9}
 
 # Shells (or boundary labels) per streamed chunk, one length for every
-# chunked stream; fixed so summation is reproducible.  The fold sums each
+# chunked stream, and the width in q = den * lambda of the rank-two lattice
+# windows; fixed so summation is reproducible.  The fold sums each
 # chunk pairwise, so its length is picked for speed alone: 2^14 float64
 # values (128 kB) stay in cache, and longer chunks spill out of it.
 _CHUNK = 1 << 14
@@ -105,10 +113,35 @@ class Geometry:
         return Geometry("file", dim=dim, nu=nu, path=path)
 
     def lambda_threshold(self, weight_cutoff: float) -> float:
-        """Largest admissible eigenvalue for weight cutoff N: N^nu - 1."""
-        if weight_cutoff < 1.0:
-            raise ConfigError("weight cutoff must be >= 1, got %r" % (weight_cutoff,))
-        return float(weight_cutoff) ** self.nu - 1.0
+        """Largest admissible eigenvalue for weight cutoff N, as the float64
+        that eigenvalues are compared against.
+
+        Rank-one kinds and file spectra evaluate N^nu - 1 in float64.  The
+        lattice kinds return float(q) / den for the exact integer cap q of
+        lattice_cap, computed as the shell streams compute eigenvalues; on
+        torus:1 q is the last admitted square, because past 2**53 the cap
+        itself may round onto the next square.
+        """
+        if self.kind not in _LATTICE_DEN:
+            _check_cutoff(weight_cutoff)
+            return float(weight_cutoff) ** self.nu - 1.0
+        cap = self.lattice_cap(weight_cutoff)
+        if self.kind == "torus" and self.rank == 1:
+            cap = math.isqrt(cap) ** 2
+        return float(cap) / _LATTICE_DEN[self.kind]
+
+    def lattice_cap(self, weight_cutoff: float) -> int:
+        """Largest integer q = den * lambda with lambda <= N^nu - 1, exactly.
+
+        Lattice eigenvalues lie in (1/den)Z, den = 1 on tori and 9 on su3;
+        N is read as the exact rational value of its float64, in integers.
+        """
+        _check_cutoff(weight_cutoff)
+        if float(self.nu).is_integer():  # N^nu = p/r in lowest terms
+            p, r = (x ** int(self.nu) for x in float(weight_cutoff).as_integer_ratio())
+        else:
+            p, r = (float(weight_cutoff) ** self.nu).as_integer_ratio()
+        return _LATTICE_DEN[self.kind] * (p - r) // r
 
     def block_rule(self, picture: str) -> tuple[bool, bool]:
         """Mask and multiplicity of symbol blocks: (masked, lifted).
@@ -131,6 +164,11 @@ class Geometry:
         if self.kind == "file":
             return "file:%s" % self.path
         return self.kind
+
+
+def _check_cutoff(weight_cutoff: float) -> None:
+    if not 1.0 <= weight_cutoff < math.inf:
+        raise ConfigError("weight cutoff must be finite and >= 1, got %r" % (weight_cutoff,))
 
 
 def parse_geometry(text: str, dim: int = 1, nu: float = 2.0) -> Geometry:
@@ -234,31 +272,112 @@ def _rank_one(geom: Geometry) -> _RankOne:
     return _GROUPS.get(geom.kind) or _RankOne(geom.rank - 1, 1, sphere=geom.rank)
 
 
-def _su3(a, b):
-    """q = 9*lambda and block size d of the su3 label (a, b); ints or arrays."""
-    return a * a + b * b + a * b + 3 * a + 3 * b, (a + 1) * (b + 1) * (a + b + 2) // 2
+def _isqrt(x):
+    """floor(sqrt(x)) of an int, or elementwise of an int64 array below 2**52.
+
+    Below 2**52 the float64 square root, correctly rounded, never reaches
+    the next integer (sqrt(k^2 - 1) rounds up to k only for k > 2**26), so
+    truncating it is exact; the label guard keeps the row rules' arguments
+    below 2**32.
+    """
+    if not isinstance(x, np.ndarray):
+        return math.isqrt(x)
+    return np.sqrt(x).astype(np.int64)
 
 
-def _su3_rows(threshold: float) -> Iterator[tuple[int, int]]:
-    """Yield (a, b_max) rows with q(a,b) <= 9*threshold."""
-    q_cap = int(9.0 * threshold)
+# Row rules of the rank-two lattices.  Labels (a, b) have a, b >= 0 and an
+# integer q(a, b) = den * lambda, symmetric in a and b and strictly
+# increasing in each.  b_max(a, q) is the largest b with q(a, b) <= q, for
+# rows with q(a, 0) <= q; weight(a, b) is the float64 D of a label.  Every
+# function takes ints or int64 arrays.
+
+class _Torus2:
+    """torus:2: the label (a, b) = (|k1|, |k2|) stands for its sign choices."""
+
+    name, den = "torus:2", 1
+
+    @staticmethod
+    def q(a, b):
+        return a * a + b * b
+
+    @staticmethod
+    def b_max(a, q):
+        return _isqrt(q - a * a)
+
+    @staticmethod
+    def weight(a, b):
+        return (1.0 + (a > 0)) * (1.0 + (b > 0))
+
+
+class _SU3:
+    """su3: highest weights (a, b), d = (a+1)(b+1)(a+b+2)/2 and D = d^2."""
+
+    name, den = "su3", 9
+
+    @staticmethod
+    def q(a, b):
+        return a * a + b * b + a * b + 3 * a + 3 * b
+
+    @staticmethod
+    def b_max(a, q):
+        # b^2 + (a+3) b + (a^2 + 3a - q) <= 0
+        return (_isqrt((a + 3) * (a + 3) - 4 * (a * a + 3 * a - q)) - (a + 3)) // 2
+
+    @staticmethod
+    def dim(a, b):
+        return (a + 1) * (b + 1) * (a + b + 2) // 2
+
+    @staticmethod
+    def weight(a, b):
+        d = _SU3.dim(a, b).astype(np.float64)
+        return d * d
+
+
+_ROWS = {"torus:2": _Torus2, "su3": _SU3}
+
+
+def _rows(rule, cap: int) -> Iterator[tuple[int, int]]:
+    """Yield (a, b_max) for every row a holding a label with q <= cap."""
     a = 0
-    while a * a + 3 * a <= q_cap:
-        # b^2 + (a+3) b + (a^2 + 3a - q_cap) <= 0
-        disc = (a + 3) * (a + 3) - 4 * (a * a + 3 * a - q_cap)
-        yield a, (math.isqrt(disc) - (a + 3)) // 2
+    while rule.q(a, 0) <= cap:
+        yield a, rule.b_max(a, cap)
         a += 1
 
 
-def _su3_sorted(threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and D = d^2 of all su3 labels, stably sorted by q."""
-    qd = [_su3(a, np.arange(b_max + 1, dtype=np.int64)) for a, b_max in _su3_rows(threshold)]
-    q = np.concatenate([x[0] for x in qd])
-    d = np.concatenate([x[1] for x in qd]).astype(np.float64)
-    del qd  # the row arrays would double the peak memory
-    d *= d
-    order = np.argsort(q, kind="stable")
-    return q[order] / 9.0, d[order]
+def _window_labels(rule, cap: int):
+    """Yield (lo, a, b) int64 arrays: the labels with lo <= q(a, b) < lo +
+    _CHUNK and q <= cap, rows in order and b ascending within a row.
+
+    The label count is checked against _MAX_LATTICE_LABELS before the first
+    window, one isqrt per row.  Windows are fixed in q, so the labels of a
+    window never depend on how far the cap lies beyond it.
+    """
+    n = 0
+    for _, b_max in _rows(rule, cap):
+        n += b_max + 1
+        if n > _MAX_LATTICE_LABELS:
+            raise SizeError("%s at this cutoff has more than %d labels (a, b) "
+                            "with a, b >= 0; lower the cutoff" % (rule.name, _MAX_LATTICE_LABELS))
+    b_next = np.zeros(rule.b_max(0, cap) + 1, dtype=np.int64)  # q is symmetric
+    for lo in range(0, cap + 1, _CHUNK):
+        hi = min(lo + _CHUNK - 1, cap)
+        a = np.arange(rule.b_max(0, hi) + 1, dtype=np.int64)
+        b_end = rule.b_max(a, hi) + 1
+        count = b_end - b_next[:a.size]
+        # row a adds b = b_next[a] .. b_end[a] - 1
+        skip = np.repeat(b_next[:a.size] - (np.cumsum(count) - count), count)
+        b = np.arange(skip.size) + skip
+        b_next[:a.size] = b_end
+        yield lo, np.repeat(a, count), b
+
+
+def _window_shells(rule, cap: int):
+    """Shells of one window at a time: (lam, dsum) of its occupied q."""
+    for lo, a, b in _window_labels(rule, cap):
+        hist = np.bincount(rule.q(a, b) - lo, weights=rule.weight(a, b))
+        q = np.flatnonzero(hist > 0)  # faster than testing floats for nonzero
+        if q.size:
+            yield (q + lo) / rule.den, hist[q]
 
 
 def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
@@ -268,32 +387,30 @@ def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
     label order is lexicographic.  This is the canonical enumeration order
     all summation paths share.
     """
-    t = geom.lambda_threshold(weight_cutoff)
     if geom.kind == "torus":
-        yield from _enumerate_torus(geom, t)
+        yield from _enumerate_torus(geom, geom.lattice_cap(weight_cutoff))
     elif geom.kind == "su3":
-        pts = []
-        for a, b_max in _su3_rows(t):
-            for b in range(b_max + 1):
-                q, d = _su3(a, b)
-                pts.append((q, (a, b), d))
-        pts.sort()
-        for q, label, d in pts:
-            yield _mk_point(geom, label, d, d * d, d, q / 9.0)
+        for _, a, b in _window_labels(_SU3, geom.lattice_cap(weight_cutoff)):
+            q = _SU3.q(a, b)
+            order = np.argsort(q, kind="stable")  # labels come in (a, b) order
+            for ai, bi, qi in zip(a[order].tolist(), b[order].tolist(), q[order].tolist()):
+                d = _SU3.dim(ai, bi)
+                yield _mk_point(geom, (ai, bi), d, d * d, d, qi / _SU3.den)
     elif geom.kind == "file":
+        t = geom.lambda_threshold(weight_cutoff)
         for row in _load_spectrum(geom):
             if row.eigenvalue <= t:
                 yield row
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
-        for l in range(r.label_max(t) + 1):
+        for l in range(r.label_max(geom.lambda_threshold(weight_cutoff)) + 1):
             lam, d, k = r.point(l)
             yield _mk_point(geom, (l,), d, d * k, k, lam)
 
 
-def _enumerate_torus(geom: Geometry, t: float) -> Iterator[DualPoint]:
+def _enumerate_torus(geom: Geometry, cap: int) -> Iterator[DualPoint]:
     n = geom.rank
-    m = math.isqrt(int(t))
+    m = math.isqrt(cap)
     if n == 1:
         yield _mk_point(geom, (0,), 1, 1, 1, 0.0)
         for r in range(1, m + 1):
@@ -310,26 +427,29 @@ def _enumerate_torus(geom: Geometry, t: float) -> Iterator[DualPoint]:
     axes = [np.arange(-m, m + 1, dtype=np.int64)] * n
     grid = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([g.ravel() for g in grid], axis=1)
-    lam = np.sum(coords.astype(np.float64) ** 2, axis=1)
-    keep = lam <= t
-    coords, lam = coords[keep], lam[keep]
-    order = np.lexsort(tuple(coords[:, i] for i in range(n - 1, -1, -1)) + (lam,))
+    q = np.sum(coords * coords, axis=1)
+    keep = q <= cap
+    coords, q = coords[keep], q[keep]
+    order = np.lexsort(tuple(coords[:, i] for i in range(n - 1, -1, -1)) + (q,))
     for i in order:
-        yield _mk_point(geom, tuple(int(c) for c in coords[i]), 1, 1, 1, float(lam[i]))
+        yield _mk_point(geom, tuple(int(c) for c in coords[i]), 1, 1, 1, float(q[i]))
 
 
 def counting_function(geom: Geometry, weight_cutoff: float) -> int:
     """Number of eigenvalues (with multiplicity D) of weight <= cutoff.
 
     Exact integer arithmetic; equals the sum of eigenspace_dim over
-    enumerate_dual at the same cutoff.
+    enumerate_dual at the same cutoff.  The lattice kinds also read the
+    cutoff exactly (lattice_cap); rank-one kinds and file spectra compare
+    against the float64 threshold N^nu - 1.
     """
-    t = geom.lambda_threshold(weight_cutoff)
     if geom.kind == "torus":
-        return _count_torus(geom.rank, int(t))
+        return _count_torus(geom.rank, geom.lattice_cap(weight_cutoff))
     if geom.kind == "su3":
-        return sum(_su3(a, b)[1] ** 2 for a, b_max in _su3_rows(t)
+        return sum(_SU3.dim(a, b) ** 2
+                   for a, b_max in _rows(_SU3, geom.lattice_cap(weight_cutoff))
                    for b in range(b_max + 1))
+    t = geom.lambda_threshold(weight_cutoff)
     if geom.kind == "file":
         return sum(p.eigenspace_dim for p in _load_spectrum(geom) if p.eigenvalue <= t)
     r = _rank_one(geom)
@@ -348,21 +468,25 @@ def _count_torus(n: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # Radial shell streams: (lambda ascending, summed D per shell) in float64.
 # This is the bulk interface the summation engine consumes for scalar radial
-# symbols; chunks hold _CHUNK shells from the first one on (the grouped
-# kinds come as one chunk), so their boundaries are fixed functions of the
-# geometry and repeated runs reproduce sums bit-for-bit.
+# symbols.  torus:1 and the rank-one kinds hand out _CHUNK shells per chunk
+# from the first one on; torus:2 and su3 hand out the occupied shells of
+# one window of _CHUNK values of q = den * lambda per chunk; higher tori and
+# file spectra come grouped as one chunk.  Chunk boundaries are fixed
+# functions of the geometry, so repeated runs and longer cutoffs reproduce
+# sums bit-for-bit.
 # ---------------------------------------------------------------------------
 
 def radial_shells(geom: Geometry, weight_cutoff: float):
     """Yield (lam, dsum) float64 array chunks, ascending in lam across chunks.
 
-    Each shell groups all dual points of one eigenvalue; dsum is the exact
-    sum of their eigenspace dimensions (exact in float64 up to 2**53; the
-    fold's counts past 2**53 stay within a few ulp of counting_function).
+    Each shell groups all dual points of one eigenvalue; dsum is the sum of
+    their eigenspace dimensions, exact in float64 up to 2**53 (su3 rounds
+    each D = d^2 above that, and the fold's counts past 2**53 stay within a
+    few ulp of counting_function).
     """
-    t = geom.lambda_threshold(weight_cutoff)
+    rows = _ROWS.get(geom.describe())
     if geom.kind == "torus" and geom.rank == 1:
-        m = math.isqrt(int(t))
+        m = math.isqrt(geom.lattice_cap(weight_cutoff))
         for a in range(0, m + 1, _CHUNK):
             b = min(a + _CHUNK, m + 1)
             r = np.arange(a, b, dtype=np.float64)
@@ -370,10 +494,8 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
             if a == 0:
                 dsum[0] = 1.0
             yield r * r, dsum
-    elif geom.kind == "torus" and geom.rank == 2:
-        yield from _torus2_shells(t)
-    elif geom.kind == "su3":
-        yield from _group_sorted(*_su3_sorted(t))
+    elif rows is not None:
+        yield from _window_shells(rows, geom.lattice_cap(weight_cutoff))
     elif geom.kind in ("torus", "file"):
         # torus rank >= 3 and file spectra: group the enumerated points
         pts = list(enumerate_dual(geom, weight_cutoff))
@@ -381,7 +503,7 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
                                  np.array([float(p.eigenspace_dim) for p in pts]))
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
-        lmax = r.label_max(t)
+        lmax = r.label_max(geom.lambda_threshold(weight_cutoff))
         for a in range(0, lmax + 1, _CHUNK):
             lam, d, k = r.point(np.arange(a, min(a + _CHUNK, lmax + 1), dtype=np.float64))
             yield lam, d * k
@@ -392,27 +514,6 @@ def _group_sorted(lam: np.ndarray, dsum: np.ndarray):
         return
     ulam, start = np.unique(lam, return_index=True)
     yield ulam, np.add.reduceat(dsum, start)
-
-
-def _torus2_shells(t: float):
-    if t + 1.0 > _MAX_TORUS2_CUTOFF ** 2:
-        raise SizeError(
-            "torus:2 radial path holds an eigenvalue histogram of size N^2; "
-            "cutoff %g exceeds the supported N <= %g" % (math.sqrt(t + 1.0), _MAX_TORUS2_CUTOFF))
-    cap = int(t)
-    m = math.isqrt(cap)
-    hist = np.zeros(cap + 1)
-    for k1 in range(m + 1):
-        rem = cap - k1 * k1
-        m2 = math.isqrt(rem)
-        k2 = np.arange(0, m2 + 1, dtype=np.int64)
-        w = np.full(m2 + 1, 2.0 if k1 else 1.0)
-        w[1:] *= 2.0
-        # indices k1^2 + k2^2 are distinct within a row, so += vectorizes safely
-        hist[k1 * k1 + k2 * k2] += w
-    for a in range(0, cap + 1, _CHUNK):
-        b = min(a + _CHUNK, cap + 1)
-        yield np.arange(a, b, dtype=np.float64), hist[a:b]
 
 
 # ---------------------------------------------------------------------------

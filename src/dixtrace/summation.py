@@ -17,19 +17,23 @@ Two evaluation strategies produce series:
 Both share one accumulation contract so results are reproducible bit for
 bit: pairwise sums of chunk prefixes, with one chunk length.  Per-shell
 totals (exact fsum over the points of one eigenvalue) come in ascending
-eigenvalue order in fixed chunks (geometry._CHUNK shells or labels on every
-stream, _SHELLS_PER_BLOCK shells on the per-point path); a snapshot is the
-Neumaier-compensated carry of the earlier chunk totals plus the pairwise
-sum (np.sum) of its chunk's prefix.  No cumulative sum is formed, so the
+eigenvalue order in fixed chunks: geometry._CHUNK shells or labels on the
+torus:1, rank-one and boundary streams, the occupied shells of a window of
+geometry._CHUNK values of q = den * lambda on torus:2 and su3, and
+_SHELLS_PER_BLOCK shells on the per-point path.  A snapshot is read at
+the last shell its cutoff admits: the Neumaier-compensated carry of the
+chunk totals before that shell's chunk plus the pairwise sum (np.sum) of
+the chunk's prefix up to it.  No cumulative sum is formed, so the
 in-chunk error grows like log of the chunk length, not like the length.
 Chunk boundaries depend only on the geometry, never on the grid or the
 thread count, so extending the grid or running the per-point path in
 parallel reproduces every earlier snapshot exactly.
 
 Cutoffs act through the eigenvalue threshold lambda <= N^nu - 1 (ties
-included).  Counts are kept in float64 and fold the same way; they are
-exact integers up to 2**53 and beyond that (huge SU(2)/SU(3) grids) stay
-within a few ulp of counting_function, which is exact.
+included), read exactly on the lattice kinds (Geometry.lambda_threshold).
+Counts are kept in float64 and fold the same way; they are exact integers
+up to 2**53 and beyond that (huge SU(2)/SU(3) grids) stay within a few ulp
+of counting_function, which is exact.
 """
 
 from __future__ import annotations
@@ -202,10 +206,11 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
     """Fold (lam, contrib, dsum) chunks into snapshot sums/counts.
 
     A chunk's totals are pairwise sums (np.sum) folded into a Neumaier
-    carry; a snapshot whose threshold lands in a chunk is the carry before
-    the chunk plus the pairwise sum of the chunk's prefix up to it.  Each
-    prefix depends only on the chunk and the prefix length, so values never
-    depend on how far the stream continues afterwards.
+    carry.  A snapshot is read at the last shell its threshold admits: the
+    carry before that shell's chunk plus the pairwise sum of the chunk's
+    prefix up to the shell.  Each prefix depends only on the chunk and the
+    prefix length, so values never depend on how far the stream continues
+    afterwards, nor on where between two shells the threshold falls.
     """
     k_total = len(thresholds)
     sums = np.zeros(k_total)
@@ -219,8 +224,11 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
             continue
         while ptr < k_total and thresholds[ptr] <= lam[-1]:
             n = int(np.searchsorted(lam, thresholds[ptr], side="right"))
-            sums[ptr] = carry_s.value() + float(np.sum(contrib[:n]))
-            counts[ptr] = carry_c.value() + float(np.sum(dsum[:n]))
+            if n:
+                sums[ptr] = carry_s.value() + float(np.sum(contrib[:n]))
+                counts[ptr] = carry_c.value() + float(np.sum(dsum[:n]))
+            else:  # before this chunk's first shell: the last shell so far
+                sums[ptr], counts[ptr] = last
             ptr += 1
         total_s = float(np.sum(contrib))
         total_c = float(np.sum(dsum))

@@ -258,6 +258,13 @@ def test_oversized_boundary_exits_one(capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_oversized_lattice_exits_one(capsys):
+    # about 5e8 su3 labels at N = 1e4: refused before the first window
+    assert run("trace", "--geometry", "su3", "--symbol", "radial:8", "--nmax", "1e4") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "labels" in err[0]
+
+
 def test_boundary_symbol_one_streams(tmp_path, capsys, monkeypatch):
     # sigma = 1 is a closed form: no per-label callable, sums equal counts
     def refuse(*args):

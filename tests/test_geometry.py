@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
@@ -6,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dixtrace import geometry
 from dixtrace.errors import ConfigError, SizeError, SpectrumFormatError
 from dixtrace.geometry import (Geometry, counting_function, enumerate_dual,
                                label_text, load_spectrum_file, parse_geometry,
                                radial_shells, save_spectrum_file,
                                sphere_harmonic_dim)
+from dixtrace.summation import counting_series
 
 ALL_GEOMS = [Geometry.torus(1), Geometry.torus(2), Geometry.su2(),
              Geometry.so3(), Geometry.su3(), Geometry.sphere(2),
@@ -180,6 +184,109 @@ def test_parse_geometry_forms():
 def test_torus2_histogram_guard():
     with pytest.raises(SizeError):
         list(radial_shells(Geometry.torus(2), 20001.0))
+
+
+def brute_lattice_count(geom, cutoff):
+    """Sum of D over the labels with lambda <= N^2 - 1 in exact rationals."""
+    t = Fraction(cutoff) ** 2 - 1
+    if geom.kind == "su3":
+        bound = math.isqrt(int(9 * t)) + 1
+        return sum(((a + 1) * (b + 1) * (a + b + 2) // 2) ** 2
+                   for a in range(bound) for b in range(bound)
+                   if Fraction(a * a + b * b + a * b + 3 * a + 3 * b, 9) <= t)
+    m = math.isqrt(int(t))
+    if geom.rank == 1:
+        return 2 * m + 1
+    return sum(1 for k1 in range(-m, m + 1) for k2 in range(-m, m + 1)
+               if k1 * k1 + k2 * k2 <= t)
+
+
+def test_torus1_cutoff_is_exact_past_2_53():
+    # in float64 1e16 - 1 rounds to 1e16 and would admit k = +-1e8
+    g = Geometry.torus(1)
+    assert counting_function(g, 1e8) == 199_999_999
+    for n in (1e8, 2.0 ** 26, 2.0 ** 26 + 0.5, 94906267.0, 94906265.5):
+        assert counting_function(g, n) == brute_lattice_count(g, n)
+        assert g.lattice_cap(n) == math.floor(Fraction(n) ** 2 - 1)
+
+
+def test_torus1_stream_stops_at_the_exact_cutoff():
+    # the fold's threshold at 1e8 sits between the squares of 1e8 - 1 and
+    # 1e8 on the stream, whether the stream ends there or runs on
+    g = Geometry.torus(1)
+    end = counting_series(g, np.array([2.0, 1e8]))
+    longer = counting_series(g, np.array([2.0, 1e8, 1e8 + 1]))
+    assert end.counts[1] == longer.counts[1] == 199_999_999
+    assert longer.counts[2] == 200_000_001
+
+
+@pytest.mark.parametrize("name", ["torus:2", "su3"])
+def test_lattice_cutoffs_at_ties_are_exact(name):
+    # N = sqrt(1 + q/den) sits on a shell; its float64 lies a hair above or
+    # below it, and only exact rationals say which
+    geom = parse_geometry(name)
+    den = 9 if name == "su3" else 1
+    cutoffs = np.union1d([math.sqrt(1 + q / den) for q in range(3 * den, 300 * den, 7)],
+                         np.arange(2.0, 9.0))
+    assert any(math.floor(den * (n * n - 1)) != geom.lattice_cap(n) for n in cutoffs)
+    series = counting_series(geom, cutoffs)
+    for n, c in zip(cutoffs, series.counts):
+        assert c == counting_function(geom, n) == brute_lattice_count(geom, n)
+
+
+@pytest.mark.parametrize("name, cutoff", [("torus:2", 90.0), ("su3", 40.0)])
+def test_lattice_label_guard_counts_exactly(monkeypatch, name, cutoff):
+    # the guard counts the labels (a, b), a, b >= 0, before any window
+    geom = parse_geometry(name)
+    labels = sum(1 for p in enumerate_dual(geom, cutoff)
+                 if all(c >= 0 for c in p.label))
+    monkeypatch.setattr(geometry, "_MAX_LATTICE_LABELS", labels)
+    assert sum(dd.sum() for _, dd in radial_shells(geom, cutoff)) \
+        == counting_function(geom, cutoff)
+    monkeypatch.setattr(geometry, "_MAX_LATTICE_LABELS", labels - 1)
+    routes = (radial_shells, enumerate_dual) if name == "su3" else (radial_shells,)
+    for route in routes:
+        with pytest.raises(SizeError, match="labels"):
+            next(iter(route(geom, cutoff)))
+
+
+def test_vectorised_isqrt_is_exact_below_2_52():
+    ks = np.array([1, 2, 3, 1000, 2 ** 20 + 7, 2 ** 26 - 1], dtype=np.int64)
+    x = np.concatenate([ks * ks - 1, ks * ks, ks * ks + 1,
+                        np.random.default_rng(5).integers(0, 2 ** 52, 1000)])
+    assert geometry._isqrt(x).tolist() == [math.isqrt(int(v)) for v in x]
+
+
+def test_su3_guard_fires_before_allocating():
+    # about 5e8 labels at N = 1e4: refused in flat memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="su3"):
+            next(iter(radial_shells(Geometry.su3(), 1e4)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
+def test_su3_shell_weights_past_2_53_match_exact_sums():
+    # D = d^2 passes 2**53 from about N = 265 on; each shell's float64 dsum
+    # against the exact integer sum of its d^2
+    g = Geometry.su3()
+    cap = 9 * (300 ** 2 - 1)
+    exact = {}
+    a = 0
+    while a * a + 3 * a <= cap:
+        b = 0
+        while (q := a * a + b * b + a * b + 3 * a + 3 * b) <= cap:
+            exact[q] = exact.get(q, 0) + ((a + 1) * (b + 1) * (a + b + 2) // 2) ** 2
+            b += 1
+        a += 1
+    lam, dsum = (np.concatenate(x) for x in zip(*radial_shells(g, 300.0)))
+    assert lam.tolist() == [q / 9 for q in sorted(exact)]
+    assert max(exact.values()) > 2 ** 53
+    for q, x in zip(sorted(exact), dsum.tolist()):
+        assert abs(int(x) - exact[q]) * 10 ** 15 <= exact[q]  # x is integral
 
 
 def test_torus3_materialization_guard():

@@ -13,9 +13,9 @@ from dixtrace.errors import ConfigError, ContractError, FitError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
                                enumerate_dual, label_text, parse_geometry,
                                radial_shells, save_spectrum_file)
-from dixtrace.summation import (PartialSumSeries, counting_series,
-                                default_picture, dyadic_grid, partial_sums,
-                                scale_series, weyl_fit)
+from dixtrace.summation import (PartialSumSeries, _stream_snapshots,
+                                counting_series, default_picture, dyadic_grid,
+                                partial_sums, scale_series, weyl_fit)
 from dixtrace.symbol import (ClassOneMask, DiagonalTable, RadialWeight, Scaled,
                              SymbolSum, is_radial_scalar, parse_symbol,
                              scalar_values)
@@ -132,6 +132,64 @@ def test_grid_extension_keeps_prefix_bits():
     np.testing.assert_array_equal(a.counts, b.counts[:k])
 
 
+@pytest.mark.parametrize("name, symbol, den, empty", [("torus:2", "modulus:0.5", 1, 3),
+                                                      ("su3", "radial:9", 9, 3)])
+def test_grid_extension_across_lattice_windows(name, symbol, den, empty):
+    # torus:2 and su3 shells come in windows of _CHUNK values of q = den *
+    # lambda, fixed in q, and only occupied shells are streamed.  Short
+    # grids end on the last q of windows 1 and 2, on the first q of the
+    # next, and on the empty start of window `empty` (the stream then ends
+    # a window early); their snapshots must reappear bit for bit on a grid
+    # 5.5 windows long.  Windows placed relative to the cap would shift
+    # between the two.
+    g = parse_geometry(name)
+    ends = [q for k in (1, 2) for q in (k * _CHUNK - 1, k * _CHUNK)] + [empty * _CHUNK]
+    end_cutoffs = [math.sqrt(1 + (q + 0.5) / den) for q in ends]  # cap = q
+    assert [g.lattice_cap(n) for n in end_cutoffs] == ends
+    long = np.union1d(dyadic_grid(math.sqrt(1 + 5.5 * _CHUNK / den), 64), end_cutoffs)
+    b = partial_sums(g, parse_symbol(symbol), long)
+    for end in end_cutoffs:
+        short = long[long <= end]
+        a = partial_sums(g, parse_symbol(symbol), short)
+        k = len(short)
+        np.testing.assert_array_equal(a.sums, b.sums[:k])
+        np.testing.assert_array_equal(a.counts, b.counts[:k])
+    for n, c in zip(long, b.counts):
+        if n <= end_cutoffs[-1]:  # su3 counts pass 2**53 here
+            assert abs(c - counting_function(g, n)) <= 1e-15 * c
+
+
+def test_grid_extension_between_chunks():
+    # su2 cutoffs between the last label of a chunk and the first of the
+    # next: a stream that ends there and one that runs on read the same
+    # snapshot, the one at the last admitted label
+    g = Geometry.su2()
+    spec = parse_symbol("bessel:3:2")
+    gaps = [math.sqrt(1 + (2 * l * l + 2 * l - 1) / 8) for l in _CHUNK * np.arange(1, 9)]
+    long = np.union1d(dyadic_grid(10 * _CHUNK, 4), gaps)
+    b = partial_sums(g, spec, long)
+    for end in gaps:
+        short = long[long <= end]
+        a = partial_sums(g, spec, short)
+        np.testing.assert_array_equal(a.sums, b.sums[:len(short)])
+        assert a.counts[-1] == counting_function(g, end)
+
+
+def test_past_the_end_snapshot_reads_the_last_chunk_prefix():
+    # a threshold past the last shell reads the carry before the last chunk
+    # plus that chunk's total, as a threshold inside that chunk does on a
+    # longer stream.  The compensated carry after the last chunk has taken
+    # the two 1e-16 into account and reads 1 + 2**-52 here instead.
+    def chunk(lam, contrib):
+        return np.array(lam), np.array(contrib), np.ones(len(lam))
+
+    head = [chunk([0.0], [1.0]), chunk([1.0], [1e-16])]
+    end = _stream_snapshots(head + [chunk([2.0], [1e-16])], np.array([2.5]))
+    longer = _stream_snapshots(head + [chunk([2.0, 3.0], [1e-16, 1.0])], np.array([2.5]))
+    assert end[0][0] == longer[0][0] == 1.0
+    assert end[1][0] == longer[1][0] == 3.0
+
+
 def test_su2_stream_sums_match_fsum():
     # every snapshot of the shell stream against math.fsum of its D |f| terms
     g = Geometry.su2()
@@ -178,6 +236,9 @@ def test_streamed_sums_run_in_flat_memory():
     bc = IntervalBC(a=-math.e, b=1.0)
     runs = [lambda: partial_sums(Geometry.torus(1), parse_symbol("modulus:0.5"),
                                  dyadic_grid(1e7)),
+            lambda: partial_sums(Geometry.su3(), parse_symbol("radial:8"), dyadic_grid(1e3)),
+            lambda: partial_sums(Geometry.torus(2), parse_symbol("radial:2"),
+                                 dyadic_grid(4000)),
             lambda: boundary_series(BoundarySymbol.inverse_spectrum(bc, 500_001),
                                     dyadic_grid(1e6))]
     for run in runs:
@@ -232,11 +293,12 @@ def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
     # specs built from radial scalars, scaled:, sums and mask: stream by
     # shell on lifted kinds; the same spec over diag: tables holding the
     # same scalars runs per point.  The fold groups shells differently
-    # (2**21 vs 256 per chunk), so sums agree to rounding and counts
-    # exactly.  On a file spectrum both sides of a mask run per point, with
-    # weight 1 per point rather than D.  A bare table on a sphere takes the
-    # mask its picture implies (a bare scalar on a file spectrum streams
-    # with weight D, which its table does not match, so it is left out).
+    # (2**14 shells or q values vs 256 shells per chunk), so sums agree to
+    # rounding and counts exactly.  On a file spectrum both sides of a mask
+    # run per point, with weight 1 per point rather than D.  A bare table on
+    # a sphere takes the mask its picture implies (a bare scalar on a file
+    # spectrum streams with weight D, which its table does not match, so it
+    # is left out).
     if name == "file":
         path = str(tmp_path / "su2-spec.txt")  # d = n + 1, D = d^2
         save_spectrum_file(enumerate_dual(Geometry.su2(), cutoff), path)
