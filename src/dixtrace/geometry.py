@@ -26,17 +26,17 @@ the rank-two lattices).
 
 The weight of a point is w = (1+lambda)^(1/nu).  All cutoffs N act through
 the equivalent rule lambda <= N^nu - 1, so that boundary ties are included
-the same way on every code path.  On the lattice kinds (tori, su3), whose
-eigenvalues lie in (1/den)Z, the rule is exact: Geometry.lattice_cap reads
-N as the rational value of its float64.  Rank-one kinds and file spectra
-evaluate N^nu - 1 once in float64.
+the same way on every code path.  Built-in eigenvalues lie in (1/den)Z, so
+Geometry.lattice_cap reads the rule exactly, from the rational value of N's
+float64; only file spectra evaluate N^nu - 1 in float64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import groupby, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,8 +49,6 @@ _MAX_MATERIALIZED_POINTS = 50_000_000
 # Guard for the rank-two lattice scans (torus:2, su3): labels (a, b) with
 # a, b >= 0 below the cutoff, counted before the first window is built.
 _MAX_LATTICE_LABELS = 1 << 27
-# den * lambda is an integer on the lattice kinds.
-_LATTICE_DEN = {"torus": 1, "su3": 9}
 
 # Shells (or boundary labels) per streamed chunk, one length for every
 # chunked stream, and the width in q = den * lambda of the rank-two lattice
@@ -58,6 +56,7 @@ _LATTICE_DEN = {"torus": 1, "su3": 9}
 # chunk pairwise, so its length is picked for speed alone: 2^14 float64
 # values (128 kB) stay in cache, and longer chunks spill out of it.
 _CHUNK = 1 << 14
+_SHELLS_PER_BLOCK = 256  # shells per group_shells list, fixed the same way
 
 
 @dataclass(frozen=True)
@@ -116,32 +115,33 @@ class Geometry:
         """Largest admissible eigenvalue for weight cutoff N, as the float64
         that eigenvalues are compared against.
 
-        Rank-one kinds and file spectra evaluate N^nu - 1 in float64.  The
-        lattice kinds return float(q) / den for the exact integer cap q of
-        lattice_cap, computed as the shell streams compute eigenvalues; on
-        torus:1 q is the last admitted square, because past 2**53 the cap
-        itself may round onto the next square.
+        File spectra evaluate N^nu - 1 in float64.  Built-in kinds read the
+        exact cap q of lattice_cap as the streams compute eigenvalues: q / den
+        on higher tori and su3, and the last admitted label's eigenvalue on
+        torus:1 and rank one, as past 2**53 q may round onto the next one's.
         """
-        if self.kind not in _LATTICE_DEN:
+        if self.kind == "file":
             _check_cutoff(weight_cutoff)
             return float(weight_cutoff) ** self.nu - 1.0
         cap = self.lattice_cap(weight_cutoff)
         if self.kind == "torus" and self.rank == 1:
-            cap = math.isqrt(cap) ** 2
-        return float(cap) / _LATTICE_DEN[self.kind]
+            return float(math.isqrt(cap) ** 2)
+        if self.kind in ("torus", "su3"):
+            return float(cap) / _den(self)
+        r = _rank_one(self)
+        return r.eigenvalue(float(r.label_max(cap)))
 
     def lattice_cap(self, weight_cutoff: float) -> int:
-        """Largest integer q = den * lambda with lambda <= N^nu - 1, exactly.
-
-        Lattice eigenvalues lie in (1/den)Z, den = 1 on tori and 9 on su3;
-        N is read as the exact rational value of its float64, in integers.
-        """
+        """Largest integer q = den * lambda with lambda <= N^nu - 1, exactly:
+        built-in eigenvalues lie in (1/den)Z, den = 1 on tori, so3 and
+        spheres, 4 on su2 and 9 on su3.  N is read as the exact rational
+        value of its float64, in integers."""
         _check_cutoff(weight_cutoff)
         if float(self.nu).is_integer():  # N^nu = p/r in lowest terms
             p, r = (x ** int(self.nu) for x in float(weight_cutoff).as_integer_ratio())
         else:
             p, r = (float(weight_cutoff) ** self.nu).as_integer_ratio()
-        return _LATTICE_DEN[self.kind] * (p - r) // r
+        return _den(self) * (p - r) // r
 
     def block_rule(self, picture: str) -> tuple[bool, bool]:
         """Mask and multiplicity of symbol blocks: (masked, lifted).
@@ -239,14 +239,17 @@ class _RankOne:
     den: int
     sphere: int = 0
 
-    def label_max(self, threshold: float) -> int:
-        # l(l+c) <= den*t  <=>  (2l+c)^2 <= 4*den*t + c^2; den is a power of
-        # two, so 4*den*t is exact in float64
-        return (math.isqrt(int(4 * self.den * threshold) + self.c ** 2) - self.c) // 2
+    def label_max(self, cap: int) -> int:
+        # l(l+c) <= cap (Geometry.lattice_cap)  <=>  (2l+c)^2 <= 4 cap + c^2
+        return (math.isqrt(4 * cap + self.c ** 2) - self.c) // 2
+
+    def eigenvalue(self, l):
+        """lambda of label l, an int, a float or a float64 array of labels."""
+        return l * (l + self.c) / self.den
 
     def point(self, l):
         """(lambda, d, k) of label l, an int or a float64 array of labels."""
-        lam = l * (l + self.c) / self.den
+        lam = self.eigenvalue(l)
         if not self.sphere:
             d = l * (2 // self.c) + 1  # su2: l + 1, so3: 2l + 1
             return lam, d, d
@@ -270,6 +273,17 @@ _GROUPS = {"su2": _RankOne(2, 4), "so3": _RankOne(1, 1)}  # su2: l = twice the w
 
 def _rank_one(geom: Geometry) -> _RankOne:
     return _GROUPS.get(geom.kind) or _RankOne(geom.rank - 1, 1, sphere=geom.rank)
+
+
+def _den(geom: Geometry) -> int:
+    """den of a built-in kind, whose eigenvalues lie in (1/den)Z."""
+    if geom.kind == "file":
+        raise ConfigError("a file spectrum has no exact eigenvalue lattice")
+    if geom.kind == "torus":
+        return 1
+    if geom.kind == "su3":
+        return _SU3.den
+    return _rank_one(geom).den
 
 
 def _isqrt(x):
@@ -331,6 +345,16 @@ class _SU3:
     def weight(a, b):
         d = _SU3.dim(a, b).astype(np.float64)
         return d * d
+
+    @staticmethod
+    def row_count(a: int, b_max: int) -> int:
+        # exact sum of D over b <= b_max: d = m u (u + m) / 2 (m = a+1, u = b+1),
+        # so it is m^2 (S4 + 2m S3 + m^2 S2) / 4 with S_k = sum of u^k, u <= n
+        n, m = b_max + 1, a + 1
+        s2 = n * (n + 1) * (2 * n + 1) // 6
+        s3 = (n * (n + 1) // 2) ** 2
+        s4 = s2 * (3 * n * n + 3 * n - 1) // 5
+        return m * m * (s4 + 2 * m * s3 + m * m * s2) // 4
 
 
 _ROWS = {"torus:2": _Torus2, "su3": _SU3}
@@ -403,7 +427,7 @@ def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
                 yield row
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
-        for l in range(r.label_max(geom.lambda_threshold(weight_cutoff)) + 1):
+        for l in range(r.label_max(geom.lattice_cap(weight_cutoff)) + 1):
             lam, d, k = r.point(l)
             yield _mk_point(geom, (l,), d, d * k, k, lam)
 
@@ -431,29 +455,28 @@ def _enumerate_torus(geom: Geometry, cap: int) -> Iterator[DualPoint]:
     keep = q <= cap
     coords, q = coords[keep], q[keep]
     order = np.lexsort(tuple(coords[:, i] for i in range(n - 1, -1, -1)) + (q,))
-    for i in order:
-        yield _mk_point(geom, tuple(int(c) for c in coords[i]), 1, 1, 1, float(q[i]))
+    for s in range(0, order.size, _CHUNK):  # Python ints, a chunk at a time
+        rows = order[s:s + _CHUNK]
+        for c, qi in zip(coords[rows].tolist(), q[rows].tolist()):
+            yield _mk_point(geom, tuple(c), 1, 1, 1, float(qi))
 
 
 def counting_function(geom: Geometry, weight_cutoff: float) -> int:
     """Number of eigenvalues (with multiplicity D) of weight <= cutoff.
 
     Exact integer arithmetic; equals the sum of eigenspace_dim over
-    enumerate_dual at the same cutoff.  The lattice kinds also read the
-    cutoff exactly (lattice_cap); rank-one kinds and file spectra compare
-    against the float64 threshold N^nu - 1.
+    enumerate_dual at the same cutoff.  Built-in kinds read the cutoff
+    exactly (lattice_cap), file spectra through their float64 threshold.
     """
-    if geom.kind == "torus":
-        return _count_torus(geom.rank, geom.lattice_cap(weight_cutoff))
-    if geom.kind == "su3":
-        return sum(_SU3.dim(a, b) ** 2
-                   for a, b_max in _rows(_SU3, geom.lattice_cap(weight_cutoff))
-                   for b in range(b_max + 1))
-    t = geom.lambda_threshold(weight_cutoff)
     if geom.kind == "file":
-        return sum(p.eigenspace_dim for p in _load_spectrum(geom) if p.eigenvalue <= t)
+        return sum(p.eigenspace_dim for p in enumerate_dual(geom, weight_cutoff))
+    cap = geom.lattice_cap(weight_cutoff)
+    if geom.kind == "torus":
+        return _count_torus(geom.rank, cap)
+    if geom.kind == "su3":
+        return sum(_SU3.row_count(a, b_max) for a, b_max in _rows(_SU3, cap))
     r = _rank_one(geom)
-    return r.count(r.label_max(t))
+    return r.count(r.label_max(cap))
 
 
 def _count_torus(n: int, cap: int) -> int:
@@ -471,9 +494,9 @@ def _count_torus(n: int, cap: int) -> int:
 # symbols.  torus:1 and the rank-one kinds hand out _CHUNK shells per chunk
 # from the first one on; torus:2 and su3 hand out the occupied shells of
 # one window of _CHUNK values of q = den * lambda per chunk; higher tori and
-# file spectra come grouped as one chunk.  Chunk boundaries are fixed
-# functions of the geometry, so repeated runs and longer cutoffs reproduce
-# sums bit-for-bit.
+# file spectra hand out the enumerated points grouped by group_shells.
+# Chunk boundaries are fixed functions of the geometry, so repeated runs and
+# longer cutoffs reproduce sums bit-for-bit.
 # ---------------------------------------------------------------------------
 
 def radial_shells(geom: Geometry, weight_cutoff: float):
@@ -498,22 +521,22 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
         yield from _window_shells(rows, geom.lattice_cap(weight_cutoff))
     elif geom.kind in ("torus", "file"):
         # torus rank >= 3 and file spectra: group the enumerated points
-        pts = list(enumerate_dual(geom, weight_cutoff))
-        yield from _group_sorted(np.array([p.eigenvalue for p in pts]),
-                                 np.array([float(p.eigenspace_dim) for p in pts]))
+        for block in group_shells(enumerate_dual(geom, weight_cutoff)):
+            yield (np.array([lam for lam, _ in block]),
+                   np.array([float(sum(p.eigenspace_dim for p in pts)) for _, pts in block]))
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
-        lmax = r.label_max(geom.lambda_threshold(weight_cutoff))
+        lmax = r.label_max(geom.lattice_cap(weight_cutoff))
         for a in range(0, lmax + 1, _CHUNK):
             lam, d, k = r.point(np.arange(a, min(a + _CHUNK, lmax + 1), dtype=np.float64))
             yield lam, d * k
 
 
-def _group_sorted(lam: np.ndarray, dsum: np.ndarray):
-    if lam.size == 0:
-        return
-    ulam, start = np.unique(lam, return_index=True)
-    yield ulam, np.add.reduceat(dsum, start)
+def group_shells(points: Iterable[DualPoint]) -> Iterator[list]:
+    """Shells (lambda, [points]) of eigenvalue-sorted points, _SHELLS_PER_BLOCK per list."""
+    shells = ((lam, list(pts)) for lam, pts in groupby(points, key=lambda p: p.eigenvalue))
+    while block := list(islice(shells, _SHELLS_PER_BLOCK)):
+        yield block
 
 
 # ---------------------------------------------------------------------------

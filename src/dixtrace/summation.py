@@ -20,7 +20,8 @@ totals (exact fsum over the points of one eigenvalue) come in ascending
 eigenvalue order in fixed chunks: geometry._CHUNK shells or labels on the
 torus:1, rank-one and boundary streams, the occupied shells of a window of
 geometry._CHUNK values of q = den * lambda on torus:2 and su3, and
-_SHELLS_PER_BLOCK shells on the per-point path.  A snapshot is read at
+geometry._SHELLS_PER_BLOCK shells wherever dual points are grouped (the
+per-point path, higher tori, file spectra).  A snapshot is read at
 the last shell its cutoff admits: the Neumaier-compensated carry of the
 chunk totals before that shell's chunk plus the pairwise sum (np.sum) of
 the chunk's prefix up to it.  No cumulative sum is formed, so the
@@ -30,7 +31,7 @@ thread count, so extending the grid or running the per-point path in
 parallel reproduces every earlier snapshot exactly.
 
 Cutoffs act through the eigenvalue threshold lambda <= N^nu - 1 (ties
-included), read exactly on the lattice kinds (Geometry.lambda_threshold).
+included), read exactly on every built-in kind (Geometry.lambda_threshold).
 Counts are kept in float64 and fold the same way; they are exact integers
 up to 2**53 and beyond that (huge SU(2)/SU(3) grids) stay within a few ulp
 of counting_function, which is exact.
@@ -43,19 +44,16 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, FitError, SpectrumFormatError
-from .geometry import Geometry, enumerate_dual, label_text, radial_shells
+from .geometry import Geometry, enumerate_dual, group_shells, label_text, radial_shells
 from .symbol import ClassOneMask, RadialWeight, SymbolSpec, eval_symbol, \
     is_radial_scalar, nuclear_trace_abs, scalar_values
 
 PICTURES = ("manifold", "group", "homogeneous", "boundary-index")
-
-_SHELLS_PER_BLOCK = 256  # object-path chunk size, fixed for reproducibility
 
 SCHEMA_VERSION = 1
 
@@ -288,18 +286,8 @@ def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[t
 
 
 def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, lifted: bool):
-    """Group dual points into shells, shells into fixed-size blocks."""
-    shells = groupby(enumerate_dual(geom, n_max), key=lambda p: p.eigenvalue)
-
-    def shell_list():
-        for lam, pts in shells:
-            yield lam, list(pts)
-
-    gen = shell_list()
-    while True:
-        block = list(islice(gen, _SHELLS_PER_BLOCK))
-        if not block:
-            return
+    """The dual points in blocks of fixed shell count (group_shells)."""
+    for block in group_shells(enumerate_dual(geom, n_max)):
         yield geom, spec, lifted, block
 
 

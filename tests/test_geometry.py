@@ -159,15 +159,6 @@ def test_block_rule_lift_identity(tmp_path):
     assert Geometry.from_file(str(path)).block_rule("manifold") == (False, False)
 
 
-def test_lambda_threshold_tie_rule():
-    g = Geometry.su2()
-    # weight of n=9 is sqrt(1 + 24.75) = sqrt(25.75); cutting exactly there
-    # keeps the shell, cutting just below drops it
-    w = math.sqrt(1.0 + 9 * 11 / 4.0)
-    assert counting_function(g, w) == counting_function(g, w + 1e-9)
-    assert counting_function(g, w - 1e-9) == counting_function(g, w) - 100
-
-
 def test_parse_geometry_forms():
     assert parse_geometry("torus:2").rank == 2
     assert parse_geometry("su2").kind == "su2"
@@ -186,9 +177,27 @@ def test_torus2_histogram_guard():
         list(radial_shells(Geometry.torus(2), 20001.0))
 
 
+# (c, den, D(l)) of the rank-one kinds: lambda = l(l+c)/den
+RANK_ONE = {"su2": (2, 4, lambda l: (l + 1) ** 2), "so3": (1, 1, lambda l: (2 * l + 1) ** 2),
+            "sphere:3": (2, 1, lambda l: (l + 1) ** 2)}
+
+
+def exact_label_max(name, cutoff):
+    """Largest rank-one label l with l(l+c)/den <= N^2 - 1, in exact rationals."""
+    c, den, _ = RANK_ONE[name]
+    t = Fraction(cutoff) ** 2 - 1
+    l = math.isqrt(int(den * t))
+    while Fraction(l * (l + c), den) > t:
+        l -= 1
+    return l
+
+
 def brute_lattice_count(geom, cutoff):
     """Sum of D over the labels with lambda <= N^2 - 1 in exact rationals."""
     t = Fraction(cutoff) ** 2 - 1
+    if geom.describe() in RANK_ONE:
+        dim = RANK_ONE[geom.describe()][2]
+        return sum(dim(l) for l in range(exact_label_max(geom.describe(), cutoff) + 1))
     if geom.kind == "su3":
         bound = math.isqrt(int(9 * t)) + 1
         return sum(((a + 1) * (b + 1) * (a + b + 2) // 2) ** 2
@@ -220,18 +229,64 @@ def test_torus1_stream_stops_at_the_exact_cutoff():
     assert longer.counts[2] == 200_000_001
 
 
-@pytest.mark.parametrize("name", ["torus:2", "su3"])
+def test_torus1_enumeration_runs_in_flat_memory():
+    # per-point symbols on torus:1 (diag: tables) take one k at a time;
+    # materializing the 1e5 points of N = 5e4 at once takes about 5 MB
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in enumerate_dual(Geometry.torus(1), 5e4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 99_999
+    assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["torus:2", "su3", "su2", "so3", "sphere:3"])
 def test_lattice_cutoffs_at_ties_are_exact(name):
     # N = sqrt(1 + q/den) sits on a shell; its float64 lies a hair above or
     # below it, and only exact rationals say which
     geom = parse_geometry(name)
-    den = 9 if name == "su3" else 1
-    cutoffs = np.union1d([math.sqrt(1 + q / den) for q in range(3 * den, 300 * den, 7)],
-                         np.arange(2.0, 9.0))
+    den = {"su3": 9, "su2": 4}.get(name, 1)
+    ties = [math.sqrt(1 + q / den) for q in range(3 * den, 300 * den, 7)]
+    if name in RANK_ONE:  # every label's own weight
+        c = RANK_ONE[name][0]
+        ties += [math.sqrt(1 + l * (l + c) / den) for l in range(1, 60)]
+    cutoffs = np.union1d([n for n in ties if n >= 2.0], np.arange(2.0, 9.0))
     assert any(math.floor(den * (n * n - 1)) != geom.lattice_cap(n) for n in cutoffs)
     series = counting_series(geom, cutoffs)
     for n, c in zip(cutoffs, series.counts):
         assert c == counting_function(geom, n) == brute_lattice_count(geom, n)
+    if name == "su2":
+        # sqrt(25.75) lies below the weight of label 9, which float64
+        # N^2 - 1 = 24.75 would admit
+        assert counting_function(geom, math.sqrt(25.75)) == 285
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE))
+def test_rank_one_cutoff_is_exact_past_2_53(name):
+    # in float64 the su2 threshold 1e16 - 1 rounds to 1e16 and would admit
+    # l = 2e8 - 1, whose eigenvalue is (4e16 - 1)/4
+    geom = parse_geometry(name)
+    c, den, _ = RANK_ONE[name]
+    cutoffs = [1e8, 3e8, 1e9, 2.0 ** 26 + 0.5]
+    cutoffs += [math.sqrt(1 + l * (l + c) / den) for l in (10 ** 8 + 7, 3 * 10 ** 8 + 1)]
+    for n in cutoffs:
+        big_l = exact_label_max(name, n)
+        if name == "so3":  # sum of (2l+1)^2
+            exact = (big_l + 1) * (2 * big_l + 1) * (2 * big_l + 3) // 3
+        else:  # sum of (l+1)^2
+            exact = (big_l + 1) * (big_l + 2) * (2 * big_l + 3) // 6
+        assert counting_function(geom, n) == exact
+    if name == "su2":
+        assert exact_label_max(name, 1e8) == 2 * 10 ** 8 - 2
+        assert counting_function(geom, 1e8) == 2666666646666666700000000
+
+
+@pytest.mark.parametrize("cutoff", [2.0, 5.1, 17.3, 20.0, 33.3, 47.0, 60.0])
+def test_su3_closed_form_counts_match_the_double_loop(cutoff):
+    assert counting_function(Geometry.su3(), cutoff) \
+        == brute_lattice_count(Geometry.su3(), cutoff)
 
 
 @pytest.mark.parametrize("name, cutoff", [("torus:2", 90.0), ("su3", 40.0)])

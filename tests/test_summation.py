@@ -231,6 +231,17 @@ def test_su2_counts_past_2_53_match_counting_function():
         assert abs(c - exact) <= 1e-15 * exact
 
 
+def test_su2_stream_stops_at_the_exact_cutoff():
+    # label 2e8 - 1 has eigenvalue (4e16 - 1)/4 > 1e16 - 1 = N^2 - 1, but
+    # both round to 1e16; admitting it would add 4e16, 1.5e-8 of the count.
+    # The stream runs on past 1e8, so only the threshold keeps it out.
+    g = Geometry.su2()
+    grid = np.array([2.0, 1e8, 1e8 + 1])
+    for n, count in zip(grid, counting_series(g, grid).counts):
+        exact = counting_function(g, n)
+        assert abs(count - exact) <= 1e-15 * exact
+
+
 def test_streamed_sums_run_in_flat_memory():
     # the streams hold one chunk at a time, whatever the cutoff
     bc = IntervalBC(a=-math.e, b=1.0)

@@ -34,24 +34,26 @@ def test_tracer_install_resolves_every_name_and_uninstall_restores():
     assert all(raw is before[key] for key, raw in bindings(tracer).items())
 
 
-def test_boundary_job_calls_every_traced_boundary_name(tmp_path, monkeypatch):
-    # radial-stream's traced run fails on a required name with zero calls;
-    # run its boundary job at a small cutoff under the tracer
+def test_every_workload_calls_its_traced_names(tmp_path, monkeypatch):
+    # a workload's traced run fails on a required name with zero calls; run
+    # each workload's jobs at small cutoffs under the tracer (a divergent
+    # verdict, exit 2, is fine at these cutoffs)
     monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
     workloads = importlib.import_module("workloads")
     from dixtrace import cli
 
-    workload = workloads.WORKLOADS["radial-stream"]
-    job, = [j for j in workload.jobs(0, tmp_path) if j.args[0] == "boundary"]
-    args = list(job.args)
-    args[args.index("--nmax") + 1] = "1e4"
-    names = [k for k in workload.traced if "oundary" in k]
-    assert len(names) == 5
     tracer = load_tracer()
-    t = tracer.Tracer()
-    t.install()
-    try:
-        assert cli.main(args + ["--out-json", str(tmp_path / "b.json")]) == 0
-    finally:
-        t.uninstall()
-    t.require_calls(names)
+    for name, workload in workloads.WORKLOADS.items():
+        t = tracer.Tracer()
+        t.install()
+        try:
+            for i, job in enumerate(workload.jobs(0, tmp_path)):
+                args = list(job.args)
+                if "--nmax" in args:
+                    k = args.index("--nmax") + 1
+                    args[k] = repr(min(float(args[k]), 200.0))
+                out = str(tmp_path / ("%s-%d.json" % (name, i)))
+                assert cli.main(args + ["--out-json", out]) in (0, 2), (name, job.name)
+        finally:
+            t.uninstall()
+        t.require_calls(workload.traced)
