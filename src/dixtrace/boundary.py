@@ -157,12 +157,7 @@ def _alpha_values(bc: IntervalBC, js: np.ndarray) -> np.ndarray:
 
 def interval_eigenvalue(bc: IntervalBC, j: int) -> complex:
     """lambda_j = 2 pi j - i ln(-a/b) + alpha_j for a single index."""
-    alpha = complex(_alpha_values(bc, np.array([j], dtype=np.int64))[0])
-    lam = 2.0 * math.pi * j - 1j * bc.log_ratio() + alpha
-    if abs(lam) < ZERO_EIGENVALUE_TOL:
-        raise DomainError("eigenvalue at j = %d is zero; the model assumes an "
-                          "invertible operator" % j)
-    return lam
+    return complex(_eigenvalues(bc, np.array([j], dtype=np.int64))[0])
 
 
 def _eigenvalues(bc: IntervalBC, js: np.ndarray) -> np.ndarray:

@@ -146,13 +146,16 @@ class Geometry:
     def block_rule(self, picture: str) -> tuple[bool, bool]:
         """Mask and multiplicity of symbol blocks: (masked, lifted).
 
-        masked: blocks keep only their top-left class_one_dim block, in the
+        masked: blocks are their top-left class_one_dim corners, in the
         homogeneous picture and always on spheres.  lifted: the operator
-        holds rep_dim copies of each d x d block (the Peter-Weyl lift on
+        holds rep_dim copies of each block (the Peter-Weyl lift on
         tori, groups and spheres); a file spectrum holds each block once.
         On every lifted kind rep_dim * class_one_dim == eigenspace_dim, so
-        a masked scalar f contributes D |f| per point.
+        a masked scalar f contributes D |f| per point.  Any picture but
+        manifold, group and homogeneous raises ConfigError.
         """
+        if picture not in ("manifold", "group", "homogeneous"):
+            raise ConfigError("unknown picture %r" % (picture,))
         masked = picture == "homogeneous" or self.kind == "sphere"
         return masked, self.kind != "file"
 

@@ -29,7 +29,8 @@ ORACLE_TOL = 1e-9
 class TruncatedOperator:
     """Block-diagonal truncation: one (label, matrix, multiplicity) per point.
 
-    total_dim counts multiplicity, i.e. sum of mult * block size.
+    Masked blocks are their k x k class-one corners, so total_dim, the sum
+    of mult * block size, is the eigenvalue count on every built-in kind.
     """
 
     blocks: list
@@ -43,26 +44,26 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
                       picture: str | None = None) -> TruncatedOperator:
     """Materialize all symbol blocks with weight <= cutoff.
 
-    The total dimension, sum of mult * rep_dim over the points, is checked
-    against cap before any matrix is built, so an oversized request fails
-    fast with the cap that would be needed.  The counting function goes
-    first and bounds the enumeration itself.
+    The eigenvalue count, the total dimension on built-in kinds, is checked
+    against cap first, so an oversized request fails fast with the cap it
+    needs.  A file spectrum holds each block once whatever its D, so there
+    the sum of d is checked too, before any block is built.
     """
     if picture is None:
         picture = default_picture(geom)
     if picture == "boundary-index":
         raise ConfigError("boundary symbols have no block truncation; "
                           "use the boundary module directly")
-    _check_cap(counting_function(geom, cutoff), cutoff, cap)
     masked, lifted = geom.block_rule(picture)
-    spec = ClassOneMask(spec) if masked else spec
+    _check_cap(counting_function(geom, cutoff), cutoff, cap)
     points = list(enumerate_dual(geom, cutoff))
-    mults = [p.rep_dim if lifted else 1 for p in points]
-    total_dim = sum(mult * p.rep_dim for mult, p in zip(mults, points))
-    _check_cap(total_dim, cutoff, cap)
-    blocks = [(label_text(p), eval_symbol(spec, p, geom), mult)
-              for p, mult in zip(points, mults)]
-    return TruncatedOperator(blocks=blocks, total_dim=total_dim,
+    if not lifted:
+        _check_cap(sum(p.rep_dim for p in points), cutoff, cap)
+    spec = ClassOneMask(spec) if masked else spec
+    blocks = [(label_text(p), eval_symbol(spec, p, geom), p.rep_dim if lifted else 1)
+              for p in points]
+    return TruncatedOperator(blocks=blocks,
+                             total_dim=sum(mult * len(m) for _, m, mult in blocks),
                              geometry=geom, picture=picture)
 
 
@@ -70,6 +71,14 @@ def _check_cap(total: int, cutoff: float, cap: int) -> None:
     if total > cap:
         raise SizeError("truncation at cutoff %g holds %d weighted dimensions; "
                         "pass cap >= %d to allow it" % (cutoff, total, total))
+
+
+def _sorted_with_multiplicity(op: TruncatedOperator, svd) -> np.ndarray:
+    """svd(block, label) of each block, repeated by multiplicity, descending."""
+    parts = [np.tile(svd(m, label), mult) for label, m, mult in op.blocks]
+    if not parts:
+        return np.zeros(0, dtype=np.float64)
+    return np.sort(np.concatenate(parts))[::-1]
 
 
 def operator_singular_values(op: TruncatedOperator,
@@ -94,16 +103,8 @@ def operator_singular_values(op: TruncatedOperator,
                 at += d
         svals = np.linalg.svd(full, compute_uv=False)
         return np.sort(svals)[::-1]
-    parts = []
-    for _label, m, mult in op.blocks:
-        s = np.linalg.svd(m, compute_uv=False)
-        if mult == 1:
-            parts.append(s)
-        else:
-            parts.append(np.tile(s, mult))
-    if not parts:
-        return np.zeros(0, dtype=np.float64)
-    return np.sort(np.concatenate(parts))[::-1]
+    return _sorted_with_multiplicity(
+        op, lambda m, _label: np.linalg.svd(m, compute_uv=False))
 
 
 def dixmier_partial_norm(svals: np.ndarray, n: int) -> float:
@@ -144,14 +145,7 @@ def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
     """
     op = truncate_operator(geom, spec, cutoff, cap=cap, picture=picture)
     oracle_vals = operator_singular_values(op)
-    parts = []
-    for label, m, mult in op.blocks:
-        s = singular_values(m, label=label)
-        parts.append(np.tile(s, mult) if mult > 1 else s)
-    if parts:
-        symbol_vals = np.sort(np.concatenate(parts))[::-1]
-    else:
-        symbol_vals = np.zeros(0, dtype=np.float64)
+    symbol_vals = _sorted_with_multiplicity(op, singular_values)
     if len(symbol_vals) != len(oracle_vals):
         raise ConfigError("internal mismatch: %d symbol-side values vs %d "
                           "oracle-side" % (len(symbol_vals), len(oracle_vals)))

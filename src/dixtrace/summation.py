@@ -261,11 +261,9 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
         picture = default_picture(geom)
     if picture == "boundary-index":
         raise ContractError("boundary-index series come from the boundary module")
-    if picture not in PICTURES:
-        raise ConfigError("unknown picture %r" % (picture,))
+    masked, lifted = geom.block_rule(picture)
     thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
     n_max = float(grid[-1])
-    masked, lifted = geom.block_rule(picture)
     if is_radial_scalar(spec, lifted):
         chunks = _radial_chunks(geom, spec, n_max)
     else:

@@ -14,13 +14,14 @@ Matrix families read per-label tables from text files:
   DiagonalTable(path)    label line + one line of d diagonal entries
   FullMatrixTable(path)  label line + d lines of d entries
 
-ClassOneMask(inner) zeroes everything outside the top-left k x k block of a
-point, the structure class-one (homogeneous-space) symbols carry; callers
-wrap the spec in one where the geometry's block rule masks the picture.  On
-lifted duals d k = D, so a mask keeps D |f| per point and specs built from
-radial scalars, Scaled, SymbolSum and ClassOneMask stream by shell there
-(is_radial_scalar(spec, lifted=True)).  eval_symbol refuses any block with d
-above _MAX_BLOCK_DIM before allocating it.
+ClassOneMask(inner) is the top-left k x k corner of a point's block, the
+part class-one (homogeneous-space) symbols live on; callers wrap the spec
+in one where the geometry's block rule masks the picture.  On lifted duals
+d k = D, so a mask keeps D |f| per point and specs built from radial
+scalars, Scaled, SymbolSum and ClassOneMask stream by shell there
+(is_radial_scalar(spec, lifted=True)).  eval_symbol refuses any point with
+d above _MAX_BLOCK_DIM before allocating, corners included, as the inner
+block is evaluated at full size.
 
 Nuclear traces of evaluated blocks are sums of singular values.  Per the
 design contract the symbol side computes them with its own one-sided Jacobi
@@ -200,11 +201,10 @@ def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarr
 
 
 def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarray:
-    """Evaluate the spec at one dual point as a rep_dim x rep_dim matrix.
-
-    A ClassOneMask zeroes entries outside the top-left class_one_dim block.
-    A point with rep_dim above _MAX_BLOCK_DIM raises SizeError before
-    anything is allocated.
+    """Evaluate the spec at one dual point as a rep_dim x rep_dim matrix,
+    or its top-left class_one_dim corner under a ClassOneMask; a SymbolSum
+    zero-pads corners into its largest part.  A point with rep_dim above
+    _MAX_BLOCK_DIM raises SizeError before anything is allocated.
     """
     d = point.rep_dim
     if d > _MAX_BLOCK_DIM:
@@ -214,15 +214,15 @@ def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarra
                         "geometries instead)"
                         % (label_text(point), d, d, _MAX_BLOCK_DIM))
     if isinstance(spec, ClassOneMask):
-        m = eval_symbol(spec.inner, point, geom)
-        m[point.class_one_dim:] = m[:, point.class_one_dim:] = 0.0
-        return m
+        k = point.class_one_dim
+        return eval_symbol(spec.inner, point, geom)[:k, :k].copy()
     if isinstance(spec, Scaled):
         return spec.c * eval_symbol(spec.inner, point, geom)
     if isinstance(spec, SymbolSum):
         acc = eval_symbol(spec.parts[0], point, geom)
-        for p in spec.parts[1:]:
-            acc = acc + eval_symbol(p, point, geom)
+        for p in spec.parts[1:]:  # blocks are fresh arrays: add the smaller
+            small, acc = sorted((acc, eval_symbol(p, point, geom)), key=len)
+            acc[:len(small), :len(small)] += small  # into the larger's corner
         return acc
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
         value = float(scalar_values(spec, np.array([point.eigenvalue]), geom)[0])

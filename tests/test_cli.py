@@ -179,10 +179,14 @@ def test_oracle_check_cap_error(capsys):
                "--cutoff", "100000")
     assert code == 1
     capsys.readouterr()
-    code = run("oracle-check", "--geometry", "sphere:3", "--symbol", "radial:3",
-               "--cutoff", "20", "--cap", "3000")
-    assert code == 1
-    assert "cap >= 722666" in capsys.readouterr().err
+    # sphere:3 masks to 1 x 1 corners: the 2870 eigenvalues below 20 are
+    # the whole truncation, within the default cap
+    sphere3 = ("oracle-check", "--geometry", "sphere:3", "--symbol", "radial:3",
+               "--cutoff", "20")
+    assert run(*sphere3, "--cap", "2000") == 1
+    assert "cap >= 2870" in capsys.readouterr().err
+    assert run(*sphere3) == 0
+    assert "2870 singular values" in capsys.readouterr().out
 
 
 def test_s0_check_exit_codes(capsys):

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dixtrace.errors import ConfigError, SizeError
-from dixtrace.geometry import Geometry, parse_geometry
+from dixtrace.geometry import Geometry, counting_function, parse_geometry
 from dixtrace.oracle import (compare_symbol_vs_oracle, dixmier_partial_norm,
                              lpinf_partial_norm, operator_singular_values,
                              truncate_operator)
 from dixtrace.summation import dyadic_grid, partial_sums
-from dixtrace.symbol import parse_symbol
+from dixtrace.symbol import ClassOneMask, Scaled, SymbolSum, parse_symbol
+
+
+def _no_blocks(*args):
+    raise AssertionError("a block was evaluated before the cap check")
 
 
 def test_truncation_shape_and_dimension():
@@ -29,16 +33,40 @@ def test_truncation_cap_reports_requirement(monkeypatch):
         truncate_operator(Geometry.torus(1), parse_symbol("radial:1"), 1000.0,
                           cap=100)
     assert "1999" in str(err.value)
-    # sphere:3 counts 2870 eigenfunctions below 20, but its masked blocks
-    # stay d x d: the cap holds the 722666 dimensions actually built, and
-    # no block is evaluated before it is checked
-    def no_blocks(*args):
-        raise AssertionError("a block was evaluated before the cap check")
-
-    monkeypatch.setattr("dixtrace.oracle.eval_symbol", no_blocks)
-    with pytest.raises(SizeError, match="cap >= 722666"):
+    # sphere:3 counts 2870 eigenfunctions below 20, and its masked blocks
+    # are 1 x 1 corners, so the cap needs exactly that count; no block is
+    # evaluated before it is checked
+    monkeypatch.setattr("dixtrace.oracle.eval_symbol", _no_blocks)
+    with pytest.raises(SizeError, match="cap >= 2870"):
         truncate_operator(parse_geometry("sphere:3"), parse_symbol("radial:3"), 20.0,
-                          cap=3000)
+                          cap=2000)
+
+
+def test_file_blocks_are_bounded_by_their_size(tmp_path, monkeypatch):
+    # a file spectrum holds each block once and its D says nothing of d:
+    # one eigenvalue with a 100000 x 100000 block is refused by the sum of
+    # d before any block is evaluated
+    path = tmp_path / "spec.txt"
+    path.write_text("huge 100000 1 2.0\n")
+
+    monkeypatch.setattr("dixtrace.oracle.eval_symbol", _no_blocks)
+    with pytest.raises(SizeError, match="cap >= 100000"):
+        truncate_operator(parse_geometry("file:%s" % path), parse_symbol("radial:1"), 10.0)
+
+
+@pytest.mark.parametrize("name", ["torus:1", "torus:2", "torus:3", "su2", "so3", "su3",
+                                  "sphere:2", "sphere:3", "sphere:4"])
+@pytest.mark.parametrize("picture", [None, "manifold", "group", "homogeneous"])
+def test_total_dim_is_the_eigenvalue_count(name, picture):
+    # with masked blocks cut to their class-one corners, mult x block size
+    # is D on every built-in kind, whatever the picture and spec shape
+    g = parse_geometry(name)
+    cutoff = 2.0 if name == "su3" else 6.0  # 2686 and at most 895 eigenvalues
+    f = parse_symbol("radial:3")
+    for spec in (f, ClassOneMask(f), SymbolSum([ClassOneMask(f), Scaled(2.0, f)])):
+        op = truncate_operator(g, spec, cutoff, picture=picture)
+        assert op.total_dim == counting_function(g, cutoff) > 0
+        assert len(operator_singular_values(op)) == op.total_dim
 
 
 def test_dense_assembly_matches_block_svd():
@@ -91,11 +119,10 @@ def test_matched_count_correspondence():
 def test_truncation_total_matches_partial_sum(name):
     # the truncation follows the series' block rule (the sphere's implied
     # mask, the lift), so all its singular values add up to S(cutoff); the
-    # masked sphere:3 blocks stay d x d, 60710 dimensions, above the
-    # default cap
+    # masked sphere:3 blocks are 1 x 1 corners, 650 dimensions
     g = parse_geometry(name)
     spec = parse_symbol("radial:3")
-    svals = operator_singular_values(truncate_operator(g, spec, 12.0, cap=100_000))
+    svals = operator_singular_values(truncate_operator(g, spec, 12.0))
     series = partial_sums(g, spec, dyadic_grid(12.0, 2))
     assert math.fsum(svals) == pytest.approx(series.sums[-1], rel=1e-12)
 
@@ -132,3 +159,13 @@ def test_boundary_picture_has_no_truncation():
     with pytest.raises(ConfigError):
         truncate_operator(Geometry.torus(1), parse_symbol("radial:1"), 10.0,
                           picture="boundary-index")
+
+
+def test_unknown_picture_is_refused():
+    # a typo such as "homogenous" must not run unmasked under a new tag
+    for bad in ("bogus", "homogenous"):
+        with pytest.raises(ConfigError, match="unknown picture"):
+            truncate_operator(Geometry.su2(), parse_symbol("radial:3"), 3.0, picture=bad)
+        with pytest.raises(ConfigError, match="unknown picture"):
+            partial_sums(Geometry.su2(), parse_symbol("radial:3"), dyadic_grid(16),
+                         picture=bad)

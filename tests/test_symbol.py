@@ -143,12 +143,17 @@ def test_eval_radial_on_group_point():
     assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
 
 
-def test_mask_zeroes_outside_class_one_block(tmp_path):
+def test_mask_is_the_class_one_corner(tmp_path):
     g = Geometry.sphere(2)
     p = point_of(g, (2,))  # d = 5, k = 1
     m = eval_symbol(ClassOneMask(RadialWeight(2.0)), p, g)
+    assert m.shape == (1, 1)
     assert m[0, 0] != 0
-    assert np.count_nonzero(m) == 1
+    # in a sum the corner is zero-padded into the full block
+    s = eval_symbol(SymbolSum([ClassOneMask(RadialWeight(2.0)), RadialWeight(1.0)]), p, g)
+    assert s.shape == (5, 5)
+    assert s[0, 0] == m[0, 0] + s[1, 1]
+    assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
     # same for a diag: table holding the radial values on all five entries
     path = tmp_path / "diag.txt"
     path.write_text("2\n%s\n" % " ".join([repr(float(m[0, 0].real))] * 5))
