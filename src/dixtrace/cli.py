@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -39,7 +38,6 @@ from .trace import (DIVERGENCE_THRESHOLD, STABILITY_RTOL, VANISHING_REL,
 
 DEFAULT_NMAX = 1e5
 DEFAULT_PPO = 4
-THREADS_ENV = "DIXTRACE_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the result record here")
         p.add_argument("--out-csv", dest="out_csv", default=None,
                        help="write the cutoff/count/sum/f series here")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for symbol evaluation "
-                            "(default: %s env var, else serial)" % THREADS_ENV)
 
     def add_grid(p):
         p.add_argument("--nmax", type=float, default=None,
@@ -190,19 +185,6 @@ def _load_config(ns: dict) -> dict:
     return ns
 
 
-def _threads(ns: dict) -> int | None:
-    if ns.get("threads") is not None:
-        return int(ns["threads"])
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("%s must be an integer, got %r"
-                              % (THREADS_ENV, env)) from None
-    return None
-
-
 def _nmax(ns: dict) -> float:
     nmax = float(ns["nmax"]) if ns.get("nmax") is not None else DEFAULT_NMAX
     if not math.isfinite(nmax):
@@ -233,8 +215,7 @@ def _symbol(ns: dict):
 def _build_series(ns: dict) -> tuple:
     geom = _geometry(ns)
     spec = _symbol(ns)
-    series = partial_sums(geom, spec, _grid(ns), picture=ns.get("picture"),
-                          workers=_threads(ns))
+    series = partial_sums(geom, spec, _grid(ns), picture=ns.get("picture"))
     return geom, series
 
 

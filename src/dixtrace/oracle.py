@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ConfigError, SizeError
 from .geometry import Geometry, counting_function, enumerate_dual, label_text
 from .summation import default_picture
-from .symbol import ClassOneMask, SymbolSpec, eval_symbol, singular_values
+from .symbol import (ClassOneMask, SymbolSpec, check_block_size, eval_symbol,
+                     singular_values)
 
 DEFAULT_CAP = 10_000
 DENSE_DIM_CAP = 300
@@ -27,10 +28,11 @@ ORACLE_TOL = 1e-9
 
 @dataclass
 class TruncatedOperator:
-    """Block-diagonal truncation: one (label, matrix, multiplicity) per point.
+    """Block-diagonal truncation: one (label, block, multiplicity) per point.
 
-    Masked blocks are their k x k class-one corners, so total_dim, the sum
-    of mult * block size, is the eigenvalue count on every built-in kind.
+    Blocks are as eval_symbol returns them, diagonals 1-d.  Masked blocks
+    are their k x k class-one corners, so total_dim, the sum of mult * block
+    size, is the eigenvalue count on every built-in kind.
     """
 
     blocks: list
@@ -81,14 +83,24 @@ def _sorted_with_multiplicity(op: TruncatedOperator, svd) -> np.ndarray:
     return np.sort(np.concatenate(parts))[::-1]
 
 
+def _square(label: str, m: np.ndarray) -> np.ndarray:
+    """The block as a square matrix for LAPACK: the oracle densifies a
+    diagonal itself, under the symbol side's block cap."""
+    if m.ndim == 2:
+        return m
+    check_block_size(label, m.shape * 2)
+    return np.diag(m)
+
+
 def operator_singular_values(op: TruncatedOperator,
                              dense: bool = False) -> np.ndarray:
     """All singular values of the truncation, descending, with multiplicity.
 
-    The default path runs LAPACK SVD per block and repeats each block's
-    values by its multiplicity.  dense=True assembles the full
-    block-diagonal matrix first (capped at dimension 300) and decomposes it
-    in one call; it exists purely as a paranoia check on the block path.
+    The default path runs LAPACK SVD per block, diagonal blocks densified,
+    and repeats each block's values by its multiplicity.  dense=True
+    assembles the full block-diagonal matrix first (capped at dimension
+    300) and decomposes it in one call; it exists purely as a paranoia
+    check on the block path.
     """
     if dense:
         if op.total_dim > DENSE_DIM_CAP:
@@ -96,15 +108,16 @@ def operator_singular_values(op: TruncatedOperator,
                             % (DENSE_DIM_CAP, op.total_dim))
         full = np.zeros((op.total_dim, op.total_dim), dtype=np.complex128)
         at = 0
-        for _label, m, mult in op.blocks:
-            d = m.shape[0]
+        for label, m, mult in op.blocks:
+            m = _square(label, m)
+            d = len(m)
             for _ in range(mult):
                 full[at:at + d, at:at + d] = m
                 at += d
         svals = np.linalg.svd(full, compute_uv=False)
         return np.sort(svals)[::-1]
     return _sorted_with_multiplicity(
-        op, lambda m, _label: np.linalg.svd(m, compute_uv=False))
+        op, lambda m, label: np.linalg.svd(_square(label, m), compute_uv=False))
 
 
 def dixmier_partial_norm(svals: np.ndarray, n: int) -> float:

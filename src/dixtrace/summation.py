@@ -12,7 +12,7 @@ Two evaluation strategies produce series:
     evaluating the scalar vectorized;
   * a per-point object path for everything else (tables, masks on file
     spectra), wrapping the spec in ClassOneMask where the picture masks
-    blocks; it also carries the optional thread fan-out.
+    blocks and evaluating one symbol block per point, in order.
 
 Both share one accumulation contract so results are reproducible bit for
 bit: pairwise sums of chunk prefixes, with one chunk length.  Per-shell
@@ -26,9 +26,8 @@ the last shell its cutoff admits: the Neumaier-compensated carry of the
 chunk totals before that shell's chunk plus the pairwise sum (np.sum) of
 the chunk's prefix up to it.  No cumulative sum is formed, so the
 in-chunk error grows like log of the chunk length, not like the length.
-Chunk boundaries depend only on the geometry, never on the grid or the
-thread count, so extending the grid or running the per-point path in
-parallel reproduces every earlier snapshot exactly.
+Chunk boundaries depend only on the geometry, never on the grid, so
+extending the grid reproduces every earlier snapshot exactly.
 
 Cutoffs act through the eigenvalue threshold lambda <= N^nu - 1 (ties
 included), read exactly on every built-in kind (Geometry.lambda_threshold).
@@ -42,7 +41,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -248,7 +246,7 @@ def default_picture(geom: Geometry) -> str:
 
 
 def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
-                 picture: str | None = None, workers: int | None = None) -> PartialSumSeries:
+                 picture: str | None = None) -> PartialSumSeries:
     """Partial sums of nuclear traces of the symbol over the dual.
 
     grid is an increasing array of weight cutoffs (see dyadic_grid).  The
@@ -268,7 +266,7 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
         chunks = _radial_chunks(geom, spec, n_max)
     else:
         spec = ClassOneMask(spec) if masked else spec
-        chunks = _evaluated_blocks(_point_blocks(geom, spec, n_max, lifted), workers)
+        chunks = _point_chunks(geom, spec, n_max, lifted)
     sums, counts = _stream_snapshots(chunks, thresholds)
     return PartialSumSeries(grid.copy(), sums, counts, dim=geom.dim, picture=picture)
 
@@ -283,39 +281,25 @@ def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[t
         yield lam, f, dsum
 
 
-def _point_blocks(geom: Geometry, spec: SymbolSpec, n_max: float, lifted: bool):
-    """The dual points in blocks of fixed shell count (group_shells)."""
+def _point_chunks(geom: Geometry, spec: SymbolSpec, n_max: float,
+                  lifted: bool) -> Iterator[tuple]:
+    """Per-shell totals of the dual points, in blocks of fixed shell count
+    (group_shells); a shell's total is the exact fsum over its points."""
     for block in group_shells(enumerate_dual(geom, n_max)):
-        yield geom, spec, lifted, block
-
-
-def _eval_block(args) -> tuple:
-    geom, spec, lifted, block = args
-    lam = np.empty(len(block))
-    contrib = np.empty(len(block))
-    dsum = np.empty(len(block))
-    for i, (ev, pts) in enumerate(block):
-        lam[i] = ev
-        terms = []
-        total_d = 0.0
-        for p in pts:
-            t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=label_text(p))
-            terms.append(p.rep_dim * t if lifted else t)
-            total_d += p.eigenspace_dim
-        contrib[i] = math.fsum(terms)
-        dsum[i] = total_d
-    return lam, contrib, dsum
-
-
-def _evaluated_blocks(blocks, workers: int | None) -> Iterator[tuple]:
-    if workers is None or workers <= 1:
-        for b in blocks:
-            yield _eval_block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # executor.map preserves order, so the reduction below is the
-            # same fold as the serial loop
-            yield from pool.map(_eval_block, blocks)
+        lam = np.empty(len(block))
+        contrib = np.empty(len(block))
+        dsum = np.empty(len(block))
+        for i, (ev, pts) in enumerate(block):
+            lam[i] = ev
+            terms = []
+            total_d = 0.0
+            for p in pts:
+                t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=label_text(p))
+                terms.append(p.rep_dim * t if lifted else t)
+                total_d += p.eigenspace_dim
+            contrib[i] = math.fsum(terms)
+            dsum[i] = total_d
+        yield lam, contrib, dsum
 
 
 def counting_series(geom: Geometry, grid: np.ndarray) -> PartialSumSeries:

@@ -14,19 +14,19 @@ Matrix families read per-label tables from text files:
   DiagonalTable(path)    label line + one line of d diagonal entries
   FullMatrixTable(path)  label line + d lines of d entries
 
-ClassOneMask(inner) is the top-left k x k corner of a point's block, the
-part class-one (homogeneous-space) symbols live on; callers wrap the spec
-in one where the geometry's block rule masks the picture.  On lifted duals
-d k = D, so a mask keeps D |f| per point and specs built from radial
-scalars, Scaled, SymbolSum and ClassOneMask stream by shell there
-(is_radial_scalar(spec, lifted=True)).  eval_symbol refuses any point with
-d above _MAX_BLOCK_DIM before allocating, corners included, as the inner
-block is evaluated at full size.
+Each evaluates at a dual point to a plain numpy array: a diagonal block is
+1-d (radial scalars, diag: tables, Scaled or ClassOneMask of either), a
+dense d x d block 2-d (matrix: tables, sums mixing one with a diagonal).
+ClassOneMask(inner), wherever the geometry's block rule masks the picture,
+is the top-left k x k class-one corner, where homogeneous-space symbols
+live; it passes k down, so each leaf builds only its corner.  On lifted
+duals d k = D, so specs built from radial scalars, Scaled, SymbolSum and
+ClassOneMask stream by shell there (is_radial_scalar(spec, lifted=True)).
+No block of more than MAX_BLOCK_ENTRIES entries is allocated.
 
-Nuclear traces of evaluated blocks are sums of singular values.  Per the
-design contract the symbol side computes them with its own one-sided Jacobi
-iteration (plus exact diagonal and Hermitian eigenvalue fast paths) so the
-LAPACK SVD used by the brute-force oracle remains an independent check.
+Nuclear traces are sums of singular values: np.abs of a diagonal, else a
+Hermitian eigenvalue path or a one-sided Jacobi iteration of our own, so
+the LAPACK SVD used by the brute-force oracle remains an independent check.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ HERMITIAN_TOL = 1e-13
 JACOBI_REL_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
 
-# Largest d for which eval_symbol allocates a dense d x d block (64 MiB).
-_MAX_BLOCK_DIM = 2048
+# Most entries eval_symbol allocates for one block, d for a diagonal and
+# d * d for a dense block (64 MiB of complex128).
+MAX_BLOCK_ENTRIES = 2048 ** 2
 
 
 class SymbolSpec:
@@ -201,36 +202,40 @@ def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarr
 
 
 def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarray:
-    """Evaluate the spec at one dual point as a rep_dim x rep_dim matrix,
-    or its top-left class_one_dim corner under a ClassOneMask; a SymbolSum
-    zero-pads corners into its largest part.  A point with rep_dim above
-    _MAX_BLOCK_DIM raises SizeError before anything is allocated.
-    """
-    d = point.rep_dim
-    if d > _MAX_BLOCK_DIM:
-        raise SizeError("label %s needs a dense %d x %d symbol block, above the "
-                        "cap d <= %d; lower the cutoff (radial scalars under "
-                        "scaled:, sums and mask: stream by shell on built-in "
-                        "geometries instead)"
-                        % (label_text(point), d, d, _MAX_BLOCK_DIM))
+    """The spec's block at one dual point: rep_dim diagonal entries (1-d) or
+    rep_dim x rep_dim, cut to the class_one_dim corner under a ClassOneMask."""
+    return _eval(spec, point, geom, point.rep_dim)
+
+
+def check_block_size(label: str, shape: tuple) -> None:
+    """SizeError for a block of more than MAX_BLOCK_ENTRIES entries."""
+    if math.prod(shape) > MAX_BLOCK_ENTRIES:
+        raise SizeError("label %s needs a %s symbol block, above the cap of %d "
+                        "entries; lower the cutoff" % (
+                            label, " x ".join(map(str, shape)), MAX_BLOCK_ENTRIES))
+
+
+def _eval(spec: SymbolSpec, point: DualPoint, geom: Geometry, k: int) -> np.ndarray:
+    """The spec's block at the point, cut to its top-left k (x k) corner."""
     if isinstance(spec, ClassOneMask):
-        k = point.class_one_dim
-        return eval_symbol(spec.inner, point, geom)[:k, :k].copy()
+        return _eval(spec.inner, point, geom, point.class_one_dim)
     if isinstance(spec, Scaled):
-        return spec.c * eval_symbol(spec.inner, point, geom)
+        return spec.c * _eval(spec.inner, point, geom, k)
     if isinstance(spec, SymbolSum):
-        acc = eval_symbol(spec.parts[0], point, geom)
-        for p in spec.parts[1:]:  # blocks are fresh arrays: add the smaller
-            small, acc = sorted((acc, eval_symbol(p, point, geom)), key=len)
-            acc[:len(small), :len(small)] += small  # into the larger's corner
+        parts = [_eval(p, point, geom, k) for p in spec.parts]
+        shape = (max(map(len, parts)),) * max(b.ndim for b in parts)
+        check_block_size(label_text(point), shape)
+        acc = np.zeros(shape, dtype=np.complex128)
+        for b in parts:  # in order, each entry adding up as it would densely
+            into = np.einsum("ii->i", acc) if b.ndim < acc.ndim else acc  # a view
+            into[(slice(len(b)),) * b.ndim] += b
         return acc
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
+        check_block_size(label_text(point), (k,))
         value = float(scalar_values(spec, np.array([point.eigenvalue]), geom)[0])
         if not math.isfinite(value):
             raise DomainError("symbol value not finite at label %s" % label_text(point))
-        m = np.zeros((d, d), dtype=np.complex128)
-        np.fill_diagonal(m, value)
-        return m
+        return np.full(k, value, dtype=np.complex128)
     if isinstance(spec, (DiagonalTable, FullMatrixTable)):
         key = label_text(point)
         try:
@@ -238,17 +243,11 @@ def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarra
         except KeyError:
             raise TableLookupError("table %s has no entry for label %s"
                                    % (spec.path, key)) from None
-        if isinstance(spec, DiagonalTable):
-            if entry.shape[0] != d:
-                raise SizeError("table %s label %s has %d entries, point has rep_dim %d"
-                                % (spec.path, key, entry.shape[0], d))
-            m = np.zeros((d, d), dtype=np.complex128)
-            np.fill_diagonal(m, entry)
-        else:
-            if entry.shape != (d, d):
-                raise SizeError("table %s label %s is %s, point has rep_dim %d"
-                                % (spec.path, key, entry.shape, d))
-            m = entry.astype(np.complex128, copy=True)
+        if entry.shape != (point.rep_dim,) * entry.ndim:  # diagonal: 1-d
+            raise SizeError("table %s label %s is %s, point has rep_dim %d"
+                            % (spec.path, key, entry.shape, point.rep_dim))
+        check_block_size(key, (k,) * entry.ndim)
+        m = entry[(slice(k),) * entry.ndim].astype(np.complex128)
         if not np.all(np.isfinite(m.view(np.float64))):
             raise DomainError("symbol value not finite at label %s" % key)
         return m
@@ -256,25 +255,29 @@ def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Singular values of small dense blocks
+# Singular values of symbol blocks
 # ---------------------------------------------------------------------------
 
-def singular_values(m: np.ndarray, label: str | None = None) -> np.ndarray:
-    """Singular values of a small square matrix, descending.
-
-    Exact diagonal path, Hermitian eigenvalue path within HERMITIAN_TOL,
-    otherwise a one-sided Jacobi iteration with relative tolerance
-    JACOBI_REL_TOL; non-convergence raises NumericError naming the label.
-    """
+def _block(m) -> np.ndarray:
+    """A block as complex128, 1-d if it is a diagonal, else square 2-d."""
     m = np.asarray(m, dtype=np.complex128)
+    if m.ndim == 1:
+        return m
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SizeError("singular_values expects a square matrix, got %s" % (m.shape,))
-    d = m.shape[0]
-    if d == 0:
-        return np.zeros(0)
-    off = m - np.diag(np.diag(m))
-    if not off.any():
-        return np.sort(np.abs(np.diag(m)))[::-1]
+        raise SizeError("singular_values expects a diagonal or a square matrix, "
+                        "got %s" % (m.shape,))
+    diag = np.diag(m)
+    return diag if np.count_nonzero(m) == np.count_nonzero(diag) else m
+
+
+def singular_values(m: np.ndarray, label: str | None = None) -> np.ndarray:
+    """Singular values of a symbol block, descending: np.abs of a diagonal
+    (1-d, or square with no nonzero off-diagonal entry), else the Hermitian
+    eigenvalue path within HERMITIAN_TOL, else one-sided Jacobi to relative
+    tolerance JACOBI_REL_TOL (NumericError naming the label if it stalls)."""
+    m = _block(m)
+    if m.ndim == 1:
+        return np.sort(np.abs(m))[::-1]
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * scale:
         return np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
@@ -348,14 +351,10 @@ def _jacobi_singular_values(m: np.ndarray, label: str | None) -> np.ndarray:
 
 
 def nuclear_trace_abs(m: np.ndarray, label: str | None = None) -> float:
-    """Sum of singular values; exactly d*|c| for c times the identity."""
-    m = np.asarray(m, dtype=np.complex128)
-    d = m.shape[0]
-    if d > 0:
-        diag = np.diag(m)
-        off = m - np.diag(diag)
-        if not off.any() and np.all(diag == diag[0]):
-            return d * abs(complex(diag[0]))
+    """Sum of singular values; exactly d |c| for a diagonal of d entries c."""
+    m = _block(m)
+    if m.ndim == 1 and len(m) and np.all(m == m[0]):
+        return len(m) * float(np.abs(m[0]))
     return float(np.sum(singular_values(m, label)))
 
 

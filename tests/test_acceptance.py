@@ -18,7 +18,7 @@ from dixtrace.geometry import Geometry, enumerate_dual, save_spectrum_file
 from dixtrace.oracle import compare_symbol_vs_oracle
 from dixtrace.summation import (PartialSumSeries, counting_series, dyadic_grid,
                                 partial_sums, weyl_fit)
-from dixtrace.symbol import ClassOneMask, RadialWeight, parse_symbol
+from dixtrace.symbol import RadialWeight, parse_symbol
 from dixtrace.trace import dixmier_estimate, log_model_fit, quasinorm
 
 
@@ -184,11 +184,6 @@ def test_ac10_invariance_suite(tmp_path):
     add_tau_ok = abs(est_ab.value - est_a.value - est_b.value) <= (
         est_a.fit_residual + est_b.fit_residual + est_ab.fit_residual + 1e-10)
 
-    spec_m = ClassOneMask(RadialWeight(3.0))
-    serial = partial_sums(g, spec_m, dyadic_grid(150, 4), workers=None)
-    parallel = partial_sums(g, spec_m, dyadic_grid(150, 4), workers=3)
-    par_ok = np.array_equal(serial.sums, parallel.sums)
-
     csv_path = str(tmp_path / "s.csv")
     base.to_csv(csv_path, extra_f=True)
     back = PartialSumSeries.from_csv(csv_path, dim=base.dim, picture=base.picture)
@@ -201,11 +196,11 @@ def test_ac10_invariance_suite(tmp_path):
     io_ok = io_ok and all(a.eigenvalue == b.eigenvalue and a.weight == b.weight
                           for a, b in zip(pts, back_pts))
 
-    ok = hom_ok and add_sums_ok and add_tau_ok and par_ok and io_ok
+    ok = hom_ok and add_sums_ok and add_tau_ok and io_ok
     report(10, "invariance-suite", ok,
-           "homogeneity err %.1e, additivity %s, parallel bit-equal %s, "
+           "homogeneity err %.1e, additivity %s, "
            "round-trips bit-equal %s" % (hom_err, add_tau_ok and add_sums_ok,
-                                         par_ok, io_ok))
+                                         io_ok))
 
 
 def _sum_spec():

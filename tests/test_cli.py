@@ -197,32 +197,22 @@ def test_s0_check_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_threads_env_var(tmp_path, monkeypatch, capsys):
-    # a diag: table runs per point, where the thread fan-out lives; it holds
-    # the radial:3 values (1+lambda)^(-3/2) on su2 labels n <= 198
-    table = tmp_path / "su2-radial3.txt"
-    rows = ("%d\n%s\n" % (n, " ".join([repr((1.0 + n * (n + 2) / 4.0) ** -1.5)] * (n + 1)))
-            for n in range(199))
-    table.write_text("".join(rows))
-    symbol = "diag:%s" % table
-    monkeypatch.setenv("DIXTRACE_THREADS", "2")
-    assert run("trace", "--geometry", "su2", "--symbol", symbol,
-               "--nmax", "100") == 0
-    monkeypatch.setenv("DIXTRACE_THREADS", "lots")
-    assert run("trace", "--geometry", "su2", "--symbol", symbol,
-               "--nmax", "100") == 1
-    capsys.readouterr()
-
-
 def test_oversized_block_exits_one(tmp_path, capsys):
-    # file spectra keep masks per point; the d = 10**6 label must fail on the
-    # block size cap before any block of that size is allocated
+    # file spectra keep masks per point; a mask of the d = 10**6 label is
+    # its 1 x 1 corner, built alone, so the run succeeds
     spec = tmp_path / "spec.txt"
     spec.write_text("a 3 3 0.0\nhuge 1000000 1000000 2.0\n")
     code = run("trace", "--geometry", "file:%s" % spec, "--dim", "1",
                "--symbol", "mask:radial:3", "--nmax", "100")
+    assert code == 0
+    capsys.readouterr()
+    # the oracle densifies a d = 3000 diagonal for LAPACK: 3000 x 3000 is
+    # above the block cap, refused before it is allocated
+    spec.write_text("big 3000 1 2.0\n")
+    code = run("oracle-check", "--geometry", "file:%s" % spec, "--symbol", "radial:3",
+               "--cutoff", "10", "--cap", "5000")
     assert code == 1
-    assert "1000000 x 1000000" in capsys.readouterr().err
+    assert "3000 x 3000" in capsys.readouterr().err
 
 
 def test_non_finite_streamed_mask_exits_one(capsys):

@@ -24,7 +24,7 @@ def test_truncation_shape_and_dimension():
     assert len(op.blocks) == 10
     assert op.total_dim == 385
     for (label, m, mult), n in zip(op.blocks, range(10)):
-        assert m.shape == (n + 1, n + 1)
+        assert m.shape == (n + 1,)  # a scalar symbol's block is a diagonal
         assert mult == n + 1
 
 
@@ -99,6 +99,28 @@ def test_compare_passes_on_matrix_table(tmp_path):
     assert rep["total_dim"] == 1 + 4 + 9
     assert rep["passed"], rep
     assert rep["max_abs"] < 1e-9
+
+
+def test_compare_passes_on_diagonal_and_masked_sum(tmp_path):
+    # 1-d blocks reach LAPACK densified by the oracle itself; the masked
+    # sums put a corner into a diagonal and into a dense block
+    g = Geometry.su2()
+    diag = tmp_path / "diag.txt"
+    diag.write_text("0\n0.9\n1\n0.5 -0.25i\n2\n0.2 0.3 -0.1\n")
+    mat = tmp_path / "mat.txt"
+    mat.write_text("0\n0.9\n1\n0.5 0.3i\n0.1 -0.2\n2\n0.2 0 0.1\n0 0.3 0\n0.05 0 0.1\n")
+    f = parse_symbol("radial:3")
+    for spec in (parse_symbol("diag:%s" % diag),
+                 SymbolSum([ClassOneMask(parse_symbol("diag:%s" % diag)), f]),
+                 SymbolSum([ClassOneMask(parse_symbol("matrix:%s" % mat)), f])):
+        for picture in ("group", "homogeneous"):
+            rep = compare_symbol_vs_oracle(g, spec, 2.0, picture=picture)
+            assert rep["passed"] and rep["max_abs"] < 1e-12, (spec, picture, rep)
+    op = truncate_operator(g, SymbolSum([ClassOneMask(parse_symbol("diag:%s" % diag)), f]),
+                           2.0)
+    assert [m.shape for _, m, _ in op.blocks] == [(1,), (2,), (3,)]
+    np.testing.assert_allclose(operator_singular_values(op, dense=True),
+                               operator_singular_values(op), rtol=1e-14, atol=0)
 
 
 def test_matched_count_correspondence():

@@ -274,16 +274,6 @@ def test_grid_extension_on_object_path(tmp_path):
     np.testing.assert_array_equal(a.sums[:k], b.sums[:k])
 
 
-def test_parallel_matches_serial_bitwise(tmp_path):
-    g = Geometry.su2()
-    spec = diag_table(tmp_path / "t.txt", g, 150, RadialWeight(2.0))
-    grid = dyadic_grid(150, 4)
-    serial = partial_sums(g, spec, grid, workers=None)
-    parallel = partial_sums(g, spec, grid, workers=3)
-    np.testing.assert_array_equal(serial.sums, parallel.sums)
-    np.testing.assert_array_equal(serial.counts, parallel.counts)
-
-
 def test_block_path_agrees_with_radial_path(tmp_path):
     # the table holds the radial scalar on every diagonal entry, so both code
     # paths compute the same series through different evaluation and
@@ -299,7 +289,7 @@ def test_block_path_agrees_with_radial_path(tmp_path):
 
 @pytest.mark.parametrize("name, cutoff", [
     ("su2", 150.0), ("so3", 80.0), ("su3", 4.0), ("sphere:3", 40.0),
-    ("torus:1", 1e4), ("torus:2", 60.0), ("file", 30.0)])
+    ("sphere:4", 30.0), ("torus:1", 1e4), ("torus:2", 60.0), ("file", 30.0)])
 def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
     # specs built from radial scalars, scaled:, sums and mask: stream by
     # shell on lifted kinds; the same spec over diag: tables holding the
@@ -334,6 +324,22 @@ def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
         np.testing.assert_allclose(streamed.sums, per_point.sums, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(streamed.counts, per_point.counts)
         assert streamed.sums[-1] > 0
+
+
+def test_masked_table_past_d_2048_runs_in_flat_memory(tmp_path):
+    # sphere:4 blocks reach d = 8555 below cutoff 30; the implied mask
+    # builds each diag: table's 1-entry corner alone, never the d entries
+    g = parse_geometry("sphere:4")
+    table = diag_table(tmp_path / "t.txt", g, 30.0, RadialWeight(3.0))
+    assert max(p.rep_dim for p in enumerate_dual(g, 30.0)) == 8555
+    tracemalloc.start()
+    try:
+        series = partial_sums(g, table, dyadic_grid(30.0, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    assert series.counts[-1] == counting_function(g, 30.0)
 
 
 def test_partial_sums_grid_validation():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,12 +85,15 @@ def test_exact_diagonal_route():
     m = np.diag([3.0, -1.0 + 0j, 0.5j])
     s = singular_values(m)
     assert list(s) == [3.0, 1.0, 0.5]  # exact, no rounding
+    assert list(singular_values(np.diag(m))) == [3.0, 1.0, 0.5]  # the 1-d form
 
 
 def test_scalar_identity_is_exact():
     c = 3.7 - 0.2j
     m = c * np.eye(5, dtype=np.complex128)
-    assert nuclear_trace_abs(m) == 5 * abs(c)
+    assert nuclear_trace_abs(m) == 5 * float(np.abs(c))
+    # the same rule on the 1-d form, the one modulus rule np.abs
+    assert nuclear_trace_abs(np.full(5, c)) == 5 * float(np.abs(c))
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6))
@@ -138,40 +142,89 @@ def test_eval_radial_on_group_point():
     p = point_of(g, (3,))  # d = 4, lambda = 15/4
     m = eval_symbol(RadialWeight(2.0), p, g)
     expect = (1.0 + 15.0 / 4.0) ** -1.0
-    assert m.shape == (4, 4)
-    assert np.allclose(np.diag(m), expect)
-    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+    assert m.shape == (4,)  # a diagonal block is its 1-d diagonal
+    assert m.dtype == np.complex128
+    assert np.array_equal(m, np.full(4, expect))
 
 
 def test_mask_is_the_class_one_corner(tmp_path):
     g = Geometry.sphere(2)
     p = point_of(g, (2,))  # d = 5, k = 1
     m = eval_symbol(ClassOneMask(RadialWeight(2.0)), p, g)
-    assert m.shape == (1, 1)
-    assert m[0, 0] != 0
-    # in a sum the corner is zero-padded into the full block
+    assert m.shape == (1,)
+    assert m[0] != 0
+    # in a sum the corner is zero-padded into the full diagonal
     s = eval_symbol(SymbolSum([ClassOneMask(RadialWeight(2.0)), RadialWeight(1.0)]), p, g)
-    assert s.shape == (5, 5)
-    assert s[0, 0] == m[0, 0] + s[1, 1]
-    assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
+    assert s.shape == (5,)
+    assert s[0] == m[0] + s[1]
+    assert np.all(s[1:] == s[1])
     # same for a diag: table holding the radial values on all five entries
     path = tmp_path / "diag.txt"
-    path.write_text("2\n%s\n" % " ".join([repr(float(m[0, 0].real))] * 5))
+    path.write_text("2\n%s\n" % " ".join([repr(float(m[0].real))] * 5))
     m2 = eval_symbol(ClassOneMask(DiagonalTable(str(path))), p, g)
     assert np.array_equal(m, m2)
-    assert np.count_nonzero(eval_symbol(DiagonalTable(str(path)), p, g)) == 5
+    assert eval_symbol(DiagonalTable(str(path)), p, g).shape == (5,)
+    # a matrix: table's corner stays dense; a sum with a diagonal adds the
+    # diagonal onto the dense block's diagonal
+    dense = tmp_path / "dense.txt"
+    rows = [" ".join("%d" % (1 + i + 5 * j) for i in range(5)) for j in range(5)]
+    dense.write_text("2\n%s\n" % "\n".join(rows))
+    c = eval_symbol(ClassOneMask(FullMatrixTable(str(dense))), p, g)
+    assert c.shape == (1, 1) and c[0, 0] == 1
+    t = eval_symbol(SymbolSum([FullMatrixTable(str(dense)), RadialWeight(1.0)]), p, g)
+    assert t.shape == (5, 5)
+    full = np.arange(1, 26).reshape(5, 5) + np.diag(s[1:2].repeat(5))
+    assert np.array_equal(t, full)
+    u = eval_symbol(SymbolSum([RadialWeight(1.0), ClassOneMask(FullMatrixTable(str(dense)))]),
+                    p, g)
+    assert np.array_equal(u, np.diag(s[1:2].repeat(5)) + np.pad(c, (0, 4)))
 
 
-def test_block_size_guard_before_allocation():
-    # a synthetic point whose dense block would need 16 TB: the guard must
-    # fire before anything is allocated, for every spec family
+def _traced(fn):
+    """fn()'s result, or the SizeError it raised, and its traced peak bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    except SizeError as exc:
+        return exc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_size_guard_before_allocation(tmp_path):
+    # d = 10**6: a scalar is a 1-d diagonal of 10**6 entries (16 MB) and a
+    # mask its one-entry corner, so both evaluate
     g = Geometry.sphere(3)
-    huge = DualPoint(label=(7,), rep_dim=10 ** 6, eigenspace_dim=10 ** 6,
-                     class_one_dim=1, eigenvalue=63.0, weight=8.0)
-    for spec in (RadialWeight(2.0), ClassOneMask(RadialWeight(2.0)),
-                 Scaled(2.0, ClassOneMask(RadialWeight(2.0)))):
-        with pytest.raises(SizeError, match="label 7"):
-            eval_symbol(spec, huge, g)
+    big = DualPoint(label=(7,), rep_dim=10 ** 6, eigenspace_dim=10 ** 6,
+                    class_one_dim=1, eigenvalue=63.0, weight=8.0)
+    f = RadialWeight(2.0)
+    for spec, size in ((f, 10 ** 6), (ClassOneMask(f), 1),
+                       (Scaled(2.0, ClassOneMask(f)), 1)):
+        m, peak = _traced(lambda: eval_symbol(spec, big, g))
+        assert m.shape == (size,) and peak < 20 * 2 ** 20
+    # a diagonal of d = 10**8 (1.6 GB) in a sum with its own corner, on a
+    # file record: refused before it is allocated
+    path = tmp_path / "spec.txt"
+    path.write_text("huge 100000000 1 2.0\n")
+    fg = Geometry.from_file(str(path))
+    (huge,) = enumerate_dual(fg, 10.0)
+    err, peak = _traced(lambda: eval_symbol(SymbolSum([ClassOneMask(f), f]), huge, fg))
+    assert isinstance(err, SizeError)
+    assert "label huge needs a 100000000 symbol block" in str(err)
+    assert peak < 2 ** 20
+    # a 1 x 1 dense corner of a d = 3000 table evaluates alone, but a sum
+    # with a diagonal promotes it to 3000 x 3000 (144 MB): refused before
+    # that block is allocated (the table entry is a broadcast view)
+    p3000 = DualPoint(label=(9,), rep_dim=3000, eigenspace_dim=3000,
+                      class_one_dim=1, eigenvalue=80.0, weight=9.0)
+    entry = np.broadcast_to(np.complex128(0.5), (3000, 3000))
+    table = FullMatrixTable("t", entries={"9": entry})
+    corner, peak = _traced(lambda: eval_symbol(ClassOneMask(table), p3000, g))
+    assert corner.shape == (1, 1) and peak < 2 ** 20
+    err, peak = _traced(lambda: eval_symbol(SymbolSum([ClassOneMask(table), f]), p3000, g))
+    assert isinstance(err, SizeError)
+    assert "label 9 needs a 3000 x 3000 symbol block" in str(err)
+    assert peak < 2 ** 20
 
 
 def test_scalar_values_semantics():
@@ -258,7 +311,8 @@ def test_diagonal_table_round_trip(tmp_path):
     spec = DiagonalTable(str(path))
     p = point_of(g, (1,))
     m = eval_symbol(spec, p, g)
-    assert np.allclose(np.diag(m), 0.5)
+    assert m.shape == (2,)
+    assert np.array_equal(m, [0.5, 0.5])
 
 
 def test_diagonal_table_accepts_square_form(tmp_path):
