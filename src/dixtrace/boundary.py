@@ -25,8 +25,10 @@ Neumaier carry.  Index sums are keyed by l with a unit count per label;
 the closed-form symbols 1/lambda, lambda and 1 generate their chunks on
 the fly, so they run in flat memory up to _MAX_STREAMED_LABELS (2^30)
 labels.  Symbols held as arrays (files, callables, --alpha table:) and the
-Weyl form, which sorts by |lambda|, stay materialized under the 5e7-point
-cap.
+Weyl form stay materialized under the 5e7-point cap.  The Weyl form keys
+the fold by |lambda|^(1/m): it sorts the labels once and hands the fold
+fixed slices of _CHUNK sorted labels, and the fold counts a run of equal
+keys whole where it straddles two slices.
 """
 
 from __future__ import annotations
@@ -392,33 +394,25 @@ def boundary_dixmier(sym: BoundarySymbol, grid: np.ndarray,
     return _estimate(series.cutoffs, f, divergence_threshold, vanishing_rel)
 
 
-def _sorted_chunks(x: np.ndarray, terms: np.ndarray) -> Iterator[tuple]:
-    """Slices of ascending keys x, _CHUNK long and each extended to
-    the end of its run of equal keys, so no threshold splits a tie."""
-    start = 0
-    while start < len(x):
-        end = min(start + _CHUNK, len(x))
-        end = int(np.searchsorted(x, x[end - 1], side="right"))
-        yield x[start:end], terms[start:end], np.ones(end - start)
-        start = end
-
-
 def boundary_weyl_series(sym: BoundarySymbol, kappa: int,
                          grid: np.ndarray) -> PartialSumSeries:
     """Partial sums over weight cutoffs |lambda|^(1/m) <= N.
 
     The labels are stably sorted by x = |lambda|^(1/m) and |sigma| folds
-    through the shared compensated fold keyed by x.  The result carries
-    dim = kappa so that normalized() is the Weyl-rescaled quotient
-    S(N)/(kappa log N).
+    through the shared compensated fold keyed by x, in _CHUNK slices of
+    the sorted labels.  The result carries dim = kappa so that normalized()
+    is the Weyl-rescaled quotient S(N)/(kappa log N).
     """
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
     grid = check_grid(grid)
     x = np.abs(sym.lam) ** (1.0 / sym.order)
     order_key = np.argsort(x, kind="stable")
-    sums, counts = _stream_snapshots(
-        _sorted_chunks(x[order_key], np.abs(sym.values)[order_key]), grid)
+    x, terms = x[order_key], np.abs(sym.values)[order_key]
+    unit = np.ones(_CHUNK)
+    chunks = ((x[s:s + _CHUNK], terms[s:s + _CHUNK], unit[:len(x) - s])
+              for s in range(0, len(x), _CHUNK))
+    sums, counts = _stream_snapshots(chunks, grid)
     return PartialSumSeries(grid.copy(), sums, counts, dim=kappa,
                             picture="manifold")
 

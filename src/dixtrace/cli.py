@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+# perfbench/tracer.py wraps cli.boundary_dixmier_weyl, so it stays imported
 from .boundary import (AlphaTable, BoundarySymbol, IntervalBC, PowerDecay,
                        boundary_dixmier, boundary_dixmier_weyl, boundary_series,
                        boundary_weyl_series, parametrix_trace,
@@ -390,7 +391,7 @@ def _cmd_boundary(ns: dict) -> int:
     if ns.get("cutoff_kind") == "eigenvalue":
         kappa = int(ns["kappa"]) if ns.get("kappa") is not None else 1
         series = boundary_weyl_series(sym, kappa, grid)
-        est = boundary_dixmier_weyl(sym, kappa, grid, dt, vr)
+        est = dixmier_estimate(series, dt, vr)
         cut_desc = "|lambda|^(1/%d) <= N, kappa = %d" % (sym.order, kappa)
     else:
         series = boundary_series(sym, grid)

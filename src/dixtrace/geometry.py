@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -50,13 +50,12 @@ _MAX_MATERIALIZED_POINTS = 50_000_000
 # a, b >= 0 below the cutoff, counted before the first window is built.
 _MAX_LATTICE_LABELS = 1 << 27
 
-# Shells (or boundary labels) per streamed chunk, one length for every
-# chunked stream, and the width in q = den * lambda of the rank-two lattice
-# windows; fixed so summation is reproducible.  The fold sums each
+# Shells, points or boundary labels per streamed chunk, one length for
+# every chunked stream, and the width in q = den * lambda of the rank-two
+# lattice windows; fixed so summation is reproducible.  The fold sums each
 # chunk pairwise, so its length is picked for speed alone: 2^14 float64
 # values (128 kB) stay in cache, and longer chunks spill out of it.
 _CHUNK = 1 << 14
-_SHELLS_PER_BLOCK = 256  # shells per group_shells list, fixed the same way
 
 
 @dataclass(frozen=True)
@@ -497,16 +496,18 @@ def _count_torus(n: int, cap: int) -> int:
 # symbols.  torus:1 and the rank-one kinds hand out _CHUNK shells per chunk
 # from the first one on; torus:2 and su3 hand out the occupied shells of
 # one window of _CHUNK values of q = den * lambda per chunk; higher tori and
-# file spectra hand out the enumerated points grouped by group_shells.
-# Chunk boundaries are fixed functions of the geometry, so repeated runs and
-# longer cutoffs reproduce sums bit-for-bit.
+# file spectra hand out _CHUNK enumerated points per chunk, one entry per
+# point, so an eigenvalue repeats and may straddle two chunks (the fold
+# reads ties whole).  Chunk boundaries are fixed functions of the geometry,
+# so repeated runs and longer cutoffs reproduce sums bit-for-bit.
 # ---------------------------------------------------------------------------
 
 def radial_shells(geom: Geometry, weight_cutoff: float):
     """Yield (lam, dsum) float64 array chunks, ascending in lam across chunks.
 
-    Each shell groups all dual points of one eigenvalue; dsum is the sum of
-    their eigenspace dimensions, exact in float64 up to 2**53 (su3 rounds
+    An entry is a shell (the dual points of one eigenvalue, dsum the sum of
+    their D), but a single point on higher tori and file spectra, where
+    eigenvalues repeat.  dsum is exact in float64 up to 2**53 (su3 rounds
     each D = d^2 above that, and the fold's counts past 2**53 stay within a
     few ulp of counting_function).
     """
@@ -523,10 +524,9 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
     elif rows is not None:
         yield from _window_shells(rows, geom.lattice_cap(weight_cutoff))
     elif geom.kind in ("torus", "file"):
-        # torus rank >= 3 and file spectra: group the enumerated points
-        for block in group_shells(enumerate_dual(geom, weight_cutoff)):
-            yield (np.array([lam for lam, _ in block]),
-                   np.array([float(sum(p.eigenspace_dim for p in pts)) for _, pts in block]))
+        # torus rank >= 3 and file spectra: the enumerated points
+        points = enumerate_dual(geom, weight_cutoff)
+        yield from _row_chunks(((p.eigenvalue, p.eigenspace_dim) for p in points), 2)
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
         lmax = r.label_max(geom.lattice_cap(weight_cutoff))
@@ -535,11 +535,13 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
             yield lam, d * k
 
 
-def group_shells(points: Iterable[DualPoint]) -> Iterator[list]:
-    """Shells (lambda, [points]) of eigenvalue-sorted points, _SHELLS_PER_BLOCK per list."""
-    shells = ((lam, list(pts)) for lam, pts in groupby(points, key=lambda p: p.eigenvalue))
-    while block := list(islice(shells, _SHELLS_PER_BLOCK)):
-        yield block
+def _row_chunks(rows: Iterable[tuple], width: int) -> Iterator[np.ndarray]:
+    """(width, n) float64 arrays of consecutive rows, filled as the rows
+    come, n = _CHUNK in all but the last, so boundaries depend on the row
+    index alone."""
+    rows = iter(rows)
+    while (a := np.fromiter(islice(rows, _CHUNK), (np.float64, width))).size:
+        yield a.T.copy()
 
 
 # ---------------------------------------------------------------------------

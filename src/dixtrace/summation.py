@@ -15,19 +15,20 @@ Two evaluation strategies produce series:
     blocks and evaluating one symbol block per point, in order.
 
 Both share one accumulation contract so results are reproducible bit for
-bit: pairwise sums of chunk prefixes, with one chunk length.  Per-shell
-totals (exact fsum over the points of one eigenvalue) come in ascending
-eigenvalue order in fixed chunks: geometry._CHUNK shells or labels on the
-torus:1, rank-one and boundary streams, the occupied shells of a window of
-geometry._CHUNK values of q = den * lambda on torus:2 and su3, and
-geometry._SHELLS_PER_BLOCK shells wherever dual points are grouped (the
-per-point path, higher tori, file spectra).  A snapshot is read at
-the last shell its cutoff admits: the Neumaier-compensated carry of the
-chunk totals before that shell's chunk plus the pairwise sum (np.sum) of
-the chunk's prefix up to it.  No cumulative sum is formed, so the
-in-chunk error grows like log of the chunk length, not like the length.
-Chunk boundaries depend only on the geometry, never on the grid, so
-extending the grid reproduces every earlier snapshot exactly.
+bit: pairwise sums of chunk prefixes, with one chunk length.  Terms come
+in ascending eigenvalue order in fixed chunks: geometry._CHUNK shells or
+labels on the torus:1, rank-one and boundary streams, the occupied shells
+of a window of geometry._CHUNK values of q = den * lambda on torus:2 and
+su3, and geometry._CHUNK points of enumerate_dual wherever dual points are
+enumerated (the per-point path, higher tori, file spectra).  The fold
+owns ties: a run of equal eigenvalues may straddle chunks, and a
+threshold is read only once a chunk's last key lies strictly above it.
+Its snapshot is the Neumaier-compensated carry of the chunk totals before
+that chunk plus the pairwise sum (np.sum) of the chunk's prefix the
+threshold admits.  No cumulative sum is formed, so the in-chunk error
+grows like log of the chunk length, not like the length.  Chunk
+boundaries depend only on the geometry, never on the grid, so extending
+the grid reproduces every earlier snapshot exactly.
 
 Cutoffs act through the eigenvalue threshold lambda <= N^nu - 1 (ties
 included), read exactly on every built-in kind (Geometry.lambda_threshold).
@@ -47,7 +48,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, ContractError, FitError, SpectrumFormatError
-from .geometry import Geometry, enumerate_dual, group_shells, label_text, radial_shells
+from .geometry import Geometry, _row_chunks, enumerate_dual, label_text, radial_shells
 from .symbol import ClassOneMask, RadialWeight, SymbolSpec, eval_symbol, \
     is_radial_scalar, nuclear_trace_abs, scalar_values
 
@@ -199,14 +200,16 @@ class _Carry:
 
 
 def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
-    """Fold (lam, contrib, dsum) chunks into snapshot sums/counts.
+    """Fold (lam, contrib, dsum) chunks, lam ascending, into snapshot sums/counts.
 
     A chunk's totals are pairwise sums (np.sum) folded into a Neumaier
-    carry.  A snapshot is read at the last shell its threshold admits: the
-    carry before that shell's chunk plus the pairwise sum of the chunk's
-    prefix up to the shell.  Each prefix depends only on the chunk and the
-    prefix length, so values never depend on how far the stream continues
-    afterwards, nor on where between two shells the threshold falls.
+    carry.  A threshold is read once a chunk's last key lies strictly above
+    it, so a run of equal keys counts whole even where it straddles chunks:
+    the carry before the chunk plus the pairwise sum of the chunk's prefix
+    the threshold admits, or, below the chunk's first key, the snapshot at
+    the end of the chunk before.  Each prefix depends only on the chunk and
+    the prefix length, so values never depend on how far the stream
+    continues afterwards, nor on where between two keys the threshold falls.
     """
     k_total = len(thresholds)
     sums = np.zeros(k_total)
@@ -214,16 +217,16 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
     carry_s = _Carry()
     carry_c = _Carry()
     ptr = 0
-    last = (0.0, 0.0)  # the snapshot at the last shell streamed so far
+    last = (0.0, 0.0)  # the snapshot at the end of the stream so far
     for lam, contrib, dsum in chunks:
         if lam.size == 0:
             continue
-        while ptr < k_total and thresholds[ptr] <= lam[-1]:
+        while ptr < k_total and thresholds[ptr] < lam[-1]:
             n = int(np.searchsorted(lam, thresholds[ptr], side="right"))
             if n:
                 sums[ptr] = carry_s.value() + float(np.sum(contrib[:n]))
                 counts[ptr] = carry_c.value() + float(np.sum(dsum[:n]))
-            else:  # before this chunk's first shell: the last shell so far
+            else:  # below this chunk's first key: the end of the chunk before
                 sums[ptr], counts[ptr] = last
             ptr += 1
         total_s = float(np.sum(contrib))
@@ -231,8 +234,8 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
         last = (carry_s.value() + total_s, carry_c.value() + total_c)
         carry_s.add(total_s)
         carry_c.add(total_c)
-    # thresholds past the end read the last shell's snapshot, as they
-    # would on a longer stream
+    # thresholds at or past the last key read the end of the stream, as the
+    # end of that chunk would on a longer stream
     sums[ptr:], counts[ptr:] = last
     return sums, counts
 
@@ -282,24 +285,13 @@ def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[t
 
 
 def _point_chunks(geom: Geometry, spec: SymbolSpec, n_max: float,
-                  lifted: bool) -> Iterator[tuple]:
-    """Per-shell totals of the dual points, in blocks of fixed shell count
-    (group_shells); a shell's total is the exact fsum over its points."""
-    for block in group_shells(enumerate_dual(geom, n_max)):
-        lam = np.empty(len(block))
-        contrib = np.empty(len(block))
-        dsum = np.empty(len(block))
-        for i, (ev, pts) in enumerate(block):
-            lam[i] = ev
-            terms = []
-            total_d = 0.0
-            for p in pts:
-                t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=label_text(p))
-                terms.append(p.rep_dim * t if lifted else t)
-                total_d += p.eigenspace_dim
-            contrib[i] = math.fsum(terms)
-            dsum[i] = total_d
-        yield lam, contrib, dsum
+                  lifted: bool) -> Iterator[np.ndarray]:
+    """Per-point (lambda, mult * Tr|sigma|, D) rows in enumerate_dual's
+    order, geometry._CHUNK points per chunk; a tie may straddle two chunks."""
+    def row(p):
+        t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=label_text(p))
+        return p.eigenvalue, p.rep_dim * t if lifted else t, p.eigenspace_dim
+    return _row_chunks(map(row, enumerate_dual(geom, n_max)), 3)
 
 
 def counting_series(geom: Geometry, grid: np.ndarray) -> PartialSumSeries:

@@ -24,9 +24,10 @@ duals d k = D, so specs built from radial scalars, Scaled, SymbolSum and
 ClassOneMask stream by shell there (is_radial_scalar(spec, lifted=True)).
 No block of more than MAX_BLOCK_ENTRIES entries is allocated.
 
-Nuclear traces are sums of singular values: np.abs of a diagonal, else a
-Hermitian eigenvalue path or a one-sided Jacobi iteration of our own, so
-the LAPACK SVD used by the brute-force oracle remains an independent check.
+Nuclear traces are sums of singular values: the modulus of a diagonal
+(np.hypot of its real and imaginary parts), else a Hermitian eigenvalue
+path or a one-sided Jacobi iteration of our own, so the LAPACK SVD used
+by the brute-force oracle remains an independent check.
 """
 
 from __future__ import annotations
@@ -271,13 +272,14 @@ def _block(m) -> np.ndarray:
 
 
 def singular_values(m: np.ndarray, label: str | None = None) -> np.ndarray:
-    """Singular values of a symbol block, descending: np.abs of a diagonal
-    (1-d, or square with no nonzero off-diagonal entry), else the Hermitian
-    eigenvalue path within HERMITIAN_TOL, else one-sided Jacobi to relative
-    tolerance JACOBI_REL_TOL (NumericError naming the label if it stalls)."""
+    """Singular values of a symbol block, descending: the modulus (np.hypot)
+    of a diagonal (1-d, or square with no nonzero off-diagonal entry), else
+    the Hermitian eigenvalue path within HERMITIAN_TOL, else one-sided
+    Jacobi to relative tolerance JACOBI_REL_TOL (NumericError naming the
+    label if it stalls)."""
     m = _block(m)
     if m.ndim == 1:
-        return np.sort(np.abs(m))[::-1]
+        return np.sort(np.hypot(m.real, m.imag))[::-1]
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * scale:
         return np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
@@ -354,7 +356,7 @@ def nuclear_trace_abs(m: np.ndarray, label: str | None = None) -> float:
     """Sum of singular values; exactly d |c| for a diagonal of d entries c."""
     m = _block(m)
     if m.ndim == 1 and len(m) and np.all(m == m[0]):
-        return len(m) * float(np.abs(m[0]))
+        return len(m) * float(np.hypot(m[0].real, m[0].imag))
     return float(np.sum(singular_values(m, label)))
 
 

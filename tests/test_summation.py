@@ -190,6 +190,60 @@ def test_past_the_end_snapshot_reads_the_last_chunk_prefix():
     assert end[1][0] == longer[1][0] == 3.0
 
 
+def test_tie_across_chunks_counts_whole():
+    # keys [0, 1] and [1, 2]: a threshold on the tie reads both 1s, inside
+    # the stream and at its end
+    def chunk(lam, contrib):
+        return np.array(lam), np.array(contrib), np.ones(len(lam))
+
+    head = [chunk([0.0, 1.0], [1.0, 10.0])]
+    sums, counts = _stream_snapshots(head + [chunk([1.0, 2.0], [100.0, 1000.0])],
+                                     np.array([0.5, 1.0, 1.5, 2.0]))
+    assert counts.tolist() == [1.0, 3.0, 3.0, 4.0]
+    assert sums.tolist() == [1.0, 111.0, 111.0, 1111.0]
+    sums, counts = _stream_snapshots(head + [chunk([1.0], [100.0])], np.array([1.0]))
+    assert (sums[0], counts[0]) == (111.0, 3.0)
+
+
+def test_grid_extension_with_a_tie_across_point_chunks(tmp_path):
+    # per point on torus:2, the 16 points of lambda = 5210 straddle the
+    # first chunk boundary.  A grid ending on that shell and one running on
+    # read the same snapshots bit for bit, count the shell whole, and sit
+    # within 1e-15 of math.fsum of the per-point terms.
+    g = Geometry.torus(2)
+    f = RadialWeight(2.0)
+    spec = diag_table(tmp_path / "t.txt", g, 80.0, f)
+    pts = list(enumerate_dual(g, 80.0))
+    tie = pts[_CHUNK].eigenvalue
+    assert pts[_CHUNK - 1].eigenvalue == tie
+    end = math.sqrt(1 + tie + 0.5)
+    assert g.lattice_cap(end) == tie
+    long = np.union1d(dyadic_grid(80.0, 16), [end])
+    short = long[long <= end]
+    a = partial_sums(g, spec, short)
+    b = partial_sums(g, spec, long)
+    np.testing.assert_array_equal(a.sums, b.sums[:len(short)])
+    np.testing.assert_array_equal(a.counts, b.counts[:len(short)])
+    lam = np.array([p.eigenvalue for p in pts])
+    terms = [scalar_values(f, np.array([x]), g)[0] for x in lam]
+    for n, s, c in zip(long, b.sums, b.counts):
+        k = int(np.searchsorted(lam, g.lambda_threshold(n), "right"))
+        assert c == k == counting_function(g, n)
+        assert abs(s - math.fsum(terms[:k])) <= 1e-15 * s
+
+
+def test_torus3_stream_holds_no_shell_lists():
+    # higher tori stream _CHUNK enumerated points at a time, never lists of
+    # points grouped by shell
+    tracemalloc.start()
+    try:
+        partial_sums(Geometry.torus(3), parse_symbol("radial:3"), dyadic_grid(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
 def test_su2_stream_sums_match_fsum():
     # every snapshot of the shell stream against math.fsum of its D |f| terms
     g = Geometry.su2()
@@ -293,9 +347,9 @@ def test_block_path_agrees_with_radial_path(tmp_path):
 def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
     # specs built from radial scalars, scaled:, sums and mask: stream by
     # shell on lifted kinds; the same spec over diag: tables holding the
-    # same scalars runs per point.  The fold groups shells differently
-    # (2**14 shells or q values vs 256 shells per chunk), so sums agree to
-    # rounding and counts exactly.  On a file spectrum both sides of a mask
+    # same scalars runs per point.  The fold sees different terms (one per
+    # shell, 2**14 shells or q values per chunk, vs one per point, 2**14
+    # points per chunk), so sums agree to rounding and counts exactly.  On a file spectrum both sides of a mask
     # run per point, with weight 1 per point rather than D.  A bare table on
     # a sphere takes the mask its picture implies (a bare scalar on a file
     # spectrum streams with weight D, which its table does not match, so it

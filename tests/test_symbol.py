@@ -91,9 +91,25 @@ def test_exact_diagonal_route():
 def test_scalar_identity_is_exact():
     c = 3.7 - 0.2j
     m = c * np.eye(5, dtype=np.complex128)
-    assert nuclear_trace_abs(m) == 5 * float(np.abs(c))
-    # the same rule on the 1-d form, the one modulus rule np.abs
-    assert nuclear_trace_abs(np.full(5, c)) == 5 * float(np.abs(c))
+    assert nuclear_trace_abs(m) == 5 * float(np.hypot(c.real, c.imag))
+    # the same rule on the 1-d form, the one modulus rule np.hypot
+    assert nuclear_trace_abs(np.full(5, c)) == 5 * float(np.hypot(c.real, c.imag))
+
+
+def test_diagonal_modulus_is_correctly_rounded():
+    # the modulus of a diagonal against mpmath's, rounded to float64: np.hypot
+    # is correctly rounded on all but a few values and never off by more
+    # than an ulp (np.abs of complex128 is, on about two thirds of them)
+    mpmath = pytest.importorskip("mpmath")
+    z = np.random.default_rng(7).standard_normal((3000, 2)) @ np.array([1.0, 1j])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.sqrt(mpmath.mpf(x.real) ** 2 + mpmath.mpf(x.imag) ** 2))
+                        for x in z])
+    got, ref_sorted = singular_values(z), np.sort(ref)[::-1]
+    assert np.count_nonzero(got == ref_sorted) >= 0.99 * z.size
+    np.testing.assert_array_max_ulp(got, ref_sorted, maxulp=1)
+    single = np.array([nuclear_trace_abs(np.full(3, x)) for x in z])
+    assert np.count_nonzero(single == 3 * ref) >= 0.99 * z.size
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6))
