@@ -8,9 +8,10 @@ series CSV (--out-csv).  Exit status is 0 for convergent/finite verdicts,
 oracle mismatch, no summable s found) and 1 for configuration or runtime
 errors.
 
-Flags may also come from a JSON config file (--config); explicit flags win
-over config entries.  Default grid: dyadic cutoffs, 4 points per octave,
-up to 1e5.
+Every default lives in build_parser; `dixtrace CMD --help` prints them.
+Flags may also come from a JSON config file (--config) keyed by long flag
+names: an entry means what the flag's text means, null is absent, and
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ from .boundary import (AlphaTable, BoundarySymbol, IntervalBC, PowerDecay,
                        s0_summability_check)
 from .errors import ConfigError, DixtraceError, SizeError
 from .geometry import Geometry, parse_geometry
-from .oracle import compare_symbol_vs_oracle
+from .oracle import DEFAULT_CAP, compare_symbol_vs_oracle
 from .summation import (SCHEMA_VERSION, PartialSumSeries, counting_series,
                         dyadic_grid, partial_sums, weyl_fit)
 from .symbol import parse_complex, parse_symbol
 from .trace import (DIVERGENCE_THRESHOLD, STABILITY_RTOL, VANISHING_REL,
                     density_integral_from_samples, dixmier_estimate,
                     quasinorm, residue_factored)
-
-DEFAULT_NMAX = 1e5
-DEFAULT_PPO = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,57 +56,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common(p):
-        p.add_argument("--config", default=None,
-                       help="JSON file of flag values; explicit flags override")
-        p.add_argument("--out-json", dest="out_json", default=None,
-                       help="write the result record here")
-        p.add_argument("--out-csv", dest="out_csv", default=None,
-                       help="write the cutoff/count/sum/f series here")
+        p.add_argument("--config", help="JSON file of flag values; explicit flags override")
+        p.add_argument("--out-json", help="write the result record here")
+        p.add_argument("--out-csv", help="write the cutoff/count/sum/f series here")
 
     def add_grid(p):
-        p.add_argument("--nmax", type=float, default=None,
-                       help="largest cutoff (default 1e5)")
-        p.add_argument("--points-per-octave", dest="points_per_octave",
-                       type=int, default=None,
-                       help="dyadic grid resolution (default 4)")
+        p.add_argument("--nmax", type=float, default="1e5",
+                       help="largest cutoff (default %(default)s)")
+        p.add_argument("--points-per-octave", type=int, default=4,
+                       help="dyadic grid resolution (default %(default)s)")
 
     def add_geometry(p):
-        p.add_argument("--geometry", default=None,
-                       help="torus:N | su2 | so3 | su3 | sphere:N | file:PATH")
-        p.add_argument("--symbol", default=None,
+        p.add_argument("--geometry", help="torus:N | su2 | so3 | su3 | sphere:N | file:PATH")
+        p.add_argument("--symbol",
                        help="radial:s | bessel:s:nu | power:s[:shift] | "
                             "modulus:s | scaled:c:INNER | mask:INNER | "
                             "diag:PATH | matrix:PATH")
-        p.add_argument("--dim", type=int, default=None,
-                       help="manifold dimension for file geometries")
-        p.add_argument("--nu", type=float, default=None,
-                       help="Laplacian order for file geometries")
-        p.add_argument("--picture", default=None,
-                       choices=["manifold", "group", "homogeneous"],
+        p.add_argument("--dim", type=int, default=1,
+                       help="manifold dimension for file geometries (default %(default)s)")
+        p.add_argument("--nu", type=float, default=2.0,
+                       help="Laplacian order for file geometries (default %(default)s)")
+        p.add_argument("--picture", choices=["manifold", "group", "homogeneous"],
                        help="summation picture (default: natural one for the "
                             "geometry)")
 
     def add_tolerances(p):
-        p.add_argument("--divergence-threshold", dest="divergence_threshold",
-                       type=float, default=None)
-        p.add_argument("--vanishing-rel", dest="vanishing_rel",
-                       type=float, default=None)
+        p.add_argument("--divergence-threshold", type=float, default=DIVERGENCE_THRESHOLD,
+                       help="growth of f over 3 octaves that reads divergent "
+                            "(default %(default)s)")
+        p.add_argument("--vanishing-rel", type=float, default=VANISHING_REL,
+                       help="f relative to its max that reads vanishing "
+                            "(default %(default)s)")
 
     def add_boundary(p):
-        p.add_argument("--a", default=None, help="boundary parameter a (complex)")
-        p.add_argument("--b", default=None, help="boundary parameter b (complex)")
-        p.add_argument("--alpha", default=None,
-                       help="perturbation: zero | power:c:eps | table:PATH")
-        p.add_argument("--order", type=int, default=None,
-                       help="operator order m (default 1)")
-        p.add_argument("--kappa", type=int, default=None,
-                       help="dimension for the Weyl-rescaled cutoff (default 1)")
-        p.add_argument("--cutoff-kind", dest="cutoff_kind", default=None,
-                       choices=["index", "eigenvalue"],
-                       help="cut on enumeration index (default) or on "
-                            "|lambda|^(1/m)")
-        p.add_argument("--boundary-symbol", dest="boundary_symbol", default=None,
-                       help="inverse | one | spectrum | table:PATH")
+        p.add_argument("--a", type=parse_complex, default=repr(-math.e),
+                       help="boundary parameter a, complex (default %(default)s)")
+        p.add_argument("--b", type=parse_complex, default="1",
+                       help="boundary parameter b, complex (default %(default)s)")
+        p.add_argument("--alpha", default="zero",
+                       help="perturbation: zero | power:c:eps | table:PATH "
+                            "(default %(default)s)")
+        p.add_argument("--order", type=int, default=1,
+                       help="operator order m (default %(default)s)")
+        p.add_argument("--kappa", type=int, default=1,
+                       help="dimension for the Weyl-rescaled cutoff (default %(default)s)")
+        p.add_argument("--cutoff-kind", default="index", choices=["index", "eigenvalue"],
+                       help="cut on enumeration index or on |lambda|^(1/m) "
+                            "(default %(default)s)")
+        p.add_argument("--boundary-symbol",
+                       help="inverse | one | spectrum | table:PATH (default %(default)s)")
         add_grid(p)
 
     p = sub.add_parser("trace", help="extrapolated Dixmier trace of a multiplier")
@@ -117,19 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residue",
                        help="noncommutative residue of a factored symbol")
     add_geometry(p); add_grid(p); add_tolerances(p)
-    p.add_argument("--a-integral", dest="a_integral", type=float, default=None,
-                   help="mean of the spatial density a(x)")
-    p.add_argument("--density-samples-file", dest="density_samples_file",
-                   default=None,
+    p.add_argument("--a-integral", type=float, help="mean of the spatial density a(x)")
+    p.add_argument("--density-samples-file",
                    help="whitespace-separated a(x) samples; their mean is used")
     add_common(p)
 
     p = sub.add_parser("quasinorm",
                        help="Marcinkiewicz L^(p,infty) quasi-norm proxy")
     add_geometry(p); add_grid(p)
-    p.add_argument("--p", type=float, default=None, help="exponent, 1 < p < inf")
-    p.add_argument("--stability-rtol", dest="stability_rtol", type=float,
-                   default=None)
+    p.add_argument("--p", type=float, help="exponent, 1 < p < inf")
+    p.add_argument("--stability-rtol", type=float, default=STABILITY_RTOL,
+                   help="growth over the last decade that reads unstable "
+                        "(default %(default)s)")
     add_common(p)
 
     p = sub.add_parser("weyl", help="log-log fit of the eigenvalue count")
@@ -138,31 +133,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary",
                        help="boundary-model trace over interval spectra")
     add_boundary(p); add_tolerances(p); add_common(p)
+    p.set_defaults(boundary_symbol="inverse")
 
     p = sub.add_parser("parametrix",
                        help="Dixmier trace of the inverse boundary symbol")
     add_boundary(p); add_tolerances(p); add_common(p)
+    p.set_defaults(boundary_symbol="spectrum")
 
     p = sub.add_parser("oracle-check",
                        help="symbol-side vs operator-side singular values")
     add_geometry(p)
-    p.add_argument("--cutoff", type=float, default=None, help="weight cutoff")
-    p.add_argument("--cap", type=int, default=None,
-                   help="largest allowed total dimension (default 10000)")
+    p.add_argument("--cutoff", type=float, help="weight cutoff")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="largest allowed total dimension (default %(default)s)")
     add_common(p)
 
     p = sub.add_parser("s0-check",
                        help="smallest s with sum <xi>^-s convergent")
     add_boundary(p)
-    p.add_argument("--s-grid", dest="s_grid", default=None,
-                   help="comma-separated s values, increasing")
+    p.add_argument("--s-grid", help="comma-separated s values, increasing")
     add_common(p)
+    p.set_defaults(boundary_symbol="spectrum")
 
+    parser.commands = sub.choices  # name -> subparser, for config defaults
     return parser
 
 
-def _load_config(ns: dict) -> dict:
-    path = ns.get("config")
+def _parse(argv) -> dict:
+    """Parse argv.  A --config file's entries become the command's defaults
+    and argv is parsed again, so each entry goes through its flag's type=
+    as the flag's text would, explicit flags win, and a null is absent."""
+    parser = build_parser()
+    ns = vars(parser.parse_args(argv))
+    path = ns["config"]
     if not path:
         return ns
     try:
@@ -174,62 +177,50 @@ def _load_config(ns: dict) -> dict:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError("config %s must hold a JSON object" % path)
-    known = set(ns.keys())
+    defaults = {}
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config"):
             raise ConfigError("config key %r is not allowed" % key)
-        if dest not in known:
+        if dest not in ns:
             raise ConfigError("config %s has unknown key %r" % (path, key))
-        if ns.get(dest) is None:
-            ns[dest] = value
-    return ns
+        if value is not None:
+            defaults[dest] = str(value)
+    parser.commands[ns["command"]].set_defaults(**defaults)
+    return vars(parser.parse_args(argv))
 
 
 def _nmax(ns: dict) -> float:
-    nmax = float(ns["nmax"]) if ns.get("nmax") is not None else DEFAULT_NMAX
-    if not math.isfinite(nmax):
-        raise ConfigError("--nmax must be finite, got %r" % (nmax,))
-    return nmax
+    if not math.isfinite(ns["nmax"]):
+        raise ConfigError("--nmax must be finite, got %r" % (ns["nmax"],))
+    return ns["nmax"]
 
 
 def _grid(ns: dict) -> np.ndarray:
-    ppo = int(ns["points_per_octave"]) if ns.get("points_per_octave") is not None \
-        else DEFAULT_PPO
-    return dyadic_grid(_nmax(ns), ppo)
+    return dyadic_grid(_nmax(ns), ns["points_per_octave"])
 
 
 def _geometry(ns: dict) -> Geometry:
-    if not ns.get("geometry"):
+    if not ns["geometry"]:
         raise ConfigError("--geometry is required")
-    dim = int(ns["dim"]) if ns.get("dim") is not None else 1
-    nu = float(ns["nu"]) if ns.get("nu") is not None else 2.0
-    return parse_geometry(str(ns["geometry"]), dim=dim, nu=nu)
+    return parse_geometry(ns["geometry"], dim=ns["dim"], nu=ns["nu"])
 
 
 def _symbol(ns: dict):
-    if not ns.get("symbol"):
+    if not ns["symbol"]:
         raise ConfigError("--symbol is required")
-    return parse_symbol(str(ns["symbol"]))
+    return parse_symbol(ns["symbol"])
 
 
 def _build_series(ns: dict) -> tuple:
     geom = _geometry(ns)
     spec = _symbol(ns)
-    series = partial_sums(geom, spec, _grid(ns), picture=ns.get("picture"))
+    series = partial_sums(geom, spec, _grid(ns), picture=ns["picture"])
     return geom, series
 
 
-def _tolerances(ns: dict) -> tuple:
-    dt = float(ns["divergence_threshold"]) if ns.get("divergence_threshold") \
-        is not None else DIVERGENCE_THRESHOLD
-    vr = float(ns["vanishing_rel"]) if ns.get("vanishing_rel") is not None \
-        else VANISHING_REL
-    return dt, vr
-
-
 def _write_json(ns: dict, payload: dict) -> None:
-    path = ns.get("out_json")
+    path = ns["out_json"]
     if not path:
         return
     payload = dict(payload)
@@ -239,10 +230,9 @@ def _write_json(ns: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(ns: dict, series: PartialSumSeries | None) -> None:
-    path = ns.get("out_csv")
-    if path and series is not None:
-        series.to_csv(path, extra_f=True)
+def _write_csv(ns: dict, series: PartialSumSeries) -> None:
+    if ns["out_csv"]:
+        series.to_csv(ns["out_csv"], extra_f=True)
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -256,9 +246,7 @@ def _print_estimate(est, label: str = "tau_hat") -> None:
 
 
 def _build_bc(ns: dict) -> IntervalBC:
-    a = parse_complex(str(ns["a"])) if ns.get("a") is not None else complex(-math.e)
-    b = parse_complex(str(ns["b"])) if ns.get("b") is not None else complex(1.0)
-    alpha_text = str(ns["alpha"]) if ns.get("alpha") is not None else "zero"
+    alpha_text = ns["alpha"]
     head, _, tail = alpha_text.partition(":")
     if head == "zero" or alpha_text == "":
         alpha = None
@@ -275,22 +263,19 @@ def _build_bc(ns: dict) -> IntervalBC:
         alpha = AlphaTable(tail)
     else:
         raise ConfigError("unknown alpha model %r" % alpha_text)
-    order = int(ns["order"]) if ns.get("order") is not None else 1
-    return IntervalBC(a=a, b=b, alpha=alpha, order=order)
+    return IntervalBC(a=ns["a"], b=ns["b"], alpha=alpha, order=ns["order"])
 
 
-def _build_boundary_symbol(ns: dict, default_kind: str) -> BoundarySymbol:
-    kind = str(ns["boundary_symbol"]) if ns.get("boundary_symbol") is not None \
-        else default_kind
+def _build_boundary_symbol(ns: dict) -> BoundarySymbol:
+    kind = ns["boundary_symbol"]
     head, _, tail = kind.partition(":")
     if head == "table":
         if not tail:
             raise ConfigError("table boundary symbol needs a path: table:PATH")
-        order = int(ns["order"]) if ns.get("order") is not None else 1
-        return BoundarySymbol.from_file(tail, order=order)
+        return BoundarySymbol.from_file(tail, order=ns["order"])
     bc = _build_bc(ns)
     nmax = _nmax(ns)
-    if ns.get("cutoff_kind") == "eigenvalue":
+    if ns["cutoff_kind"] == "eigenvalue":
         # weight cutoff N reaches |lambda| ~ N^m; indices run to N^m/(2 pi)
         try:
             j_max = int(nmax ** bc.order / (2.0 * math.pi)) + 2
@@ -309,7 +294,7 @@ def _build_boundary_symbol(ns: dict, default_kind: str) -> BoundarySymbol:
 
 def _cmd_trace(ns: dict) -> int:
     geom, series = _build_series(ns)
-    dt, vr = _tolerances(ns)
+    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
     est = dixmier_estimate(series, dt, vr)
     print("geometry: %s   symbol: %s   picture: %s"
           % (geom.describe(), ns["symbol"], series.picture))
@@ -322,21 +307,20 @@ def _cmd_trace(ns: dict) -> int:
 
 
 def _cmd_residue(ns: dict) -> int:
-    if ns.get("a_integral") is not None and ns.get("density_samples_file"):
+    a_int, samples_file = ns["a_integral"], ns["density_samples_file"]
+    if a_int is not None and samples_file:
         raise ConfigError("give either --a-integral or --density-samples-file, "
                           "not both")
-    if ns.get("a_integral") is not None:
-        a_int = float(ns["a_integral"])
-    elif ns.get("density_samples_file"):
-        with open(ns["density_samples_file"], "r", encoding="utf-8") as fh:
+    if samples_file:
+        with open(samples_file, "r", encoding="utf-8") as fh:
             samples = [float(tok) for tok in fh.read().split()]
         if not samples:
             raise ConfigError("density samples file is empty")
         a_int = density_integral_from_samples(samples)
-    else:
+    elif a_int is None:
         raise ConfigError("residue needs --a-integral or --density-samples-file")
     geom, series = _build_series(ns)
-    dt, vr = _tolerances(ns)
+    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
     est = residue_factored(a_int, series, dt, vr)
     print("geometry: %s   symbol: %s   density integral: %.10g"
           % (geom.describe(), ns["symbol"], a_int))
@@ -349,13 +333,11 @@ def _cmd_residue(ns: dict) -> int:
 
 
 def _cmd_quasinorm(ns: dict) -> int:
-    if ns.get("p") is None:
+    p_val = ns["p"]
+    if p_val is None:
         raise ConfigError("quasinorm needs --p")
-    p_val = float(ns["p"])
-    rtol = float(ns["stability_rtol"]) if ns.get("stability_rtol") is not None \
-        else STABILITY_RTOL
     geom, series = _build_series(ns)
-    result = quasinorm(series, p_val, stability_rtol=rtol)
+    result = quasinorm(series, p_val, stability_rtol=ns["stability_rtol"])
     print("geometry: %s   symbol: %s   p = %g"
           % (geom.describe(), ns["symbol"], p_val))
     print("gamma_p = %.10g at cutoff %.6g   stable: %s"
@@ -385,11 +367,11 @@ def _cmd_weyl(ns: dict) -> int:
 
 
 def _cmd_boundary(ns: dict) -> int:
-    sym = _build_boundary_symbol(ns, default_kind="inverse")
+    sym = _build_boundary_symbol(ns)
     grid = _grid(ns)
-    dt, vr = _tolerances(ns)
-    if ns.get("cutoff_kind") == "eigenvalue":
-        kappa = int(ns["kappa"]) if ns.get("kappa") is not None else 1
+    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
+    if ns["cutoff_kind"] == "eigenvalue":
+        kappa = ns["kappa"]
         series = boundary_weyl_series(sym, kappa, grid)
         est = dixmier_estimate(series, dt, vr)
         cut_desc = "|lambda|^(1/%d) <= N, kappa = %d" % (sym.order, kappa)
@@ -401,20 +383,19 @@ def _cmd_boundary(ns: dict) -> int:
           % (len(sym), cut_desc))
     _print_estimate(est)
     _write_csv(ns, series)
-    _write_json(ns, {"command": "boundary", "cutoff_kind":
-                     ns.get("cutoff_kind") or "index",
+    _write_json(ns, {"command": "boundary", "cutoff_kind": ns["cutoff_kind"],
                      "points": len(sym), "estimate": est.to_json_dict()})
     return _verdict_exit(est.verdict)
 
 
 def _cmd_parametrix(ns: dict) -> int:
-    sym = _build_boundary_symbol(ns, default_kind="spectrum")
+    sym = _build_boundary_symbol(ns)
     grid = _grid(ns)
-    dt, vr = _tolerances(ns)
+    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
     est = parametrix_trace(sym, grid, dt, vr)
     print("parametrix of a %d-point boundary symbol, index cutoffs" % len(sym))
     _print_estimate(est)
-    if ns.get("out_csv"):
+    if ns["out_csv"]:
         _write_csv(ns, boundary_series(sym.reciprocal(), grid))
     _write_json(ns, {"command": "parametrix", "points": len(sym),
                      "estimate": est.to_json_dict()})
@@ -422,35 +403,32 @@ def _cmd_parametrix(ns: dict) -> int:
 
 
 def _cmd_oracle_check(ns: dict) -> int:
-    if ns.get("cutoff") is None:
+    cutoff = ns["cutoff"]
+    if cutoff is None:
         raise ConfigError("oracle-check needs --cutoff")
     geom = _geometry(ns)
     spec = _symbol(ns)
-    kwargs = {}
-    if ns.get("cap") is not None:
-        kwargs["cap"] = int(ns["cap"])
-    report = compare_symbol_vs_oracle(geom, spec, float(ns["cutoff"]),
-                                      picture=ns.get("picture"), **kwargs)
+    report = compare_symbol_vs_oracle(geom, spec, cutoff, picture=ns["picture"],
+                                      cap=ns["cap"])
     print("oracle check on %s, %s, cutoff %g: %d singular values"
-          % (geom.describe(), ns["symbol"], float(ns["cutoff"]),
-             report["total_dim"]))
+          % (geom.describe(), ns["symbol"], cutoff, report["total_dim"]))
     print("max abs diff %.3g, relative sum diff %.3g, tolerance %.1g -> %s"
           % (report["max_abs"], report["sum_rel_diff"], report["tolerance"],
              "ok" if report["passed"] else "MISMATCH"))
     _write_json(ns, {"command": "oracle-check", "geometry": geom.describe(),
-                     "symbol": ns["symbol"], "cutoff": float(ns["cutoff"]),
+                     "symbol": ns["symbol"], "cutoff": cutoff,
                      "report": report})
     return 0 if report["passed"] else 2
 
 
 def _cmd_s0_check(ns: dict) -> int:
-    if not ns.get("s_grid"):
+    if not ns["s_grid"]:
         raise ConfigError("s0-check needs --s-grid, e.g. 0,0.5,1,2")
     try:
-        s_values = [float(tok) for tok in str(ns["s_grid"]).split(",") if tok]
+        s_values = [float(tok) for tok in ns["s_grid"].split(",") if tok]
     except ValueError:
         raise ConfigError("bad --s-grid %r" % ns["s_grid"]) from None
-    sym = _build_boundary_symbol(ns, default_kind="spectrum")
+    sym = _build_boundary_symbol(ns)
     report = s0_summability_check(sym, s_values)
     print("summability of sum <xi>^-s over %d boundary points:" % len(sym))
     for row in report.rows:
@@ -483,11 +461,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    ns = vars(args)
     try:
-        ns = _load_config(ns)
+        ns = _parse(argv)
         return _COMMANDS[ns["command"]](ns)
     except (DixtraceError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

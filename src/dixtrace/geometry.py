@@ -450,17 +450,22 @@ def _enumerate_torus(geom: Geometry, cap: int) -> Iterator[DualPoint]:
             "torus:%d enumeration at this cutoff would materialize ~%d points "
             "(cap %d); use the radial summation path instead"
             % (n, count_bound, _MAX_MATERIALIZED_POINTS))
-    axes = [np.arange(-m, m + 1, dtype=np.int64)] * n
-    grid = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grid], axis=1)
-    q = np.sum(coords * coords, axis=1)
-    keep = q <= cap
-    coords, q = coords[keep], q[keep]
-    order = np.lexsort(tuple(coords[:, i] for i in range(n - 1, -1, -1)) + (q,))
+    # the ball, not the cube: extend each row (k_1..k_i, q) by every k_{i+1}
+    # with q + k_{i+1}^2 <= cap, one axis at a time
+    cols, q = [], np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        r = _isqrt(cap - q)
+        width = 2 * r + 1
+        rows = np.repeat(np.arange(q.size), width)
+        k = np.arange(rows.size) - np.repeat(np.cumsum(width) - r - 1, width)
+        cols = [c[rows] for c in cols] + [k]
+        q = q[rows] + k * k
+    order = np.lexsort(cols[::-1] + [q])
     for s in range(0, order.size, _CHUNK):  # Python ints, a chunk at a time
         rows = order[s:s + _CHUNK]
-        for c, qi in zip(coords[rows].tolist(), q[rows].tolist()):
-            yield _mk_point(geom, tuple(c), 1, 1, 1, float(qi))
+        labels = zip(*(c[rows].tolist() for c in cols))
+        for label, qi in zip(labels, q[rows].tolist()):
+            yield _mk_point(geom, label, 1, 1, 1, float(qi))
 
 
 def counting_function(geom: Geometry, weight_cutoff: float) -> int:

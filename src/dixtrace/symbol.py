@@ -204,7 +204,8 @@ def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarr
 
 def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarray:
     """The spec's block at one dual point: rep_dim diagonal entries (1-d) or
-    rep_dim x rep_dim, cut to the class_one_dim corner under a ClassOneMask."""
+    rep_dim x rep_dim, cut to the class_one_dim corner under a ClassOneMask.
+    A bare table's block is a view of its entry."""
     return _eval(spec, point, geom, point.rep_dim)
 
 
@@ -248,10 +249,7 @@ def _eval(spec: SymbolSpec, point: DualPoint, geom: Geometry, k: int) -> np.ndar
             raise SizeError("table %s label %s is %s, point has rep_dim %d"
                             % (spec.path, key, entry.shape, point.rep_dim))
         check_block_size(key, (k,) * entry.ndim)
-        m = entry[(slice(k),) * entry.ndim].astype(np.complex128)
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise DomainError("symbol value not finite at label %s" % key)
-        return m
+        return entry[(slice(k),) * entry.ndim]  # checked finite at load
     raise ConfigError("unknown symbol spec %r" % (spec,))
 
 
@@ -355,7 +353,7 @@ def _jacobi_singular_values(m: np.ndarray, label: str | None) -> np.ndarray:
 def nuclear_trace_abs(m: np.ndarray, label: str | None = None) -> float:
     """Sum of singular values; exactly d |c| for a diagonal of d entries c."""
     m = _block(m)
-    if m.ndim == 1 and len(m) and np.all(m == m[0]):
+    if m.ndim == 1 and len(m) and (len(m) == 1 or np.all(m == m[0])):
         return len(m) * float(np.hypot(m[0].real, m[0].imag))
     return float(np.sum(singular_values(m, label)))
 
@@ -378,6 +376,7 @@ def _load_table(path: str, diagonal: bool) -> dict:
 
     Full tables require d lines of d entries.  Diagonal tables take one line
     of d entries, or the full square shape when its off-diagonal part is zero.
+    Entries are checked finite here, once, and come back read-only.
     """
     entries: dict = {}
     try:
@@ -435,6 +434,11 @@ def _load_table(path: str, diagonal: bool) -> dict:
                 rows.append(vals)
                 pos += 1
             entries[label] = np.array(rows, dtype=np.complex128)
+    for label, entry in entries.items():
+        if not np.all(np.isfinite(entry.view(np.float64))):
+            raise DomainError("symbol table %s label %s has a non-finite entry"
+                              % (path, label))
+        entry.flags.writeable = False
     return entries
 
 

@@ -272,3 +272,134 @@ def test_boundary_symbol_one_streams(tmp_path, capsys, monkeypatch):
     back = PartialSumSeries.from_csv(out_csv)
     np.testing.assert_array_equal(back.counts, np.floor(back.cutoffs) + 1)
     np.testing.assert_array_equal(back.sums, back.counts)
+
+
+def _estimate(path):
+    return json.loads(Path(path).read_text())["estimate"]
+
+
+def test_alpha_power_and_table(tmp_path, capsys):
+    base = ["boundary", "--a", repr(-math.e), "--b", "1", "--nmax", "1e4"]
+    plain = str(tmp_path / "plain.json")
+    assert run(*base, "--out-json", plain) == 0
+    # a perturbation decaying like 1/|j|^2 leaves the trace at 1/pi
+    power = str(tmp_path / "power.json")
+    assert run(*base, "--alpha", "power:0.5+0.5i:1", "--out-json", power) == 0
+    assert _estimate(power)["value"] == pytest.approx(1 / math.pi, rel=0.02)
+    assert _estimate(power)["value"] != _estimate(plain)["value"]
+    # a table of zeros materializes the closed-form symbol: same floats
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("# j re im\n0 0 0\n1 0 0\n-1 0 0\n")
+    table = str(tmp_path / "table.json")
+    assert run(*base, "--alpha", "table:%s" % zeros, "--out-json", table) == 0
+    assert _estimate(table) == _estimate(plain)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("power:1", "bad perturbation spec 'power:1'; want power:c:eps"),
+    ("power:x:1", "bad complex literal 'x'"),
+    ("table:", "table alpha needs a path: table:PATH"),
+    ("wiggle:1", "unknown alpha model 'wiggle:1'")])
+def test_alpha_errors_exit_one(capsys, alpha, message):
+    assert run("boundary", "--alpha", alpha, "--nmax", "64") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_residue_a_integral_scales_the_trace(tmp_path, capsys):
+    base = ["--geometry", "torus:1", "--symbol", "bessel:1:2", "--nmax", "1e4"]
+    trace_json = str(tmp_path / "t.json")
+    res_json = str(tmp_path / "r.json")
+    assert run("trace", *base, "--out-json", trace_json) == 0
+    assert run("residue", *base, "--a-integral", "0.5", "--out-json", res_json) == 0
+    assert "density integral: 0.5" in capsys.readouterr().out
+    doc = json.loads(Path(res_json).read_text())
+    assert doc["a_integral"] == 0.5
+    assert doc["estimate"]["value"] == 0.5 * _estimate(trace_json)["value"]
+
+
+def test_parametrix_csv_is_the_inverse_symbol_series(tmp_path, capsys):
+    base = ["--a", repr(-math.e), "--b", "1", "--nmax", "1e4"]
+    b_csv = tmp_path / "b.csv"
+    p_csv = tmp_path / "p.csv"
+    assert run("boundary", *base, "--out-csv", str(b_csv)) == 0
+    assert run("parametrix", *base, "--out-csv", str(p_csv)) == 0
+    assert p_csv.read_bytes() == b_csv.read_bytes()
+    assert p_csv.read_text().splitlines()[0] == "cutoff,count,sum,f"
+    capsys.readouterr()
+
+
+def _config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, base, entry, flag", [
+    ("boundary", ["--nmax", "1e4"], {"order": 2}, ["--order", "2"]),
+    ("boundary", ["--nmax", "1e4"], {"a": "1+2i"}, ["--a", "1+2i"]),
+    ("trace", ["--geometry", "torus:1", "--symbol", "bessel:1:2", "--nmax", "1e4"],
+     {"points_per_octave": 8}, ["--points-per-octave", "8"]),
+    ("trace", ["--geometry", "torus:1", "--symbol", "bessel:1:2"],
+     {"nmax": None}, [])])
+def test_config_entries_mean_what_the_flags_mean(tmp_path, capsys, command, base,
+                                                  entry, flag):
+    by_flag = tmp_path / "flag.csv"
+    by_config = tmp_path / "config.csv"
+    code = run(command, *base, *flag, "--out-csv", str(by_flag))
+    assert run(command, *base, "--config", _config(tmp_path, entry),
+               "--out-csv", str(by_config)) == code
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+
+
+def test_explicit_flag_wins_over_typed_config_entry(tmp_path, capsys):
+    base = ["trace", "--geometry", "torus:1", "--symbol", "bessel:1:2", "--nmax", "1e4"]
+    by_flag = tmp_path / "flag.csv"
+    both = tmp_path / "both.csv"
+    assert run(*base, "--points-per-octave", "2", "--out-csv", str(by_flag)) == 0
+    assert run(*base, "--config", _config(tmp_path, {"points_per_octave": 8}),
+               "--points-per-octave", "2", "--out-csv", str(both)) == 0
+    assert both.read_bytes() == by_flag.read_bytes()
+    capsys.readouterr()
+
+
+def test_bad_complex_literal_exits_one(tmp_path, capsys):
+    assert run("boundary", "--a", "1+x", "--nmax", "64") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad complex literal '1+x'")
+    assert run("boundary", "--config", _config(tmp_path, {"b": "oops"}),
+               "--nmax", "64") == 1
+    assert capsys.readouterr().err.startswith("error: bad complex literal 'oops'")
+
+
+_GRID = ["--nmax NMAX largest cutoff (default 1e5)",
+         "dyadic grid resolution (default 4)"]
+_GEOMETRY = ["for file geometries (default 1)", "for file geometries (default 2.0)"]
+_TOLERANCES = ["reads divergent (default 0.1)", "that reads vanishing (default 0.001)"]
+_BOUNDARY = ["boundary parameter a, complex (default -2.718281828459045)",
+             "boundary parameter b, complex (default 1)",
+             "table:PATH (default zero)", "operator order m (default 1)",
+             "Weyl-rescaled cutoff (default 1)", "(default index)"] + _GRID
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("trace", _GEOMETRY + _GRID + _TOLERANCES),
+    ("residue", _GEOMETRY + _GRID + _TOLERANCES),
+    ("quasinorm", _GEOMETRY + _GRID + ["reads unstable (default 0.01)"]),
+    ("weyl", _GEOMETRY + _GRID),
+    ("boundary", _BOUNDARY + _TOLERANCES + ["table:PATH (default inverse)"]),
+    ("parametrix", _BOUNDARY + _TOLERANCES + ["table:PATH (default spectrum)"]),
+    ("oracle-check", _GEOMETRY + ["total dimension (default 10000)"]),
+    ("s0-check", _BOUNDARY + ["table:PATH (default spectrum)"])])
+def test_help_shows_every_default(capsys, command, shown):
+    # help strings are %-formatted only when rendered
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for item in shown:
+        assert item in text
+    assert "None" not in text

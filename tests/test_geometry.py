@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -243,6 +243,32 @@ def test_torus1_enumeration_runs_in_flat_memory():
         tracemalloc.stop()
     assert n == 99_999
     assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 20.0), (3, 9.5), (4, 5.0)])
+def test_torus_enumeration_matches_the_cube_reference(n, cutoff):
+    g = Geometry.torus(n)
+    cap = g.lattice_cap(cutoff)
+    m = math.isqrt(cap)
+    ref = sorted((sum(x * x for x in k), k)
+                 for k in product(range(-m, m + 1), repeat=n)
+                 if sum(x * x for x in k) <= cap)
+    got = [(p.eigenvalue, p.label) for p in enumerate_dual(g, cutoff)]
+    assert got == [(float(q), k) for q, k in ref]
+    assert all(type(x) is int for _, k in got for x in k)
+
+
+def test_torus3_enumeration_builds_the_ball():
+    # 112 931 points of the 205 379 in the cube [-29, 29]^3; building the
+    # cube first peaked at 15.7 MB
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in enumerate_dual(Geometry.torus(3), 30.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == counting_function(Geometry.torus(3), 30.0)
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", ["torus:2", "su3", "su2", "so3", "sphere:3"])

@@ -363,10 +363,24 @@ def test_full_table_and_errors(tmp_path):
 def test_table_rejects_non_finite(tmp_path):
     path = tmp_path / "nan.txt"
     path.write_text("0\nnan\n")
+    # checked once, when the table is loaded
+    with pytest.raises(DomainError, match="nan.txt label 0 has a non-finite entry"):
+        DiagonalTable(str(path))
+
+
+def test_table_entries_are_checked_once_and_read_only(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("0\n2\n1\n1 0\n0 1e999\n")  # overflows to inf
+    with pytest.raises(DomainError, match="m.txt label 1 has a non-finite entry"):
+        FullMatrixTable(str(path))
+    path.write_text("0\n2\n1\n1 0\n0 3\n")
+    table = FullMatrixTable(str(path))
     g = Geometry.su2()
-    spec = DiagonalTable(str(path))
-    with pytest.raises(DomainError):
-        eval_symbol(spec, point_of(g, (0,)), g)
+    block = eval_symbol(table, point_of(g, (1,)), g)
+    assert block.base is table.entries["1"] and not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 5
+    assert nuclear_trace_abs(eval_symbol(table, point_of(g, (0,)), g)) == 2.0
 
 
 def test_truncated_matrix_table(tmp_path):
