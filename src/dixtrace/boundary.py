@@ -18,24 +18,24 @@ divides by kappa.  The parametrix trace feeds the reciprocal symbol through
 the index-cutoff form, which is why parametrix_trace(P = L) and
 boundary_dixmier on sigma = 1/lambda produce identical floats.
 
-Both forms sum through the compensated fold the closed geometries use
-(summation._stream_snapshots): pairwise sums of chunk prefixes, in chunks
-of the one stream length geometry._CHUNK, chunk totals folded with a
-Neumaier carry.  Index sums are keyed by l with a unit count per label;
-the closed-form symbols 1/lambda, lambda and 1 generate their chunks on
-the fly, so they run in flat memory up to _MAX_STREAMED_LABELS (2^30)
-labels.  Symbols held as arrays (files, callables, --alpha table:) and the
-Weyl form stay materialized under the 5e7-point cap.  The Weyl form keys
-the fold by |lambda|^(1/m): it sorts the labels once and hands the fold
-fixed slices of _CHUNK sorted labels, and the fold counts a run of equal
-keys whole where it straddles two slices.
+A BoundarySymbol is n labels, an order and one function chunk(l0, l1)
+giving (js, lam, values) for the labels l0 <= l < l1; chunks() calls it on
+fixed slices of geometry._CHUNK labels.  Symbols built from the spectrum
+compute each chunk from its labels, so their index sums run in flat memory
+up to _MAX_STREAMED_LABELS (2^30) labels; file and array symbols slice
+their arrays.  Both trace forms sum through the compensated fold of the
+closed geometries (summation._stream_snapshots).  Index sums key it by l
+with a unit count per label.  The Weyl form keys it by |lambda|^(1/m): it
+gathers those keys and |sigma| into two float64 arrays under the 5e7-point
+cap, sorts them once and folds fixed slices of _CHUNK sorted labels; the
+fold counts a run of equal keys whole where it straddles two slices.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .trace import (DIVERGENCE_THRESHOLD, VANISHING_REL, TraceEstimate,
 
 ZERO_EIGENVALUE_TOL = 1e-12
 
-# closed-form index sums stream in flat memory; this bounds their run time
+# generated symbols' index sums stream in flat memory; this bounds their run time
 # (about a minute per 1e9 labels for the two passes of `dixtrace boundary`)
 _MAX_STREAMED_LABELS = 1 << 30
 
@@ -66,33 +66,52 @@ class PowerDecay:
             raise ConfigError("PowerDecay eps must be positive")
 
 
+def _rows(path: str, what: str, layout: str) -> Iterator[tuple]:
+    """(lineno, j, floats) for each data line of a text file of `layout`
+    rows, an integer label j then floats; `#` starts a comment line."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from None
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != len(layout.split()):
+                raise SpectrumFormatError("%s:%d: expected `%s`" % (path, lineno, layout))
+            try:  # labels are int64 wherever they are held
+                row = lineno, int(np.int64(parts[0])), [float(t) for t in parts[1:]]
+            except (ValueError, OverflowError):
+                raise SpectrumFormatError("%s:%d: non-numeric field"
+                                          % (path, lineno)) from None
+            yield row
+
+
+def _load_alpha(path: str) -> tuple:
+    """(labels ascending, alpha_j) from `j re im` lines; a repeated j is refused."""
+    table = {}
+    for lineno, j, (real, imag) in _rows(path, "alpha table", "j re im"):
+        if j in table:
+            raise SpectrumFormatError("%s:%d: j = %d repeats an earlier line"
+                                      % (path, lineno, j))
+        table[j] = complex(real, imag)
+    labels = sorted(table)
+    return (np.array(labels, dtype=np.int64),
+            np.array([table[j] for j in labels], dtype=np.complex128))
+
+
 @dataclass(frozen=True)
 class AlphaTable:
-    """Explicit perturbations from a text file of `j re im` lines."""
+    """Explicit perturbations from a text file of `j re im` lines, read once
+    when the table is built; labels missing from the file have alpha_j = 0."""
 
     path: str
+    entries: tuple = field(compare=False, repr=False, default=None)
 
-    def load(self) -> dict:
-        table = {}
-        try:
-            fh = open(self.path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError("cannot read alpha table %s: %s" % (self.path, exc)) from None
-        with fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise SpectrumFormatError("%s:%d: expected `j re im`"
-                                              % (self.path, lineno))
-                try:
-                    table[int(parts[0])] = complex(float(parts[1]), float(parts[2]))
-                except ValueError:
-                    raise SpectrumFormatError("%s:%d: non-numeric field"
-                                              % (self.path, lineno)) from None
-        return table
+    def __post_init__(self):
+        if self.entries is None:
+            object.__setattr__(self, "entries", _load_alpha(self.path))
 
 
 @dataclass(frozen=True)
@@ -114,15 +133,19 @@ class IntervalBC:
         return cmath.log(-self.a / self.b)
 
 
+def _capped(n: int, cap: int) -> int:
+    """n labels; SizeError above cap, before anything is allocated."""
+    if n > cap:
+        raise SizeError("boundary symbol of %d labels is above the cap of %d; "
+                        "lower the cutoff" % (n, cap))
+    return n
+
+
 def _label_count(j_max: int, cap: int) -> int:
     """2 j_max + 1, the labels with |j| <= j_max; SizeError above cap."""
     if j_max < 0:
         raise ConfigError("j_max must be >= 0")
-    n = 2 * j_max + 1
-    if n > cap:
-        raise SizeError("boundary enumeration |j| <= %d holds %d points, above the "
-                        "cap of %d; lower the cutoff" % (j_max, n, cap))
-    return n
+    return _capped(2 * j_max + 1, cap)
 
 
 def _label_js(l0: int, l1: int) -> np.ndarray:
@@ -146,14 +169,15 @@ def enumeration_js(j_max: int) -> np.ndarray:
 
 
 def _alpha_values(bc: IntervalBC, js: np.ndarray) -> np.ndarray:
-    if bc.alpha is None:
-        return np.zeros(len(js), dtype=np.complex128)
     if isinstance(bc.alpha, PowerDecay):
         return np.asarray(bc.alpha.c, dtype=np.complex128) / \
             (1.0 + np.abs(js)) ** (1.0 + bc.alpha.eps)
     if isinstance(bc.alpha, AlphaTable):
-        table = bc.alpha.load()
-        return np.array([table.get(int(j), 0.0) for j in js], dtype=np.complex128)
+        labels, alpha = bc.alpha.entries
+        out = np.zeros(len(js), dtype=np.complex128)
+        hit = np.isin(js, labels)
+        out[hit] = alpha[np.searchsorted(labels, js[hit])]
+        return out
     raise ConfigError("unknown alpha model %r" % (bc.alpha,))
 
 
@@ -190,71 +214,24 @@ def _check_finite(values: np.ndarray) -> None:
         raise ConfigError("boundary symbol has non-finite values")
 
 
-# closed-form symbol kinds: values from lambda, and the kind of 1/sigma
-_CLOSED_VALUES = {"inverse": lambda lam: 1.0 / lam, "spectrum": lambda lam: lam,
-                  "one": np.ones_like}
-_RECIPROCAL = {"inverse": "spectrum", "spectrum": "inverse", "one": "one"}
-
-
 class BoundarySymbol:
     """Symbol values on the boundary index set, in enumeration order.
 
-    order is the differential order m entering the boundary weight
-    <xi> = (1+|lambda|^2)^(1/2m).
-
-    A symbol read from a file or a callable holds its arrays js, lam and
-    values.  A closed-form symbol (inverse_spectrum, spectrum_symbol, one)
-    holds only (bc, j_max, kind) and generates its labels chunk by chunk, so
-    its index sums run in flat memory up to _MAX_STREAMED_LABELS labels.  Both
-    hand out the same fixed chunks (chunks()), so equal values give equal
-    sums bit for bit.  Reading js, lam or values of a closed-form symbol
-    materializes it under the point cap.
+    A symbol is n labels, the differential order m entering the boundary
+    weight <xi> = (1+|lambda|^2)^(1/2m), and one function chunk(l0, l1)
+    returning (js, lam, values) for the enumeration indices l0 <= l < l1.
+    chunks() calls it on fixed slices, so equal values give equal sums bit
+    for bit whether a symbol is generated from the spectrum or read from
+    arrays, and arrays() gathers every label under the point cap.
     """
 
-    def __init__(self, js, lam, values, order: int = 1):
-        if not (len(js) == len(lam) == len(values)):
-            raise ConfigError("boundary symbol arrays must have equal length")
-        values = np.asarray(values, dtype=np.complex128)
-        _check_finite(values)
-        self._arrays = (np.asarray(js), np.asarray(lam), values)
-        self._closed = None
-        self._n = len(values)
+    def __init__(self, n: int, order: int, chunk: Callable[[int, int], tuple]):
+        self._n = n
         self.order = order
-
-    @staticmethod
-    def _closed_form(bc: IntervalBC, j_max: int, kind: str) -> "BoundarySymbol":
-        sym = object.__new__(BoundarySymbol)
-        sym._n = _label_count(j_max, _MAX_STREAMED_LABELS)
-        sym._arrays = None
-        sym._closed = (bc, j_max, kind)
-        sym.order = bc.order
-        if isinstance(bc.alpha, AlphaTable):
-            sym._materialized()  # read the table file once, not once per chunk
-        return sym
+        self.chunk = chunk
 
     def __len__(self) -> int:
         return self._n
-
-    def _materialized(self) -> tuple:
-        if self._arrays is None:
-            bc, j_max, kind = self._closed
-            js, lam = interval_spectrum(bc, j_max)
-            values = np.array(_CLOSED_VALUES[kind](lam))
-            _check_finite(values)
-            self._arrays = (js, lam, values)
-        return self._arrays
-
-    @property
-    def js(self) -> np.ndarray:
-        return self._materialized()[0]
-
-    @property
-    def lam(self) -> np.ndarray:
-        return self._materialized()[1]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._materialized()[2]
 
     def chunks(self) -> Iterator[tuple]:
         """(l0, js, lam, values) for enumeration indices l0 <= l < l0 + C.
@@ -263,94 +240,96 @@ class BoundarySymbol:
         alone, never on the grid or on how the symbol is held.
         """
         for l0 in range(0, self._n, _CHUNK):
-            l1 = min(l0 + _CHUNK, self._n)
-            if self._arrays is not None:
-                js, lam, values = (a[l0:l1] for a in self._arrays)
-            else:
-                bc, _j_max, kind = self._closed
-                js = _label_js(l0, l1)
-                lam = _eigenvalues(bc, js)
-                values = _CLOSED_VALUES[kind](lam)
-                _check_finite(values)
-            yield l0, js, lam, values
+            yield (l0, *self.chunk(l0, min(l0 + _CHUNK, self._n)))
+
+    def arrays(self) -> tuple:
+        """(js, lam, values) of every label; SizeError above the point cap."""
+        n = _capped(self._n, _MAX_MATERIALIZED_POINTS)
+        out = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.complex128),
+               np.empty(n, dtype=np.complex128))
+        for l0, *parts in self.chunks():
+            for whole, part in zip(out, parts):
+                whole[l0:l0 + len(part)] = part
+        return out
 
     def reciprocal(self) -> "BoundarySymbol":
-        """The symbol 1/sigma on the same labels.
+        """The symbol 1/sigma on the same labels, chunk by chunk.
 
         Every value must be nonzero; the error names the first violating
         enumeration index and its label.
         """
-        if self._arrays is None:
-            bc, j_max, kind = self._closed
-            return BoundarySymbol._closed_form(bc, j_max, _RECIPROCAL[kind])
-        js, lam, values = self._arrays
-        zero = values == 0.0
-        if np.any(zero):
-            l_bad = int(np.argmax(zero))
-            raise EllipticityError("parametrix needs an invertible symbol; "
-                                   "sigma is zero at enumeration index l = %d (j = %d)"
-                                   % (l_bad, int(js[l_bad])))
-        return BoundarySymbol(js=js, lam=lam, values=1.0 / values, order=self.order)
+        def chunk(l0, l1):
+            js, lam, values = self.chunk(l0, l1)
+            zero = values == 0.0
+            if np.any(zero):
+                k = int(np.argmax(zero))
+                raise EllipticityError("parametrix needs an invertible symbol; "
+                                       "sigma is zero at enumeration index l = %d (j = %d)"
+                                       % (l0 + k, int(js[k])))
+            inverse = 1.0 / values
+            _check_finite(inverse)
+            return js, lam, inverse
+        return BoundarySymbol(self._n, self.order, chunk)
+
+    @staticmethod
+    def from_arrays(js, lam, values, order: int = 1) -> "BoundarySymbol":
+        """A symbol held as arrays in enumeration order; its chunks are slices."""
+        if not (len(js) == len(lam) == len(values)):
+            raise ConfigError("boundary symbol arrays must have equal length")
+        held = (np.asarray(js), np.asarray(lam), np.asarray(values, dtype=np.complex128))
+        _check_finite(held[2])
+        return BoundarySymbol(len(held[2]), order,
+                              lambda l0, l1: tuple(a[l0:l1] for a in held))
 
     @staticmethod
     def from_callable(bc: IntervalBC, j_max: int,
                       fn: Callable[[int, complex], complex]) -> "BoundarySymbol":
         """Evaluate fn(j, lambda_j) over the canonical enumeration."""
-        js, lam = interval_spectrum(bc, j_max)
-        vals = np.array([fn(int(j), complex(l)) for j, l in zip(js, lam)],
-                        dtype=np.complex128)
-        return BoundarySymbol(js=js, lam=lam, values=vals, order=bc.order)
+        return _generated(bc, j_max, lambda js, lam: np.array(
+            [fn(int(j), complex(l)) for j, l in zip(js, lam)], dtype=np.complex128))
 
     @staticmethod
     def inverse_spectrum(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
-        """The canonical benchmark sigma(xi_j) = 1/lambda_j, in closed form."""
-        return BoundarySymbol._closed_form(bc, j_max, "inverse")
+        """The canonical benchmark sigma(xi_j) = 1/lambda_j."""
+        return _generated(bc, j_max, lambda js, lam: 1.0 / lam)
 
     @staticmethod
     def spectrum_symbol(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
         """sigma(xi_j) = lambda_j, the symbol of the model operator itself."""
-        return BoundarySymbol._closed_form(bc, j_max, "spectrum")
+        return _generated(bc, j_max, lambda js, lam: lam)
 
     @staticmethod
     def one(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
-        """sigma(xi_j) = 1, in closed form; its own reciprocal."""
-        return BoundarySymbol._closed_form(bc, j_max, "one")
+        """sigma(xi_j) = 1; its own reciprocal."""
+        return _generated(bc, j_max, lambda js, lam: np.ones_like(lam))
 
     @staticmethod
     def from_file(path: str, order: int = 1) -> "BoundarySymbol":
         """Read `j re(lambda) im(lambda) re(sigma) im(sigma)` lines.
 
-        Rows are re-sorted into the canonical enumeration order.
+        Rows are re-sorted into the canonical enumeration order, and their
+        labels must be its first n labels, each once: the error names the
+        first enumeration index l whose label j is repeated or out of place.
         """
         js, lams, vals = [], [], []
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError("cannot read boundary symbol %s: %s" % (path, exc)) from None
-        with fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 5:
-                    raise SpectrumFormatError(
-                        "%s:%d: expected `j re(lambda) im(lambda) re(sigma) im(sigma)`"
-                        % (path, lineno))
-                try:
-                    js.append(int(parts[0]))
-                    lams.append(complex(float(parts[1]), float(parts[2])))
-                    vals.append(complex(float(parts[3]), float(parts[4])))
-                except ValueError:
-                    raise SpectrumFormatError("%s:%d: non-numeric field"
-                                              % (path, lineno)) from None
-        order_key = np.lexsort((np.asarray(js, dtype=np.int64) < 0,
-                                np.abs(np.asarray(js, dtype=np.int64))))
-        js_a = np.asarray(js, dtype=np.int64)[order_key]
-        return BoundarySymbol(js=js_a,
-                              lam=np.asarray(lams, dtype=np.complex128)[order_key],
-                              values=np.asarray(vals, dtype=np.complex128)[order_key],
-                              order=order)
+        for _lineno, j, (lr, li, vr, vi) in _rows(
+                path, "boundary symbol", "j re(lambda) im(lambda) re(sigma) im(sigma)"):
+            js.append(j)
+            lams.append(complex(lr, li))
+            vals.append(complex(vr, vi))
+        js_a = np.asarray(js, dtype=np.int64)
+        order_key = np.lexsort((js_a < 0, np.abs(js_a)))
+        js_a = js_a[order_key]
+        bad = js_a != _label_js(0, len(js_a))
+        if np.any(bad):
+            l_bad = int(np.argmax(bad))
+            raise SpectrumFormatError(
+                "%s: labels must be the canonical enumeration 0, 1, -1, 2, -2, ... "
+                "each once; enumeration index l = %d holds j = %d"
+                % (path, l_bad, js_a[l_bad]))
+        return BoundarySymbol.from_arrays(
+            js_a, np.asarray(lams, dtype=np.complex128)[order_key],
+            np.asarray(vals, dtype=np.complex128)[order_key], order=order)
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -360,6 +339,19 @@ class BoundarySymbol:
                     fh.write("%d %s %s %s %s\n" % (
                         j, format(l.real, ".17g"), format(l.imag, ".17g"),
                         format(v.real, ".17g"), format(v.imag, ".17g")))
+
+
+def _generated(bc: IntervalBC, j_max: int,
+               values_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> BoundarySymbol:
+    """The labels |j| <= j_max, each chunk computed from its labels as
+    lambda_j and then values_fn(js, lam), up to _MAX_STREAMED_LABELS labels."""
+    def chunk(l0, l1):
+        js = _label_js(l0, l1)
+        lam = _eigenvalues(bc, js)
+        values = values_fn(js, lam)
+        _check_finite(values)
+        return js, lam, values
+    return BoundarySymbol(_label_count(j_max, _MAX_STREAMED_LABELS), bc.order, chunk)
 
 
 def _index_chunks(sym: BoundarySymbol, terms: Callable) -> Iterator[tuple]:
@@ -398,17 +390,24 @@ def boundary_weyl_series(sym: BoundarySymbol, kappa: int,
                          grid: np.ndarray) -> PartialSumSeries:
     """Partial sums over weight cutoffs |lambda|^(1/m) <= N.
 
-    The labels are stably sorted by x = |lambda|^(1/m) and |sigma| folds
-    through the shared compensated fold keyed by x, in _CHUNK slices of
-    the sorted labels.  The result carries dim = kappa so that normalized()
-    is the Weyl-rescaled quotient S(N)/(kappa log N).
+    x = |lambda|^(1/m) and |sigma| are gathered chunk by chunk into two
+    float64 arrays under the point cap, stably sorted by x, and fold
+    through the shared compensated fold keyed by x in _CHUNK slices of the
+    sorted labels.  The result carries dim = kappa so that normalized() is
+    the Weyl-rescaled quotient S(N)/(kappa log N).
     """
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
     grid = check_grid(grid)
-    x = np.abs(sym.lam) ** (1.0 / sym.order)
+    n = _capped(len(sym), _MAX_MATERIALIZED_POINTS)
+    x, terms = np.empty(n), np.empty(n)
+    for l0, _js, lam, values in sym.chunks():
+        l1 = l0 + len(values)
+        x[l0:l1] = np.abs(lam) ** (1.0 / sym.order)
+        terms[l0:l1] = np.abs(values)
     order_key = np.argsort(x, kind="stable")
-    x, terms = x[order_key], np.abs(sym.values)[order_key]
+    x = x[order_key]
+    terms = terms[order_key]
     unit = np.ones(_CHUNK)
     chunks = ((x[s:s + _CHUNK], terms[s:s + _CHUNK], unit[:len(x) - s])
               for s in range(0, len(x), _CHUNK))

@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv) -> dict:
     """Parse argv.  A --config file's entries become the command's defaults
     and argv is parsed again, so each entry goes through its flag's type=
-    as the flag's text would, explicit flags win, and a null is absent."""
+    as the flag's text would and must be one of its choices, explicit flags
+    win, and a null is absent."""
     parser = build_parser()
     ns = vars(parser.parse_args(argv))
     path = ns["config"]
@@ -186,8 +187,17 @@ def _parse(argv) -> dict:
             raise ConfigError("config %s has unknown key %r" % (path, key))
         if value is not None:
             defaults[dest] = str(value)
-    parser.commands[ns["command"]].set_defaults(**defaults)
-    return vars(parser.parse_args(argv))
+    command = parser.commands[ns["command"]]
+    command.set_defaults(**defaults)
+    ns = vars(parser.parse_args(argv))
+    # argparse checks choices= on command-line values only, not on defaults
+    for action in command._actions:
+        if action.dest in defaults and action.choices is not None:
+            try:
+                command._check_value(action, ns[action.dest])
+            except argparse.ArgumentError as exc:
+                command.error(str(exc))
+    return ns
 
 
 def _nmax(ns: dict) -> float:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ def test_self_adjoint_case_is_real_multiples_of_2pi():
     with pytest.raises(DomainError) as err:
         interval_spectrum(bc, 5)
     assert "j = 0" in str(err.value)
-    # the streamed closed form keeps the check, chunk by chunk
+    # the generated symbol keeps the check, chunk by chunk
     with pytest.raises(DomainError, match="j = 0"):
         boundary_series(BoundarySymbol.inverse_spectrum(bc, 5), dyadic_grid(8, 2))
 
@@ -50,13 +51,16 @@ def test_enumeration_size_guard():
     # far above the point cap, so the guard must fire before allocating
     with pytest.raises(SizeError, match="above the cap"):
         enumeration_js(10 ** 12)
-    # closed-form symbols stream, under their own label cap
+    # generated symbols stream, under their own label cap
     with pytest.raises(SizeError, match="above the cap"):
         BoundarySymbol.inverse_spectrum(BC, 10 ** 12)
     big = BoundarySymbol.spectrum_symbol(BC, 30_000_000)
     assert len(big) == 60_000_001
+    # gathering its labels is refused before allocating
     with pytest.raises(SizeError, match="above the cap"):
-        big.lam  # materializing it is refused before allocating
+        big.arrays()
+    with pytest.raises(SizeError, match="above the cap"):
+        boundary_weyl_series(big, 1, dyadic_grid(64, 2))
 
 
 def test_bc_validation():
@@ -84,9 +88,69 @@ def test_alpha_table(tmp_path):
     assert interval_eigenvalue(bc, 1) == pytest.approx(2 * math.pi - 1j)
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0.25\n")
-    bad_bc = IntervalBC(a=-math.e, b=1.0, alpha=AlphaTable(str(bad)))
     with pytest.raises(SpectrumFormatError):
-        interval_eigenvalue(bad_bc, 1)
+        AlphaTable(str(bad))
+
+
+def test_alpha_table_refuses_a_repeated_label(tmp_path):
+    path = tmp_path / "alpha.txt"
+    path.write_text("2 0.5 0\n# comment\n2 0.25 0\n")
+    with pytest.raises(SpectrumFormatError, match="alpha.txt:3: j = 2 repeats"):
+        AlphaTable(str(path))
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_alpha_table_index_series_streams(tmp_path):
+    # the table is read once and every chunk looks its labels up: no array
+    # of all 1e6 labels is ever held
+    path = tmp_path / "alpha.txt"
+    path.write_text("0 0.25 0\n-3 0 0.5\n40000 1 -1\n")
+    series, peak = _traced_peak(lambda: boundary_series(
+        BoundarySymbol.inverse_spectrum(
+            IntervalBC(a=-math.e, b=1.0, alpha=AlphaTable(str(path))), 500_000),
+        dyadic_grid(1e6, 4)))
+    assert series.counts[-1] == 1_000_001
+    assert peak < 4 * 2 ** 20
+
+
+def test_alpha_table_sums_match_from_arrays(tmp_path):
+    # alpha_j looked up per chunk gives the sums of the same values held as
+    # arrays, bit for bit; the labels j = C/2, -C/2 straddle the first chunk
+    # boundary at l = C
+    table = {0: 0.25 + 0j, _CHUNK // 2: 0.5 - 1j, -_CHUNK // 2: -2j, _CHUNK: 3.0 + 0j}
+    path = tmp_path / "alpha.txt"
+    path.write_text("".join("%d %r %r\n" % (j, a.real, a.imag) for j, a in table.items()))
+    j_max = _CHUNK + 7
+    sym = BoundarySymbol.inverse_spectrum(
+        IntervalBC(a=-math.e, b=1.0, alpha=AlphaTable(str(path))), j_max)
+    js, lam = interval_spectrum(BC, j_max)
+    lam += np.array([table.get(int(j), 0.0) for j in js])
+    ref = BoundarySymbol.from_arrays(js, lam, 1.0 / lam)
+    grid = dyadic_grid(len(sym) - 1, 8)
+    for a, b in ((sym, ref), (sym.reciprocal(), ref.reciprocal())):
+        sa, sb = boundary_series(a, grid), boundary_series(b, grid)
+        np.testing.assert_array_equal(sa.sums, sb.sums)
+        np.testing.assert_array_equal(sa.counts, sb.counts)
+    wa, wb = (boundary_weyl_series(s, 1, dyadic_grid(1e5, 4)) for s in (sym, ref))
+    np.testing.assert_array_equal(wa.sums, wb.sums)
+
+
+def test_weyl_series_gathers_two_floats_per_label():
+    # |lambda| and |sigma| are gathered into float64 arrays and sorted: at
+    # most 48 bytes per label are held, not the symbol's complex arrays
+    sym = BoundarySymbol.inverse_spectrum(BC, 500_000)
+    series, peak = _traced_peak(lambda: boundary_weyl_series(sym, 1, dyadic_grid(1e5, 4)))
+    assert series.counts[-1] == pytest.approx(1e5 / math.pi, rel=0.01)
+    assert peak <= 48 * len(sym)
 
 
 def test_inverse_symbol_trace_near_one_over_pi():
@@ -113,11 +177,14 @@ def test_parametrix_identical_to_inverse_symbol_trace():
 
 
 def test_parametrix_rejects_zero_symbol_value():
-    sym = BoundarySymbol.spectrum_symbol(BC, 100)
-    sym.values[7] = 0.0
-    with pytest.raises(EllipticityError) as err:
-        parametrix_trace(sym, dyadic_grid(64, 2))
-    assert "l = 7" in str(err.value)
+    # the error names l and j, also past the first chunk
+    for l_zero in (7, _CHUNK + 5):
+        js, lam, values = BoundarySymbol.spectrum_symbol(BC, _CHUNK).arrays()
+        values[l_zero] = 0.0
+        sym = BoundarySymbol.from_arrays(js, lam, values)
+        with pytest.raises(EllipticityError) as err:
+            parametrix_trace(sym, dyadic_grid(64, 2))
+        assert "l = %d (j = %d)" % (l_zero, js[l_zero]) in str(err.value)
 
 
 def test_index_sums_match_fsum():
@@ -156,8 +223,8 @@ def test_boundary_series_counts():
 
 
 def test_closed_form_one_matches_callable():
-    # sigma = 1 streamed in closed form gives the materialized callable's
-    # sums bit for bit, also for its reciprocal and under the Weyl cutoff
+    # sigma = 1 in closed form gives the per-label callable's sums bit
+    # for bit, also for its reciprocal and under the Weyl cutoff
     j_max = 2 * _CHUNK
     one = BoundarySymbol.one(BC, j_max)
     ref = BoundarySymbol.from_callable(BC, j_max, lambda j, lam: 1.0)
@@ -186,7 +253,7 @@ def test_weyl_ties_across_chunks():
     js = enumeration_js(n // 2)
     lam = np.full(n, 2.0 + 0j)
     lam[-1] = 3.0
-    sym = BoundarySymbol(js=js, lam=lam, values=np.ones(n, dtype=complex))
+    sym = BoundarySymbol.from_arrays(js, lam, np.ones(n, dtype=complex))
     series = boundary_weyl_series(sym, 1, np.array([2.0, 2.5, 3.0]))
     np.testing.assert_array_equal(series.counts, [n - 1, n - 1, n])
     np.testing.assert_array_equal(series.sums, series.counts)
@@ -197,7 +264,7 @@ def test_weyl_respects_order():
     bc2 = IntervalBC(a=-math.e, b=1.0, order=2)
     sym = BoundarySymbol.inverse_spectrum(bc2, 10_000)
     series = boundary_weyl_series(sym, 1, dyadic_grid(64, 2))
-    lam_abs = np.abs(sym.lam)
+    lam_abs = np.abs(sym.arrays()[1])
     expect = np.count_nonzero(np.sqrt(lam_abs) <= 64.0)
     assert series.counts[-1] == expect
 
@@ -207,9 +274,8 @@ def test_file_round_trip_and_resorting(tmp_path):
     path = str(tmp_path / "sym.txt")
     sym.to_file(path)
     back = BoundarySymbol.from_file(path)
-    np.testing.assert_array_equal(sym.js, back.js)
-    np.testing.assert_array_equal(sym.lam, back.lam)
-    np.testing.assert_array_equal(sym.values, back.values)
+    for a, b in zip(sym.arrays(), back.arrays()):
+        np.testing.assert_array_equal(a, b)
     # rows shuffled on disk come back in canonical enumeration order
     lines = Path(path).read_text().splitlines()
     body = lines[1:]
@@ -217,12 +283,24 @@ def test_file_round_trip_and_resorting(tmp_path):
     with open(shuffled, "w") as fh:
         fh.write("\n".join(body[::-1]) + "\n")
     again = BoundarySymbol.from_file(shuffled)
-    np.testing.assert_array_equal(again.js, back.js)
-    np.testing.assert_array_equal(again.values, back.values)
+    for a, b in zip(again.arrays(), back.arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("labels, l_bad, j_bad", [
+    ([0, 1, -1, -1, 2, -2, 3], 3, -1),  # j = -1 twice
+    ([0, 2, -2, 3, -3], 1, 2),          # no j = +-1
+    ([0, 1, -1, 3], 3, 3)])             # a gap at the end
+def test_file_labels_must_be_canonical(tmp_path, labels, l_bad, j_bad):
+    path = tmp_path / "sym.txt"
+    path.write_text("".join("%d %d 0.5 1 0\n" % (j, j) for j in labels))
+    with pytest.raises(SpectrumFormatError,
+                       match=r"index l = %d holds j = %d$" % (l_bad, j_bad)):
+        BoundarySymbol.from_file(str(path))
 
 
 def test_file_round_trip_gives_identical_sums(tmp_path):
-    # the file form is sliced at the closed form's chunk boundaries
+    # the file symbol is sliced at the generated symbol's chunk boundaries
     sym = BoundarySymbol.inverse_spectrum(BC, 3 * _CHUNK)
     path = str(tmp_path / "sym.txt")
     sym.to_file(path)
@@ -235,11 +313,11 @@ def test_file_round_trip_gives_identical_sums(tmp_path):
 
 def test_symbol_validation():
     with pytest.raises(ConfigError):
-        BoundarySymbol(js=np.array([0, 1]), lam=np.array([1.0 + 0j]),
-                       values=np.array([1.0 + 0j]))
+        BoundarySymbol.from_arrays(np.array([0, 1]), np.array([1.0 + 0j]),
+                                   np.array([1.0 + 0j]))
     with pytest.raises(ConfigError):
-        BoundarySymbol(js=np.array([0]), lam=np.array([1.0 + 0j]),
-                       values=np.array([math.nan + 0j]))
+        BoundarySymbol.from_arrays(np.array([0]), np.array([1.0 + 0j]),
+                                   np.array([math.nan + 0j]))
 
 
 def test_s0_summability_thresholds():

@@ -287,7 +287,7 @@ def test_alpha_power_and_table(tmp_path, capsys):
     assert run(*base, "--alpha", "power:0.5+0.5i:1", "--out-json", power) == 0
     assert _estimate(power)["value"] == pytest.approx(1 / math.pi, rel=0.02)
     assert _estimate(power)["value"] != _estimate(plain)["value"]
-    # a table of zeros materializes the closed-form symbol: same floats
+    # a table of zeros leaves every lambda_j as it is: same floats
     zeros = tmp_path / "zeros.txt"
     zeros.write_text("# j re im\n0 0 0\n1 0 0\n-1 0 0\n")
     table = str(tmp_path / "table.json")
@@ -364,6 +364,26 @@ def test_explicit_flag_wins_over_typed_config_entry(tmp_path, capsys):
                "--points-per-octave", "2", "--out-csv", str(both)) == 0
     assert both.read_bytes() == by_flag.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("base, entry, flag", [
+    (["boundary", "--nmax", "64"], {"cutoff_kind": "eigen"}, "--cutoff-kind"),
+    (["trace", "--geometry", "torus:1", "--symbol", "bessel:1:2", "--nmax", "64"],
+     {"picture": "bogus"}, "--picture")])
+def test_config_entry_outside_choices_exits_one(tmp_path, capsys, base, entry, flag):
+    # a config entry is refused as the flag's text is, before any output
+    (value,) = entry.values()
+    with pytest.raises(SystemExit) as exc:
+        run(*base, flag, value)
+    assert exc.value.code == 1
+    by_flag = capsys.readouterr().err.splitlines()[-1]
+    assert "argument %s: invalid choice: %r" % (flag, value) in by_flag
+    out_json = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run(*base, "--config", _config(tmp_path, entry), "--out-json", str(out_json))
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == by_flag
+    assert not out_json.exists()
 
 
 def test_bad_complex_literal_exits_one(tmp_path, capsys):
