@@ -22,9 +22,9 @@ A BoundarySymbol is n labels, an order and one function chunk(l0, l1)
 giving (js, lam, values) for the labels l0 <= l < l1; chunks() calls it on
 fixed slices of geometry._CHUNK labels.  Symbols built from the spectrum
 compute each chunk from its labels, so their index sums run in flat memory
-up to _MAX_STREAMED_LABELS (2^30) labels; file and array symbols slice
-their arrays.  Both trace forms sum through the compensated fold of the
-closed geometries (summation._stream_snapshots).  Index sums key it by l
+up to _MAX_STREAMED_LABELS (2^30) labels; file, array and callable symbols
+slice their arrays.  Both trace forms sum through the compensated fold of
+the closed geometries (summation._stream_snapshots).  Index sums key it by l
 with a unit count per label.  The Weyl form keys it by |lambda|^(1/m): it
 gathers those keys and |sigma| into two float64 arrays under the 5e7-point
 cap, sorts them once and folds fixed slices of _CHUNK sorted labels; the
@@ -107,11 +107,10 @@ class AlphaTable:
     when the table is built; labels missing from the file have alpha_j = 0."""
 
     path: str
-    entries: tuple = field(compare=False, repr=False, default=None)
+    entries: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.entries is None:
-            object.__setattr__(self, "entries", _load_alpha(self.path))
+        object.__setattr__(self, "entries", _load_alpha(self.path))
 
 
 @dataclass(frozen=True)
@@ -284,9 +283,10 @@ class BoundarySymbol:
     @staticmethod
     def from_callable(bc: IntervalBC, j_max: int,
                       fn: Callable[[int, complex], complex]) -> "BoundarySymbol":
-        """Evaluate fn(j, lambda_j) over the canonical enumeration."""
-        return _generated(bc, j_max, lambda js, lam: np.array(
-            [fn(int(j), complex(l)) for j, l in zip(js, lam)], dtype=np.complex128))
+        """fn(j, lambda_j) called once per canonical label, held as arrays."""
+        js, lam = interval_spectrum(bc, j_max)
+        return BoundarySymbol.from_arrays(
+            js, lam, [fn(int(j), complex(l)) for j, l in zip(js, lam)], order=bc.order)
 
     @staticmethod
     def inverse_spectrum(bc: IntervalBC, j_max: int) -> "BoundarySymbol":

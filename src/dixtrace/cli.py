@@ -190,13 +190,14 @@ def _parse(argv) -> dict:
     command = parser.commands[ns["command"]]
     command.set_defaults(**defaults)
     ns = vars(parser.parse_args(argv))
-    # argparse checks choices= on command-line values only, not on defaults
+    # argparse checks choices= on command-line values only, not on defaults;
+    # _actions is its list of the command's flags, only read here
     for action in command._actions:
-        if action.dest in defaults and action.choices is not None:
-            try:
-                command._check_value(action, ns[action.dest])
-            except argparse.ArgumentError as exc:
-                command.error(str(exc))
+        if action.dest in defaults and action.choices and \
+                ns[action.dest] not in action.choices:
+            command.error("argument %s: invalid choice: %r (choose from %s)" % (
+                "/".join(action.option_strings), ns[action.dest],
+                ", ".join(map(repr, action.choices))))
     return ns
 
 

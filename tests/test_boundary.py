@@ -222,6 +222,17 @@ def test_boundary_series_counts():
     assert series.picture == "boundary-index"
 
 
+def test_callable_runs_once_per_label():
+    # fn is evaluated when the symbol is built, not again on each pass
+    calls = []
+    sym = BoundarySymbol.from_callable(BC, 50, lambda j, lam: calls.append(j) or 2.0)
+    assert sorted(calls) == sorted(range(-50, 51))
+    for _ in range(2):
+        boundary_series(sym, np.array([200.0]))
+    s0_summability_check(sym, [1.0, 2.0])
+    assert len(calls) == 101
+
+
 def test_closed_form_one_matches_callable():
     # sigma = 1 in closed form gives the per-label callable's sums bit
     # for bit, also for its reciprocal and under the Weyl cutoff
