@@ -7,9 +7,9 @@ from .boundary import (AlphaTable, BoundarySymbol, IntervalBC, PowerDecay,
                        boundary_weyl_series, interval_eigenvalue,
                        interval_spectrum, parametrix_trace,
                        s0_summability_check)
-from .errors import (ConfigError, ContractError, DixtraceError, DomainError,
-                     EllipticityError, FitError, NumericError, SizeError,
-                     SpectrumFormatError, TableLookupError)
+from .errors import (ConfigError, DixtraceError, DomainError, EllipticityError,
+                     FitError, NumericError, SizeError, SpectrumFormatError,
+                     TableLookupError)
 from .geometry import (DualPoint, Geometry, counting_function, enumerate_dual,
                        load_spectrum_file, parse_geometry, radial_shells,
                        save_spectrum_file, sphere_harmonic_dim)

@@ -13,10 +13,12 @@ Two trace normalizations exist here.  The index-cutoff form
 
     tau'(A) = lim (1/log N) sum_{l <= N} |sigma(xi_l)|
 
-has no 1/dim factor.  The Weyl-rescaled form cuts on |lambda|^(1/m) <= N and
-divides by kappa.  The parametrix trace feeds the reciprocal symbol through
-the index-cutoff form, which is why parametrix_trace(P = L) and
-boundary_dixmier on sigma = 1/lambda produce identical floats.
+has no 1/dim factor: its series carries dim 1.  The Weyl-rescaled form cuts
+on |lambda|^(1/m) <= N and its series carries dim kappa.  Either way the
+estimate is trace.dixmier_estimate's S(N)/(dim log N), bit for bit.  The
+parametrix trace feeds the reciprocal symbol through the index-cutoff form,
+which is why parametrix_trace(P = L) and boundary_dixmier on sigma =
+1/lambda produce identical floats.
 
 A BoundarySymbol is n labels, an order and one function chunk(l0, l1)
 giving (js, lam, values) for the labels l0 <= l < l1; chunks() calls it on
@@ -42,12 +44,14 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
                      SpectrumFormatError)
-from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS
+from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _check_rows_read
 from .summation import PartialSumSeries, _stream_snapshots, check_grid
-from .trace import (DIVERGENCE_THRESHOLD, VANISHING_REL, TraceEstimate,
-                    _estimate)
+from .trace import TraceEstimate, _estimate
 
 ZERO_EIGENVALUE_TOL = 1e-12
+
+# s0_summability_check: a last-octave increment ratio at or above this diverges
+S0_RATIO_THRESHOLD = 0.9
 
 # generated symbols' index sums stream in flat memory; this bounds their run time
 # (about a minute per 1e9 labels for the two passes of `dixtrace boundary`)
@@ -68,16 +72,20 @@ class PowerDecay:
 
 def _rows(path: str, what: str, layout: str) -> Iterator[tuple]:
     """(lineno, j, floats) for each data line of a text file of `layout`
-    rows, an integer label j then floats; `#` starts a comment line."""
+    rows, an integer label j then floats; `#` starts a comment line.  More
+    than _MAX_MATERIALIZED_POINTS data rows raise SizeError as they are read."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from None
     with fh:
+        count = 0
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
+            count += 1
+            _check_rows_read(path, count)
             if len(parts) != len(layout.split()):
                 raise SpectrumFormatError("%s:%d: expected `%s`" % (path, lineno, layout))
             try:  # labels are int64 wherever they are held
@@ -377,13 +385,10 @@ def boundary_series(sym: BoundarySymbol, grid: np.ndarray) -> PartialSumSeries:
     return PartialSumSeries(grid.copy(), sums, counts, dim=1, picture="boundary-index")
 
 
-def boundary_dixmier(sym: BoundarySymbol, grid: np.ndarray,
-                     divergence_threshold: float = DIVERGENCE_THRESHOLD,
-                     vanishing_rel: float = VANISHING_REL) -> TraceEstimate:
-    """Index-cutoff boundary trace: lim S(L)/log L (no dimension factor)."""
+def boundary_dixmier(sym: BoundarySymbol, grid: np.ndarray) -> TraceEstimate:
+    """Index-cutoff boundary trace: lim S(L)/log L, the series' dim being 1."""
     series = boundary_series(sym, grid)
-    f = series.sums / np.log(series.cutoffs)
-    return _estimate(series.cutoffs, f, divergence_threshold, vanishing_rel)
+    return _estimate(series.cutoffs, series.normalized())
 
 
 def boundary_weyl_series(sym: BoundarySymbol, kappa: int,
@@ -416,25 +421,20 @@ def boundary_weyl_series(sym: BoundarySymbol, kappa: int,
                             picture="manifold")
 
 
-def boundary_dixmier_weyl(sym: BoundarySymbol, kappa: int, grid: np.ndarray,
-                          divergence_threshold: float = DIVERGENCE_THRESHOLD,
-                          vanishing_rel: float = VANISHING_REL) -> TraceEstimate:
+def boundary_dixmier_weyl(sym: BoundarySymbol, kappa: int,
+                          grid: np.ndarray) -> TraceEstimate:
     """Weyl-rescaled boundary trace: cut on |lambda|^(1/m) <= N, divide by kappa."""
     series = boundary_weyl_series(sym, kappa, grid)
-    return _estimate(series.cutoffs, series.normalized(),
-                     divergence_threshold, vanishing_rel)
+    return _estimate(series.cutoffs, series.normalized())
 
 
-def parametrix_trace(p_sym: BoundarySymbol, grid: np.ndarray,
-                     divergence_threshold: float = DIVERGENCE_THRESHOLD,
-                     vanishing_rel: float = VANISHING_REL) -> TraceEstimate:
+def parametrix_trace(p_sym: BoundarySymbol, grid: np.ndarray) -> TraceEstimate:
     """Dixmier trace of the parametrix: index-cutoff trace of 1/sigma_P.
 
     Every symbol value inside the range must be nonzero; the error names the
     first violating enumeration index.
     """
-    return boundary_dixmier(p_sym.reciprocal(), grid, divergence_threshold,
-                            vanishing_rel)
+    return boundary_dixmier(p_sym.reciprocal(), grid)
 
 
 @dataclass
@@ -451,21 +451,25 @@ class S0Report:
     s0_estimate: float | None  # smallest grid s that converges, if any
 
 
-def s0_summability_check(sym: BoundarySymbol, s_grid: Sequence[float],
-                         ratio_threshold: float = 0.9) -> S0Report:
+def s0_summability_check(sym: BoundarySymbol, s_grid: Sequence[float]) -> S0Report:
     """Probe sum <xi_l>^{-s} for each s: octave-increment ratio heuristic.
 
     <xi_l> = (1+|lambda_l|^2)^(1/2m).  The sum over index octaves
     [2^k, 2^{k+1}) shrinks geometrically for convergent s; a final-octave
-    ratio above ratio_threshold flags divergence.
+    ratio at or above S0_RATIO_THRESHOLD flags divergence.  The s grid must
+    be nonempty, finite, nonnegative and strictly increasing.
     """
     if len(sym) < 16:
         raise ConfigError("s0 check needs at least 16 enumerated points")
     s_values = [float(s) for s in s_grid]
+    if not s_values:
+        raise ConfigError("s grid is empty")
+    if not all(math.isfinite(s) for s in s_values):
+        raise ConfigError("s grid must be finite, got %r" % (s_values,))
     if any(s < 0 for s in s_values):
         raise ConfigError("s grid must be nonnegative")
-    if sorted(s_values) != s_values:
-        raise ConfigError("s grid must be increasing")
+    if any(b <= a for a, b in zip(s_values, s_values[1:])):
+        raise ConfigError("s grid must be strictly increasing")
     n_oct = int(math.floor(math.log2(len(sym))))
     # snapshots at l = 2^k - 1 (k = 0..n_oct), then at the last label
     marks = np.array([2.0 ** k - 1.0 for k in range(n_oct + 1)] + [len(sym) - 1.0])
@@ -482,7 +486,7 @@ def s0_summability_check(sym: BoundarySymbol, s_grid: Sequence[float],
             ratio = 0.0
         else:
             ratio = float(incs[-1] / incs[-2])
-        conv = ratio < ratio_threshold
+        conv = ratio < S0_RATIO_THRESHOLD
         rows.append(S0Row(s=s, partial_sum=float(snaps[-1]), octave_ratio=ratio,
                           converges=conv))
         if conv and s0 is None:

@@ -2,12 +2,14 @@
 
 One process runs one command: trace, residue, quasinorm, weyl, boundary,
 parametrix, oracle-check or s0-check.  Each prints a short human summary to
-stdout and optionally writes a result JSON (--out-json) and a plot-ready
-series CSV (--out-csv).  Exit status is 0 for convergent/finite verdicts,
-2 for computed-but-flagged outcomes (divergent trace, unstable quasi-norm,
-oracle mismatch, no summable s found) and 1 for configuration or runtime
-errors.
+stdout and optionally writes a result JSON (--out-json); the commands that
+build a partial-sum series also write it as a plot-ready CSV (--out-csv).
+Exit status is 0 for convergent/finite verdicts, 2 for computed-but-flagged
+outcomes (divergent trace, unstable quasi-norm, oracle mismatch, no
+summable s found) and 1 for configuration or runtime errors.
 
+Each command has only the flags its handler reads; the verdict thresholds
+are fixed rules of the trace, boundary and oracle modules, not flags.
 Every default lives in build_parser; `dixtrace CMD --help` prints them.
 Flags may also come from a JSON config file (--config) keyed by long flag
 names: an entry means what the flag's text means, null is absent, and
@@ -34,9 +36,8 @@ from .oracle import DEFAULT_CAP, compare_symbol_vs_oracle
 from .summation import (SCHEMA_VERSION, PartialSumSeries, counting_series,
                         dyadic_grid, partial_sums, weyl_fit)
 from .symbol import parse_complex, parse_symbol
-from .trace import (DIVERGENCE_THRESHOLD, STABILITY_RTOL, VANISHING_REL,
-                    density_integral_from_samples, dixmier_estimate,
-                    quasinorm, residue_factored)
+from .trace import (density_integral_from_samples, dixmier_estimate, quasinorm,
+                    residue_factored)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,40 +56,36 @@ def build_parser() -> argparse.ArgumentParser:
                                  "multipliers from their global symbols")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p):
+    def add_common(p, csv=True):
         p.add_argument("--config", help="JSON file of flag values; explicit flags override")
         p.add_argument("--out-json", help="write the result record here")
-        p.add_argument("--out-csv", help="write the cutoff/count/sum/f series here")
+        if csv:
+            p.add_argument("--out-csv", help="write the cutoff/count/sum/f series here")
 
-    def add_grid(p):
+    def add_grid(p, ppo=True):
         p.add_argument("--nmax", type=float, default="1e5",
                        help="largest cutoff (default %(default)s)")
-        p.add_argument("--points-per-octave", type=int, default=4,
-                       help="dyadic grid resolution (default %(default)s)")
+        if ppo:
+            p.add_argument("--points-per-octave", type=int, default=4,
+                           help="dyadic grid resolution (default %(default)s)")
 
-    def add_geometry(p):
+    def add_geometry(p, symbol=True):
         p.add_argument("--geometry", help="torus:N | su2 | so3 | su3 | sphere:N | file:PATH")
-        p.add_argument("--symbol",
-                       help="radial:s | bessel:s:nu | power:s[:shift] | "
-                            "modulus:s | scaled:c:INNER | mask:INNER | "
-                            "diag:PATH | matrix:PATH")
+        if symbol:
+            p.add_argument("--symbol",
+                           help="radial:s | bessel:s:nu | power:s[:shift] | "
+                                "modulus:s | scaled:c:INNER | mask:INNER | "
+                                "diag:PATH | matrix:PATH")
         p.add_argument("--dim", type=int, default=1,
                        help="manifold dimension for file geometries (default %(default)s)")
         p.add_argument("--nu", type=float, default=2.0,
                        help="Laplacian order for file geometries (default %(default)s)")
-        p.add_argument("--picture", choices=["manifold", "group", "homogeneous"],
-                       help="summation picture (default: natural one for the "
-                            "geometry)")
+        if symbol:
+            p.add_argument("--picture", choices=["manifold", "group", "homogeneous"],
+                           help="block rule, mask and multiplicity (default: the "
+                                "natural one for the geometry)")
 
-    def add_tolerances(p):
-        p.add_argument("--divergence-threshold", type=float, default=DIVERGENCE_THRESHOLD,
-                       help="growth of f over 3 octaves that reads divergent "
-                            "(default %(default)s)")
-        p.add_argument("--vanishing-rel", type=float, default=VANISHING_REL,
-                       help="f relative to its max that reads vanishing "
-                            "(default %(default)s)")
-
-    def add_boundary(p):
+    def add_boundary(p, default_symbol, ppo=True):
         p.add_argument("--a", type=parse_complex, default=repr(-math.e),
                        help="boundary parameter a, complex (default %(default)s)")
         p.add_argument("--b", type=parse_complex, default="1",
@@ -98,21 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)s)")
         p.add_argument("--order", type=int, default=1,
                        help="operator order m (default %(default)s)")
-        p.add_argument("--kappa", type=int, default=1,
-                       help="dimension for the Weyl-rescaled cutoff (default %(default)s)")
         p.add_argument("--cutoff-kind", default="index", choices=["index", "eigenvalue"],
                        help="cut on enumeration index or on |lambda|^(1/m) "
                             "(default %(default)s)")
-        p.add_argument("--boundary-symbol",
+        p.add_argument("--boundary-symbol", default=default_symbol,
                        help="inverse | one | spectrum | table:PATH (default %(default)s)")
-        add_grid(p)
+        add_grid(p, ppo)
 
     p = sub.add_parser("trace", help="extrapolated Dixmier trace of a multiplier")
-    add_geometry(p); add_grid(p); add_tolerances(p); add_common(p)
+    add_geometry(p); add_grid(p); add_common(p)
 
     p = sub.add_parser("residue",
                        help="noncommutative residue of a factored symbol")
-    add_geometry(p); add_grid(p); add_tolerances(p)
+    add_geometry(p); add_grid(p)
     p.add_argument("--a-integral", type=float, help="mean of the spatial density a(x)")
     p.add_argument("--density-samples-file",
                    help="whitespace-separated a(x) samples; their mean is used")
@@ -122,23 +117,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Marcinkiewicz L^(p,infty) quasi-norm proxy")
     add_geometry(p); add_grid(p)
     p.add_argument("--p", type=float, help="exponent, 1 < p < inf")
-    p.add_argument("--stability-rtol", type=float, default=STABILITY_RTOL,
-                   help="growth over the last decade that reads unstable "
-                        "(default %(default)s)")
     add_common(p)
 
     p = sub.add_parser("weyl", help="log-log fit of the eigenvalue count")
-    add_geometry(p); add_grid(p); add_common(p)
+    add_geometry(p, symbol=False); add_grid(p); add_common(p)
 
     p = sub.add_parser("boundary",
                        help="boundary-model trace over interval spectra")
-    add_boundary(p); add_tolerances(p); add_common(p)
-    p.set_defaults(boundary_symbol="inverse")
+    add_boundary(p, "inverse")
+    p.add_argument("--kappa", type=int, default=1,
+                   help="dimension for the Weyl-rescaled cutoff (default %(default)s)")
+    add_common(p)
 
     p = sub.add_parser("parametrix",
                        help="Dixmier trace of the inverse boundary symbol")
-    add_boundary(p); add_tolerances(p); add_common(p)
-    p.set_defaults(boundary_symbol="spectrum")
+    add_boundary(p, "spectrum"); add_common(p)
 
     p = sub.add_parser("oracle-check",
                        help="symbol-side vs operator-side singular values")
@@ -146,14 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, help="weight cutoff")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="largest allowed total dimension (default %(default)s)")
-    add_common(p)
+    add_common(p, csv=False)
 
     p = sub.add_parser("s0-check",
                        help="smallest s with sum <xi>^-s convergent")
-    add_boundary(p)
-    p.add_argument("--s-grid", help="comma-separated s values, increasing")
-    add_common(p)
-    p.set_defaults(boundary_symbol="spectrum")
+    add_boundary(p, "spectrum", ppo=False)
+    p.add_argument("--s-grid", help="comma-separated s values, strictly increasing")
+    add_common(p, csv=False)
 
     parser.commands = sub.choices  # name -> subparser, for config defaults
     return parser
@@ -305,8 +297,7 @@ def _build_boundary_symbol(ns: dict) -> BoundarySymbol:
 
 def _cmd_trace(ns: dict) -> int:
     geom, series = _build_series(ns)
-    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
-    est = dixmier_estimate(series, dt, vr)
+    est = dixmier_estimate(series)
     print("geometry: %s   symbol: %s   picture: %s"
           % (geom.describe(), ns["symbol"], series.picture))
     _print_estimate(est)
@@ -324,15 +315,18 @@ def _cmd_residue(ns: dict) -> int:
                           "not both")
     if samples_file:
         with open(samples_file, "r", encoding="utf-8") as fh:
-            samples = [float(tok) for tok in fh.read().split()]
+            tokens = fh.read().split()
+        try:
+            samples = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ConfigError("density samples file %s: %s" % (samples_file, exc)) from None
         if not samples:
             raise ConfigError("density samples file is empty")
         a_int = density_integral_from_samples(samples)
     elif a_int is None:
         raise ConfigError("residue needs --a-integral or --density-samples-file")
     geom, series = _build_series(ns)
-    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
-    est = residue_factored(a_int, series, dt, vr)
+    est = residue_factored(a_int, series)
     print("geometry: %s   symbol: %s   density integral: %.10g"
           % (geom.describe(), ns["symbol"], a_int))
     _print_estimate(est, label="residue_hat")
@@ -348,7 +342,7 @@ def _cmd_quasinorm(ns: dict) -> int:
     if p_val is None:
         raise ConfigError("quasinorm needs --p")
     geom, series = _build_series(ns)
-    result = quasinorm(series, p_val, stability_rtol=ns["stability_rtol"])
+    result = quasinorm(series, p_val)
     print("geometry: %s   symbol: %s   p = %g"
           % (geom.describe(), ns["symbol"], p_val))
     print("gamma_p = %.10g at cutoff %.6g   stable: %s"
@@ -380,15 +374,14 @@ def _cmd_weyl(ns: dict) -> int:
 def _cmd_boundary(ns: dict) -> int:
     sym = _build_boundary_symbol(ns)
     grid = _grid(ns)
-    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
     if ns["cutoff_kind"] == "eigenvalue":
         kappa = ns["kappa"]
         series = boundary_weyl_series(sym, kappa, grid)
-        est = dixmier_estimate(series, dt, vr)
+        est = dixmier_estimate(series)
         cut_desc = "|lambda|^(1/%d) <= N, kappa = %d" % (sym.order, kappa)
     else:
         series = boundary_series(sym, grid)
-        est = boundary_dixmier(sym, grid, dt, vr)
+        est = boundary_dixmier(sym, grid)
         cut_desc = "enumeration index"
     print("boundary model, %d spectral points, cutoffs on %s"
           % (len(sym), cut_desc))
@@ -402,8 +395,7 @@ def _cmd_boundary(ns: dict) -> int:
 def _cmd_parametrix(ns: dict) -> int:
     sym = _build_boundary_symbol(ns)
     grid = _grid(ns)
-    dt, vr = ns["divergence_threshold"], ns["vanishing_rel"]
-    est = parametrix_trace(sym, grid, dt, vr)
+    est = parametrix_trace(sym, grid)
     print("parametrix of a %d-point boundary symbol, index cutoffs" % len(sym))
     _print_estimate(est)
     if ns["out_csv"]:

@@ -29,10 +29,6 @@ class SizeError(DixtraceError):
     """A truncation or table exceeds a configured size cap."""
 
 
-class ContractError(DixtraceError):
-    """An operation was invoked on data whose picture or normalization forbids it."""
-
-
 class EllipticityError(DixtraceError):
     """A symbol value that must be invertible is zero; message names the index."""
 

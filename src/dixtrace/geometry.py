@@ -559,8 +559,17 @@ def _load_spectrum(geom: Geometry) -> list[DualPoint]:
     return load_spectrum_file(geom.path, nu=geom.nu)
 
 
+def _check_rows_read(path: str, rows: int) -> None:
+    """SizeError once a file read into memory passes the point cap; file
+    readers call it before holding each further row."""
+    if rows > _MAX_MATERIALIZED_POINTS:
+        raise SizeError("%s has more than %d data rows, the cap on points held "
+                        "at once" % (path, _MAX_MATERIALIZED_POINTS))
+
+
 def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
-    """Read `label d D lambda` records, sorted by (lambda, label)."""
+    """Read `label d D lambda` records, sorted by (lambda, label); more than
+    _MAX_MATERIALIZED_POINTS records raise SizeError while the file is read."""
     rows = []
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -590,6 +599,7 @@ def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
                 raise SpectrumFormatError(
                     "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
             w = (1.0 + lam) ** (1.0 / nu)
+            _check_rows_read(path, len(rows) + 1)
             rows.append(DualPoint(label=(label,), rep_dim=d, eigenspace_dim=dd,
                                   class_one_dim=1, eigenvalue=lam, weight=w))
     rows.sort(key=lambda p: (p.eigenvalue, p.label))

@@ -23,7 +23,7 @@ from .symbol import (ClassOneMask, SymbolSpec, check_block_size, eval_symbol,
 
 DEFAULT_CAP = 10_000
 DENSE_DIM_CAP = 300
-ORACLE_TOL = 1e-9
+ORACLE_TOL = 1e-9  # max abs and relative sum difference that still match
 
 
 @dataclass
@@ -53,9 +53,6 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
     """
     if picture is None:
         picture = default_picture(geom)
-    if picture == "boundary-index":
-        raise ConfigError("boundary symbols have no block truncation; "
-                          "use the boundary module directly")
     masked, lifted = geom.block_rule(picture)
     _check_cap(counting_function(geom, cutoff), cutoff, cap)
     points = list(enumerate_dual(geom, cutoff))
@@ -146,13 +143,13 @@ def lpinf_partial_norm(svals: np.ndarray, n: int, p: float) -> float:
 
 def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
                              cap: int = DEFAULT_CAP,
-                             picture: str | None = None,
-                             tolerance: float = ORACLE_TOL) -> dict:
+                             picture: str | None = None) -> dict:
     """Cross-check the symbol-side SVD against the operator-level one.
 
     Both sides decompose the same materialized blocks into the full
     weighted singular-value list below the cutoff; the lists are sorted and
-    compared elementwise, and their total sums compared in relative terms.
+    compared elementwise, and their total sums compared in relative terms,
+    both to ORACLE_TOL.
     The two routes share no decomposition code: the symbol side runs the
     one-sided Jacobi / Hermitian paths, the oracle side runs LAPACK.
     """
@@ -164,17 +161,17 @@ def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
                           "oracle-side" % (len(symbol_vals), len(oracle_vals)))
     diff = np.abs(symbol_vals - oracle_vals)
     max_abs = float(diff.max()) if len(diff) else 0.0
-    first_bad = int(np.argmax(diff > tolerance)) if np.any(diff > tolerance) else -1
+    first_bad = int(np.argmax(diff > ORACLE_TOL)) if np.any(diff > ORACLE_TOL) else -1
     sum_sym = math.fsum(symbol_vals)
     sum_orc = math.fsum(oracle_vals)
     denom = max(abs(sum_orc), 1e-300)
     sum_rel = abs(sum_sym - sum_orc) / denom
-    passed = max_abs <= tolerance and sum_rel <= tolerance
+    passed = max_abs <= ORACLE_TOL and sum_rel <= ORACLE_TOL
     return {
         "total_dim": int(len(oracle_vals)),
         "max_abs": max_abs,
         "first_mismatch_rank": first_bad,
         "sum_rel_diff": float(sum_rel),
-        "tolerance": tolerance,
+        "tolerance": ORACLE_TOL,
         "passed": bool(passed),
     }

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FitError, SpectrumFormatError
+from .errors import ConfigError, FitError, SpectrumFormatError
 from .geometry import Geometry, _row_chunks, enumerate_dual, label_text, radial_shells
 from .symbol import ClassOneMask, RadialWeight, SymbolSpec, eval_symbol, \
     is_radial_scalar, nuclear_trace_abs, scalar_values
@@ -90,8 +90,10 @@ def check_grid(grid) -> np.ndarray:
 class PartialSumSeries:
     """Cutoff grid with partial sums and eigenvalue counts.
 
-    dim is the manifold dimension kappa used in log-normalizations; picture
-    records which summation formula produced the sums.
+    dim is the kappa of the log-normalization S(N)/(kappa log N): the
+    manifold dimension, or the Weyl kappa of a boundary eigenvalue cutoff.
+    picture records which summation formula produced the sums; a
+    boundary-index series counts labels, so its dim is 1.
     """
 
     cutoffs: np.ndarray
@@ -103,6 +105,8 @@ class PartialSumSeries:
     def __post_init__(self):
         if self.picture not in PICTURES:
             raise ConfigError("unknown picture %r" % (self.picture,))
+        if self.picture == "boundary-index" and self.dim != 1:
+            raise ConfigError("a boundary-index series has dim 1, got %r" % (self.dim,))
         if not (len(self.cutoffs) == len(self.sums) == len(self.counts)):
             raise ConfigError("series arrays must have equal length")
 
@@ -253,15 +257,13 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
     """Partial sums of nuclear traces of the symbol over the dual.
 
     grid is an increasing array of weight cutoffs (see dyadic_grid).  The
-    three closed-geometry pictures share one contribution rule (the block
-    lift makes them agree numerically); the picture tag records which
-    normalization downstream estimators should apply.
+    picture picks the block rule, mask and multiplicity
+    (Geometry.block_rule, which refuses any picture but manifold, group and
+    homogeneous); whatever the picture, the series carries geom.dim.
     """
     grid = check_grid(grid)
     if picture is None:
         picture = default_picture(geom)
-    if picture == "boundary-index":
-        raise ContractError("boundary-index series come from the boundary module")
     masked, lifted = geom.block_rule(picture)
     thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
     n_max = float(grid[-1])

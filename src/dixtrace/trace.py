@@ -2,14 +2,16 @@
 
 Estimation model: on a geometric cutoff grid the normalized partial sums
 f_k = S(N_k)/(kappa log N_k) of a traceable multiplier approach the Dixmier
-trace like tau + c1/log N + c2/log^2 N.  The estimator least-squares fits
-that model on the upper half of the grid and reports the intercept, keeping
-the last raw f_k as a sanity value.
+trace like tau + c1/log N + c2/log^2 N.  kappa is the series' own dim: the
+manifold dimension on closed geometries, the Weyl kappa on boundary
+eigenvalue cutoffs and 1 on boundary index cutoffs, so one estimator reads
+every series.  It least-squares fits that model on the upper half of the
+grid and reports the intercept, keeping the last raw f_k as a sanity value.
 
-Verdicts: divergent when f grows by more than divergence_threshold
-(relative) over the last three octaves; vanishing when the extrapolated
-value is below vanishing_rel times the largest f_k (trace-class symbols);
-convergent otherwise.
+Verdicts are fixed rules: divergent when f grows by more than
+DIVERGENCE_THRESHOLD (relative) over the last three octaves; vanishing when
+the extrapolated value is below VANISHING_REL times the largest f_k
+(trace-class symbols); convergent otherwise.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FitError
+from .errors import ConfigError, FitError
 from .summation import SCHEMA_VERSION, PartialSumSeries, scale_series
 
-DIVERGENCE_THRESHOLD = 0.1
-VANISHING_REL = 1e-3
-STABILITY_RTOL = 0.01
+DIVERGENCE_THRESHOLD = 0.1  # growth of f over the last three octaves
+VANISHING_REL = 1e-3  # |tau| against max |f|
+STABILITY_RTOL = 0.01  # quasi-norm growth over the last decade
 
 
 @dataclass
@@ -88,8 +90,7 @@ def log_model_fit(cutoffs: np.ndarray, f: np.ndarray):
     return float(coef[0]), float(coef[1]), float(coef[2]), rms
 
 
-def _estimate(cutoffs: np.ndarray, f: np.ndarray, divergence_threshold: float,
-              vanishing_rel: float) -> TraceEstimate:
+def _estimate(cutoffs: np.ndarray, f: np.ndarray) -> TraceEstimate:
     tau, c1, c2, rms = log_model_fit(cutoffs, f)
     naive = float(f[-1])
     # relative growth of f over the last three octaves flags divergence
@@ -98,9 +99,9 @@ def _estimate(cutoffs: np.ndarray, f: np.ndarray, divergence_threshold: float,
     idx = max(0, min(idx, len(cutoffs) - 2))
     base = abs(f[idx])
     growth = (f[-1] - f[idx]) / max(base, 1e-300)
-    if growth > divergence_threshold:
+    if growth > DIVERGENCE_THRESHOLD:
         verdict = "divergent"
-    elif abs(tau) <= vanishing_rel * float(np.max(np.abs(f))):
+    elif abs(tau) <= VANISHING_REL * float(np.max(np.abs(f))):
         verdict = "vanishing"
     else:
         verdict = "convergent"
@@ -109,40 +110,25 @@ def _estimate(cutoffs: np.ndarray, f: np.ndarray, divergence_threshold: float,
                          grid_max=float(cutoffs[-1]))
 
 
-def dixmier_estimate(series: PartialSumSeries,
-                     divergence_threshold: float = DIVERGENCE_THRESHOLD,
-                     vanishing_rel: float = VANISHING_REL) -> TraceEstimate:
-    """Extrapolate S(N)/(kappa log N) to the Dixmier trace.
-
-    Series in the boundary-index picture carry their own normalization and
-    are rejected; use the boundary module's estimators for those.
-    """
-    if series.picture == "boundary-index":
-        raise ContractError("boundary-index series use the boundary module's "
-                            "normalization, not kappa log N")
-    return _estimate(series.cutoffs, series.normalized(),
-                     divergence_threshold, vanishing_rel)
+def dixmier_estimate(series: PartialSumSeries) -> TraceEstimate:
+    """Extrapolate S(N)/(kappa log N) to the Dixmier trace, kappa = series.dim."""
+    return _estimate(series.cutoffs, series.normalized())
 
 
-def quasinorm(series: PartialSumSeries, p: float,
-              stability_rtol: float = STABILITY_RTOL) -> QuasiNormResult:
+def quasinorm(series: PartialSumSeries, p: float) -> QuasiNormResult:
     """Marcinkiewicz L^(p,infty) quasi-norm proxy sup_N N^e S(N).
 
-    e = kappa(1/p - 1) in the weight pictures and (1/p - 1) against index
-    cutoffs (boundary-index picture).  Stability compares the sup over the
-    whole grid with the sup over cutoffs <= N_max/10.
+    e = marcinkiewicz_exponent(p, series.dim).  Stability compares the sup
+    over the whole grid with the sup over cutoffs <= N_max/10.
     """
-    if not (p > 1) or math.isinf(p):
-        raise ValueError("quasinorm needs 1 < p < infinity, got %r" % (p,))
-    kappa = 1 if series.picture == "boundary-index" else series.dim
-    e = kappa * (1.0 / p - 1.0)
+    e = marcinkiewicz_exponent(p, series.dim)
     g = series.cutoffs ** e * series.sums
     i = int(np.argmax(g))
     gamma = float(g[i])
     early = series.cutoffs <= series.cutoffs[-1] / 10.0
     if np.any(early):
         gamma_early = float(np.max(g[early]))
-        stable = gamma <= gamma_early * (1.0 + stability_rtol)
+        stable = gamma <= gamma_early * (1.0 + STABILITY_RTOL)
     else:
         stable = False
     return QuasiNormResult(p=p, gamma=gamma, argmax_cutoff=float(series.cutoffs[i]),
@@ -156,21 +142,19 @@ def marcinkiewicz_exponent(p: float, kappa: int) -> float:
     return kappa * (1.0 / p - 1.0)
 
 
-def residue_factored(a_integral: float, series: PartialSumSeries,
-                     divergence_threshold: float = DIVERGENCE_THRESHOLD,
-                     vanishing_rel: float = VANISHING_REL) -> TraceEstimate:
+def residue_factored(a_integral: float, series: PartialSumSeries) -> TraceEstimate:
     """Residue of a factored symbol a(x) sigma(xi): density integral times
     the multiplier's Dixmier estimate.
 
     With a_integral = 1 this is dixmier_estimate on the same code path, so
-    the residue/trace identification holds exactly.  A divergent underlying
-    estimate keeps its verdict; the scaled value is still reported.
+    the residue/trace identification holds exactly, on every picture.  A
+    divergent underlying estimate keeps its verdict; the scaled value is
+    still reported.  A non-finite a_integral is refused.
     """
-    if series.picture != "group" and series.picture != "manifold":
-        raise ContractError("residue_factored expects a multiplier series in the "
-                            "group or manifold picture, got %r" % (series.picture,))
-    est = dixmier_estimate(series, divergence_threshold, vanishing_rel)
     a = float(a_integral)
+    if not math.isfinite(a):
+        raise ConfigError("density integral must be finite, got %r" % (a,))
+    est = dixmier_estimate(series)
     return replace(est, value=a * est.value, naive_last=a * est.naive_last,
                    fit_coeffs=(a * est.fit_coeffs[0], a * est.fit_coeffs[1]),
                    fit_residual=abs(a) * est.fit_residual)

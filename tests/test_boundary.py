@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dixtrace import geometry
 from dixtrace.boundary import (AlphaTable, BoundarySymbol, IntervalBC,
                                PowerDecay, boundary_dixmier,
                                boundary_dixmier_weyl, boundary_series,
@@ -16,6 +17,7 @@ from dixtrace.errors import (ConfigError, DomainError, EllipticityError,
                              SizeError, SpectrumFormatError)
 from dixtrace.geometry import _CHUNK
 from dixtrace.summation import dyadic_grid
+from dixtrace.trace import dixmier_estimate
 
 BC = IntervalBC(a=-math.e, b=1.0)
 
@@ -350,3 +352,32 @@ def test_s0_grid_validation():
     tiny = BoundarySymbol.spectrum_symbol(BC, 3)
     with pytest.raises(ConfigError):
         s0_summability_check(tiny, [1.0])
+
+
+def test_boundary_estimators_are_dixmier_estimate_on_their_series():
+    # an index series carries dim 1 and a Weyl series dim kappa, so the one
+    # estimator reads both, field for field
+    sym = BoundarySymbol.inverse_spectrum(BC, 3 * _CHUNK)
+    grid = dyadic_grid(len(sym) - 1, 4)
+    assert dixmier_estimate(boundary_series(sym, grid)) == boundary_dixmier(sym, grid)
+    weyl = dyadic_grid(2000, 4)
+    assert dixmier_estimate(boundary_weyl_series(sym, 2, weyl)) == \
+        boundary_dixmier_weyl(sym, 2, weyl)
+
+
+def test_file_readers_refuse_rows_past_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_MATERIALIZED_POINTS", 5)
+    labels = [0, 1, -1, 2, -2, 3]
+    path = tmp_path / "sym.txt"
+    path.write_text("# header\n" + "".join("%d %d 0.5 1 0\n" % (j, j) for j in labels))
+    with pytest.raises(SizeError, match="more than 5 data rows"):
+        BoundarySymbol.from_file(str(path))
+    path.write_text("".join("%d %d 0.5 1 0\n" % (j, j) for j in labels[:5]))
+    assert len(BoundarySymbol.from_file(str(path))) == 5
+    # alpha tables are read by the same row reader
+    table = tmp_path / "alpha.txt"
+    table.write_text("".join("%d 0.1 0\n" % j for j in labels))
+    with pytest.raises(SizeError, match="more than 5 data rows"):
+        AlphaTable(str(table))
+    table.write_text("".join("%d 0.1 0\n" % j for j in labels[:5]))
+    assert len(AlphaTable(str(table)).entries[0]) == 5

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dixtrace.boundary import BoundarySymbol
-from dixtrace.cli import main
+from dixtrace.cli import _COMMANDS, _parse, main
 from dixtrace.summation import PartialSumSeries
 
 
@@ -121,6 +121,42 @@ def test_residue_requires_exactly_one_density_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_residue_runs_on_spheres(tmp_path, capsys):
+    # Connes' res = Tr_w scaling holds on every closed manifold, the
+    # homogeneous picture of the spheres included
+    base = ["--geometry", "sphere:3", "--symbol", "radial:3", "--nmax", "40"]
+    trace_json = str(tmp_path / "t.json")
+    res_json = str(tmp_path / "r.json")
+    assert run("trace", *base, "--out-json", trace_json) == 0
+    assert run("residue", *base, "--a-integral", "1", "--out-json", res_json) == 0
+    capsys.readouterr()
+    assert _estimate(res_json) == _estimate(trace_json)
+
+
+@pytest.mark.parametrize("a_integral, samples, message", [
+    ("inf", None, "density integral must be finite, got inf"),
+    ("nan", None, "density integral must be finite, got nan"),
+    (None, "1.0 nan\n", "density integral must be finite, got nan"),
+    (None, "1.0 x\n", "density samples file {path}: could not convert string "
+                      "to float: 'x'")])
+def test_residue_refuses_a_non_finite_density(tmp_path, capsys, a_integral,
+                                               samples, message):
+    path = tmp_path / "dens.txt"
+    if samples is None:
+        density = ["--a-integral", a_integral]
+    else:
+        path.write_text(samples)
+        density = ["--density-samples-file", str(path)]
+    out_json = tmp_path / "r.json"
+    code = run("residue", "--geometry", "torus:1", "--symbol", "bessel:1:2",
+               "--nmax", "1e3", *density, "--out-json", str(out_json))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message.format(path=path)
+    assert not out_json.exists()
+
+
 def test_weyl_command(tmp_path, capsys):
     out_json = str(tmp_path / "w.json")
     code = run("weyl", "--geometry", "su2", "--nmax", "512",
@@ -195,6 +231,18 @@ def test_s0_check_exit_codes(capsys):
     assert run(*base, "--s-grid", "0,1") == 2
     assert run(*base, "--s-grid", "two") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("s_grid, message", [
+    (",", "s grid is empty"),
+    ("nan", "s grid must be finite"),
+    ("0,inf", "s grid must be finite"),
+    ("1,1", "s grid must be strictly increasing")])
+def test_s0_check_refuses_a_bad_grid(capsys, s_grid, message):
+    assert run("s0-check", "--nmax", "2048", "--s-grid", s_grid) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s" % message)
 
 
 def test_oversized_block_exits_one(tmp_path, capsys):
@@ -395,23 +443,23 @@ def test_bad_complex_literal_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad complex literal 'oops'")
 
 
-_GRID = ["--nmax NMAX largest cutoff (default 1e5)",
-         "dyadic grid resolution (default 4)"]
+_NMAX = ["--nmax NMAX largest cutoff (default 1e5)"]
+_GRID = _NMAX + ["dyadic grid resolution (default 4)"]
 _GEOMETRY = ["for file geometries (default 1)", "for file geometries (default 2.0)"]
-_TOLERANCES = ["reads divergent (default 0.1)", "that reads vanishing (default 0.001)"]
 _BOUNDARY = ["boundary parameter a, complex (default -2.718281828459045)",
              "boundary parameter b, complex (default 1)",
              "table:PATH (default zero)", "operator order m (default 1)",
-             "Weyl-rescaled cutoff (default 1)", "(default index)"] + _GRID
+             "(default index)"] + _NMAX
 
 
 @pytest.mark.parametrize("command, shown", [
-    ("trace", _GEOMETRY + _GRID + _TOLERANCES),
-    ("residue", _GEOMETRY + _GRID + _TOLERANCES),
-    ("quasinorm", _GEOMETRY + _GRID + ["reads unstable (default 0.01)"]),
+    ("trace", _GEOMETRY + _GRID),
+    ("residue", _GEOMETRY + _GRID),
+    ("quasinorm", _GEOMETRY + _GRID),
     ("weyl", _GEOMETRY + _GRID),
-    ("boundary", _BOUNDARY + _TOLERANCES + ["table:PATH (default inverse)"]),
-    ("parametrix", _BOUNDARY + _TOLERANCES + ["table:PATH (default spectrum)"]),
+    ("boundary", _BOUNDARY + _GRID + ["Weyl-rescaled cutoff (default 1)",
+                                      "table:PATH (default inverse)"]),
+    ("parametrix", _BOUNDARY + _GRID + ["table:PATH (default spectrum)"]),
     ("oracle-check", _GEOMETRY + ["total dimension (default 10000)"]),
     ("s0-check", _BOUNDARY + ["table:PATH (default spectrum)"])])
 def test_help_shows_every_default(capsys, command, shown):
@@ -423,3 +471,52 @@ def test_help_shows_every_default(capsys, command, shown):
     for item in shown:
         assert item in text
     assert "None" not in text
+
+
+class _Reads(dict):
+    """A parsed flag dict that records every key a handler reads."""
+
+    def __init__(self, ns):
+        super().__init__(ns)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command, variants", [
+    ("trace", [["--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "64"]]),
+    ("residue", [["--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "64",
+                  "--a-integral", "2"]]),
+    ("quasinorm", [["--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "64",
+                    "--p", "2"]]),
+    ("weyl", [["--geometry", "su2", "--nmax", "64"]]),
+    # --kappa is read on eigenvalue cutoffs only
+    ("boundary", [["--nmax", "64"], ["--nmax", "64", "--cutoff-kind", "eigenvalue"]]),
+    ("parametrix", [["--nmax", "64"]]),
+    ("oracle-check", [["--geometry", "torus:1", "--symbol", "radial:1",
+                       "--cutoff", "10"]]),
+    ("s0-check", [["--nmax", "64", "--s-grid", "0,2"]])])
+def test_every_flag_is_read_by_its_handler(capsys, command, variants):
+    # a flag its command never reads would be a knob that does nothing
+    read, dests = set(), set()
+    for argv in variants:
+        ns = _Reads(_parse([command, *argv]))
+        assert _COMMANDS[command](ns) in (0, 2)
+        read |= ns.read
+        dests |= set(ns)
+    capsys.readouterr()
+    assert dests - {"command", "config"} - read == set()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_fixed_verdict_rules_are_not_flags(tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        run(command, "--help")
+    text = capsys.readouterr().out
+    for flag in ("--divergence-threshold", "--vanishing-rel", "--stability-rtol"):
+        assert flag not in text
+    cfg = _config(tmp_path, {"divergence_threshold": 0.2})
+    assert run(command, "--config", cfg) == 1
+    assert "unknown key 'divergence_threshold'" in capsys.readouterr().err

@@ -406,6 +406,16 @@ def test_spectrum_file_errors(tmp_path):
         load_spectrum_file(str(neg))
 
 
+def test_spectrum_file_refuses_rows_past_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_MATERIALIZED_POINTS", 4)
+    path = tmp_path / "spec.txt"
+    path.write_text("# label d D lambda\n" + "".join("p%d 1 1 %d.0\n" % (i, i) for i in range(5)))
+    with pytest.raises(SizeError, match="more than 4 data rows"):
+        load_spectrum_file(str(path))
+    path.write_text("".join("p%d 1 1 %d.0\n" % (i, i) for i in range(4)))
+    assert len(load_spectrum_file(str(path))) == 4
+
+
 def test_file_geometry_sorted_and_labeled(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text("# comment line\nb 1 1 4.0\na 2 2 1.0\n")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dixtrace.boundary import BoundarySymbol, IntervalBC, boundary_series
-from dixtrace.errors import ConfigError, ContractError, FitError
+from dixtrace.errors import ConfigError, FitError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
                                enumerate_dual, label_text, parse_geometry,
                                radial_shells, save_spectrum_file)
@@ -96,7 +96,8 @@ def test_group_and_manifold_pictures_agree_on_su2():
 
 
 def test_boundary_picture_rejected():
-    with pytest.raises(ContractError):
+    # Geometry.block_rule refuses any picture it has no block rule for
+    with pytest.raises(ConfigError):
         partial_sums(Geometry.torus(1), RadialWeight(1.0), dyadic_grid(16),
                      picture="boundary-index")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dixtrace.errors import ContractError, FitError
+from dixtrace.errors import ConfigError, FitError
 from dixtrace.geometry import Geometry
 from dixtrace.summation import PartialSumSeries, dyadic_grid, partial_sums, scale_series
 from dixtrace.symbol import RadialWeight, SymbolSum, parse_symbol
@@ -61,12 +61,16 @@ def test_all_zero_series_is_vanishing():
     assert est.value == 0.0
 
 
-def test_boundary_series_rejected_by_dixmier_estimate():
+def test_dixmier_estimate_reads_a_boundary_series_through_its_dim():
+    # an index series carries dim 1, so the one estimator reads S(L)/log L
     cutoffs = dyadic_grid(100, 2)
     series = PartialSumSeries(cutoffs, np.log(cutoffs), cutoffs,
                               dim=1, picture="boundary-index")
-    with pytest.raises(ContractError):
-        dixmier_estimate(series)
+    np.testing.assert_array_equal(series.normalized(), series.sums / np.log(cutoffs))
+    assert dixmier_estimate(series).value == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ConfigError, match="dim 1"):
+        PartialSumSeries(cutoffs, np.log(cutoffs), cutoffs,
+                         dim=2, picture="boundary-index")
 
 
 def test_homogeneity_through_scale_series():
@@ -139,12 +143,17 @@ def test_residue_scales_and_zeroes():
                                        rel=1e-14)
 
 
-def test_residue_rejects_wrong_picture():
+def test_residue_reads_every_picture():
+    # res = a * Tr_w on every series, the picture tag aside
     cutoffs = dyadic_grid(100, 2)
-    series = PartialSumSeries(cutoffs, np.log(cutoffs), cutoffs,
-                              dim=1, picture="boundary-index")
-    with pytest.raises(ContractError):
-        residue_factored(1.0, series)
+    boundary = PartialSumSeries(cutoffs, np.log(cutoffs), cutoffs,
+                                dim=1, picture="boundary-index")
+    sphere = partial_sums(Geometry.sphere(3), parse_symbol("radial:3"),
+                          dyadic_grid(40, 4))
+    assert sphere.picture == "homogeneous"
+    for series in (boundary, sphere):
+        assert residue_factored(1.0, series) == dixmier_estimate(series)
+        assert residue_factored(2.0, series).value == 2.0 * dixmier_estimate(series).value
 
 
 def test_torus_density_integral_exact_for_trig_polynomials():
