@@ -147,15 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-grid", help="comma-separated s values, strictly increasing")
     add_common(p, csv=False)
 
-    parser.commands = sub.choices  # name -> subparser, for config defaults
     return parser
 
 
 def _parse(argv) -> dict:
-    """Parse argv.  A --config file's entries become the command's defaults
-    and argv is parsed again, so each entry goes through its flag's type=
-    as the flag's text would and must be one of its choices, explicit flags
-    win, and a null is absent."""
+    """Parse argv.  A --config file's entries go in as `--flag=value` right
+    after the command and argv is parsed again, so argparse reads each entry
+    as the flag's text (type= and choices=), explicit flags, which come
+    later, win, and a null is absent."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     ns = vars(parser.parse_args(argv))
     path = ns["config"]
@@ -170,7 +170,7 @@ def _parse(argv) -> dict:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError("config %s must hold a JSON object" % path)
-    defaults = {}
+    entries = []
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config"):
@@ -178,19 +178,9 @@ def _parse(argv) -> dict:
         if dest not in ns:
             raise ConfigError("config %s has unknown key %r" % (path, key))
         if value is not None:
-            defaults[dest] = str(value)
-    command = parser.commands[ns["command"]]
-    command.set_defaults(**defaults)
-    ns = vars(parser.parse_args(argv))
-    # argparse checks choices= on command-line values only, not on defaults;
-    # _actions is its list of the command's flags, only read here
-    for action in command._actions:
-        if action.dest in defaults and action.choices and \
-                ns[action.dest] not in action.choices:
-            command.error("argument %s: invalid choice: %r (choose from %s)" % (
-                "/".join(action.option_strings), ns[action.dest],
-                ", ".join(map(repr, action.choices))))
-    return ns
+            entries.append("--%s=%s" % (dest.replace("_", "-"), value))
+    # the top-level parser has no flags of its own, so argv[0] is the command
+    return vars(parser.parse_args(argv[:1] + entries + argv[1:]))
 
 
 def _nmax(ns: dict) -> float:
@@ -314,15 +304,11 @@ def _cmd_residue(ns: dict) -> int:
         raise ConfigError("give either --a-integral or --density-samples-file, "
                           "not both")
     if samples_file:
-        with open(samples_file, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
-        try:
-            samples = [float(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ConfigError("density samples file %s: %s" % (samples_file, exc)) from None
-        if not samples:
-            raise ConfigError("density samples file is empty")
-        a_int = density_integral_from_samples(samples)
+        with open(samples_file, "r", encoding="utf-8") as fh:  # line by line
+            try:
+                a_int = density_integral_from_samples(t for ln in fh for t in ln.split())
+            except ValueError as exc:
+                raise ConfigError("density samples file %s: %s" % (samples_file, exc)) from None
     elif a_int is None:
         raise ConfigError("residue needs --a-integral or --density-samples-file")
     geom, series = _build_series(ns)

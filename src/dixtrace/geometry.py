@@ -18,7 +18,8 @@ Built-in kinds:
   su3        labels (a, b), d = (a+1)(b+1)(a+b+2)/2, D = d^2,
              lambda = (a^2+b^2+ab+3a+3b)/9.
   file:PATH  arbitrary spectrum from a text file, one `label d D lambda`
-             record per line.
+             record per line; D is a multiple of d and k = d, so the
+             block is held D/d times and a mask leaves it whole.
 
 enumerate_dual, counting_function and radial_shells read each kind's
 formulas from one place (_RankOne, and the row rules _Torus2 and _SU3 for
@@ -142,21 +143,19 @@ class Geometry:
             p, r = (float(weight_cutoff) ** self.nu).as_integer_ratio()
         return _den(self) * (p - r) // r
 
-    def block_rule(self, picture: str) -> tuple[bool, bool]:
-        """Mask and multiplicity of symbol blocks: (masked, lifted).
+    def block_rule(self, picture: str) -> bool:
+        """Whether symbol blocks are masked to their top-left k x k corners
+        (k = class_one_dim): in the homogeneous picture, and always on
+        spheres.  Any picture but manifold, group and homogeneous raises
+        ConfigError.
 
-        masked: blocks are their top-left class_one_dim corners, in the
-        homogeneous picture and always on spheres.  lifted: the operator
-        holds rep_dim copies of each block (the Peter-Weyl lift on
-        tori, groups and spheres); a file spectrum holds each block once.
-        On every lifted kind rep_dim * class_one_dim == eigenspace_dim, so
-        a masked scalar f contributes D |f| per point.  Any picture but
-        manifold, group and homogeneous raises ConfigError.
+        Every kind holds a point's block D // k times (D = eigenspace_dim):
+        rep_dim on built-ins, where d k = D (the Peter-Weyl lift), and D/d
+        on files, where k = d.  So a masked scalar f weighs D |f| per point.
         """
         if picture not in ("manifold", "group", "homogeneous"):
             raise ConfigError("unknown picture %r" % (picture,))
-        masked = picture == "homogeneous" or self.kind == "sphere"
-        return masked, self.kind != "file"
+        return picture == "homogeneous" or self.kind == "sphere"
 
     def describe(self) -> str:
         if self.kind == "torus":
@@ -448,7 +447,7 @@ def _enumerate_torus(geom: Geometry, cap: int) -> Iterator[DualPoint]:
     if count_bound > _MAX_MATERIALIZED_POINTS:
         raise SizeError(
             "torus:%d enumeration at this cutoff would materialize ~%d points "
-            "(cap %d); use the radial summation path instead"
+            "(cap %d); lower the cutoff"
             % (n, count_bound, _MAX_MATERIALIZED_POINTS))
     # the ball, not the cube: extend each row (k_1..k_i, q) by every k_{i+1}
     # with q + k_{i+1}^2 <= cap, one axis at a time
@@ -569,7 +568,9 @@ def _check_rows_read(path: str, rows: int) -> None:
 
 def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
     """Read `label d D lambda` records, sorted by (lambda, label); more than
-    _MAX_MATERIALIZED_POINTS records raise SizeError while the file is read."""
+    _MAX_MATERIALIZED_POINTS records raise SizeError while the file is read.
+    With no class-one data, k = d (the mask is the identity) and the block
+    is held D/d times, so a D that d does not divide is refused."""
     rows = []
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -595,13 +596,16 @@ def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
             if d < 1 or dd < 1:
                 raise SpectrumFormatError(
                     "%s:%d: dimensions must be positive" % (path, lineno))
+            if dd % d:
+                raise SpectrumFormatError(
+                    "%s:%d: D = %d is not a multiple of d = %d" % (path, lineno, dd, d))
             if not math.isfinite(lam) or lam < 0:
                 raise SpectrumFormatError(
                     "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
             w = (1.0 + lam) ** (1.0 / nu)
             _check_rows_read(path, len(rows) + 1)
             rows.append(DualPoint(label=(label,), rep_dim=d, eigenspace_dim=dd,
-                                  class_one_dim=1, eigenvalue=lam, weight=w))
+                                  class_one_dim=d, eigenvalue=lam, weight=w))
     rows.sort(key=lambda p: (p.eigenvalue, p.label))
     return rows
 

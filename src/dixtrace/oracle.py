@@ -30,9 +30,10 @@ ORACLE_TOL = 1e-9  # max abs and relative sum difference that still match
 class TruncatedOperator:
     """Block-diagonal truncation: one (label, block, multiplicity) per point.
 
-    Blocks are as eval_symbol returns them, diagonals 1-d.  Masked blocks
-    are their k x k class-one corners, so total_dim, the sum of mult * block
-    size, is the eigenvalue count on every built-in kind.
+    Blocks are as eval_symbol returns them, diagonals 1-d, each held D/k
+    times (Geometry.block_rule).  Masked blocks are their k x k class-one
+    corners, so total_dim, the sum of mult * block size, is the eigenvalue
+    count on every kind.
     """
 
     blocks: list
@@ -46,21 +47,16 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
                       picture: str | None = None) -> TruncatedOperator:
     """Materialize all symbol blocks with weight <= cutoff.
 
-    The eigenvalue count, the total dimension on built-in kinds, is checked
+    The eigenvalue count, the total dimension on every kind, is checked
     against cap first, so an oversized request fails fast with the cap it
-    needs.  A file spectrum holds each block once whatever its D, so there
-    the sum of d is checked too, before any block is built.
+    needs, before any block is built.
     """
     if picture is None:
         picture = default_picture(geom)
-    masked, lifted = geom.block_rule(picture)
     _check_cap(counting_function(geom, cutoff), cutoff, cap)
-    points = list(enumerate_dual(geom, cutoff))
-    if not lifted:
-        _check_cap(sum(p.rep_dim for p in points), cutoff, cap)
-    spec = ClassOneMask(spec) if masked else spec
-    blocks = [(label_text(p), eval_symbol(spec, p, geom), p.rep_dim if lifted else 1)
-              for p in points]
+    spec = ClassOneMask(spec) if geom.block_rule(picture) else spec
+    blocks = [(label_text(p), eval_symbol(spec, p, geom), p.eigenspace_dim // p.class_one_dim)
+              for p in enumerate_dual(geom, cutoff)]
     return TruncatedOperator(blocks=blocks,
                              total_dim=sum(mult * len(m) for _, m, mult in blocks),
                              geometry=geom, picture=picture)

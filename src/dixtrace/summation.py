@@ -7,12 +7,13 @@ weight <= N_k, and the eigenvalue counts at the same cutoffs.
 Two evaluation strategies produce series:
 
   * a radial bulk path for specs built from radial scalars, Scaled,
-    SymbolSum and (on lifted kinds, all but file:) ClassOneMask, streaming
-    (eigenvalue, total multiplicity) shell chunks from the geometry and
-    evaluating the scalar vectorized;
-  * a per-point object path for everything else (tables, masks on file
-    spectra), wrapping the spec in ClassOneMask where the picture masks
-    blocks and evaluating one symbol block per point, in order.
+    SymbolSum and ClassOneMask, streaming (eigenvalue, total
+    multiplicity) shell chunks from the geometry and evaluating the
+    scalar vectorized;
+  * a per-point object path for everything else (tables), wrapping the
+    spec in ClassOneMask where the picture masks blocks and evaluating
+    one symbol block per point, in order, held D/k times on every kind
+    (Geometry.block_rule), so a scalar weighs D |f| on either path.
 
 Both share one accumulation contract so results are reproducible bit for
 bit: pairwise sums of chunk prefixes, with one chunk length.  Terms come
@@ -257,21 +258,21 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
     """Partial sums of nuclear traces of the symbol over the dual.
 
     grid is an increasing array of weight cutoffs (see dyadic_grid).  The
-    picture picks the block rule, mask and multiplicity
-    (Geometry.block_rule, which refuses any picture but manifold, group and
-    homogeneous); whatever the picture, the series carries geom.dim.
+    picture picks the mask (Geometry.block_rule, which refuses any
+    picture but manifold, group and homogeneous); whatever the picture,
+    each block is held D/k times and the series carries geom.dim.
     """
     grid = check_grid(grid)
     if picture is None:
         picture = default_picture(geom)
-    masked, lifted = geom.block_rule(picture)
+    masked = geom.block_rule(picture)
     thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
     n_max = float(grid[-1])
-    if is_radial_scalar(spec, lifted):
+    if is_radial_scalar(spec):
         chunks = _radial_chunks(geom, spec, n_max)
     else:
         spec = ClassOneMask(spec) if masked else spec
-        chunks = _point_chunks(geom, spec, n_max, lifted)
+        chunks = _point_chunks(geom, spec, n_max)
     sums, counts = _stream_snapshots(chunks, thresholds)
     return PartialSumSeries(grid.copy(), sums, counts, dim=geom.dim, picture=picture)
 
@@ -286,13 +287,12 @@ def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[t
         yield lam, f, dsum
 
 
-def _point_chunks(geom: Geometry, spec: SymbolSpec, n_max: float,
-                  lifted: bool) -> Iterator[np.ndarray]:
-    """Per-point (lambda, mult * Tr|sigma|, D) rows in enumerate_dual's
+def _point_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[np.ndarray]:
+    """Per-point (lambda, D/k * Tr|sigma|, D) rows in enumerate_dual's
     order, geometry._CHUNK points per chunk; a tie may straddle two chunks."""
     def row(p):
         t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=label_text(p))
-        return p.eigenvalue, p.rep_dim * t if lifted else t, p.eigenspace_dim
+        return p.eigenvalue, p.eigenspace_dim // p.class_one_dim * t, p.eigenspace_dim
     return _row_chunks(map(row, enumerate_dual(geom, n_max)), 3)
 
 

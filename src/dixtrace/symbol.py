@@ -19,10 +19,11 @@ Each evaluates at a dual point to a plain numpy array: a diagonal block is
 dense d x d block 2-d (matrix: tables, sums mixing one with a diagonal).
 ClassOneMask(inner), wherever the geometry's block rule masks the picture,
 is the top-left k x k class-one corner, where homogeneous-space symbols
-live; it passes k down, so each leaf builds only its corner.  On lifted
-duals d k = D, so specs built from radial scalars, Scaled, SymbolSum and
-ClassOneMask stream by shell there (is_radial_scalar(spec, lifted=True)).
-No block of more than MAX_BLOCK_ENTRIES entries is allocated.
+live; it passes k down, so each leaf builds only its corner.  A block is
+held D/k times on every dual, so a masked scalar weighs D |f| like a bare
+one, and specs built from radial scalars, Scaled, SymbolSum and
+ClassOneMask stream by shell (is_radial_scalar).  No block of more than
+MAX_BLOCK_ENTRIES entries is allocated.
 
 Nuclear traces are sums of singular values: the modulus of a diagonal
 (np.hypot of its real and imaginary parts), else a Hermitian eigenvalue
@@ -160,17 +161,15 @@ def parse_symbol(text: str) -> SymbolSpec:
     raise ConfigError("unknown symbol spec %r" % (text,))
 
 
-def is_radial_scalar(spec: SymbolSpec, lifted: bool = False) -> bool:
-    """True when the spec is a scalar function of the eigenvalue alone; with
-    lifted=True masks count too, as d k = D keeps D |f| per point there."""
+def is_radial_scalar(spec: SymbolSpec) -> bool:
+    """True when the spec is a scalar function of the eigenvalue alone,
+    masks included: a masked scalar f still weighs D |f| per point."""
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
         return True
-    if isinstance(spec, Scaled):
-        return is_radial_scalar(spec.inner, lifted)
-    if isinstance(spec, ClassOneMask):
-        return lifted and is_radial_scalar(spec.inner, lifted)
+    if isinstance(spec, (Scaled, ClassOneMask)):
+        return is_radial_scalar(spec.inner)
     if isinstance(spec, SymbolSum):
-        return all(is_radial_scalar(p, lifted) for p in spec.parts)
+        return all(is_radial_scalar(p) for p in spec.parts)
     return False
 
 

@@ -16,10 +16,11 @@ the extrapolated value is below VANISHING_REL times the largest f_k
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -186,12 +187,16 @@ def torus_density_integral(a: Callable, samples_per_dim: int, ndim: int = 1) -> 
     return math.fsum(vals) / len(vals)
 
 
-def density_integral_from_samples(values: Sequence[float]) -> float:
-    """Rectangle rule from user-tabulated density samples on a uniform grid."""
-    vals = [float(v) for v in values]
-    if not vals:
+def density_integral_from_samples(values: Iterable[float]) -> float:
+    """Rectangle rule from user-tabulated density samples on a uniform grid:
+    their mean, folded in one pass, so an iterator (a file read line by
+    line) is read in constant memory."""
+    seen = itertools.count()  # zip draws a value first, so it counts values
+    total = math.fsum(float(v) for v, _ in zip(values, seen))
+    n = next(seen)
+    if not n:
         raise ConfigError("no density samples given")
-    return math.fsum(vals) / len(vals)
+    return total / n
 
 
 @dataclass

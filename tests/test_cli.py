@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_residue_from_samples_file(tmp_path, capsys):
     doc = json.loads(Path(out_json).read_text())
     assert doc["a_integral"] == pytest.approx(1.0)
     assert doc["estimate"]["value"] == pytest.approx(2.0, rel=0.02)
+
+
+def test_density_samples_file_is_read_in_constant_memory(tmp_path, capsys):
+    # 1e6 samples, one per line: the mean is folded while the file is read
+    samples = tmp_path / "dens.txt"
+    values = [0.25, 1.5, 0.125, 2.0]
+    samples.write_text("".join("%r\n" % v for v in values) * 250_000)
+    out_json = tmp_path / "res.json"
+    tracemalloc.start()
+    try:
+        code = run("residue", "--geometry", "torus:1", "--symbol", "bessel:1:2",
+                   "--nmax", "64", "--density-samples-file", str(samples),
+                   "--out-json", str(out_json))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    assert peak < 2 ** 20
+    assert json.loads(out_json.read_text())["a_integral"] == math.fsum(values) / 4
 
 
 def test_residue_requires_exactly_one_density_source(tmp_path, capsys):
@@ -245,9 +266,19 @@ def test_s0_check_refuses_a_bad_grid(capsys, s_grid, message):
     assert captured.err.startswith("error: %s" % message)
 
 
+def test_torus_ball_guard_says_to_lower_the_cutoff(capsys):
+    # torus:3 streams its enumerated points already; past the point cap the
+    # only way on is a lower cutoff
+    code = run("trace", "--geometry", "torus:3", "--symbol", "radial:3", "--nmax", "300")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "(cap 50000000); lower the cutoff" in err
+    assert "radial summation path" not in err
+
+
 def test_oversized_block_exits_one(tmp_path, capsys):
-    # file spectra keep masks per point; a mask of the d = 10**6 label is
-    # its 1 x 1 corner, built alone, so the run succeeds
+    # a mask of a scalar streams on file spectra too, so the d = 10**6
+    # label builds no block and the run succeeds
     spec = tmp_path / "spec.txt"
     spec.write_text("a 3 3 0.0\nhuge 1000000 1000000 2.0\n")
     code = run("trace", "--geometry", "file:%s" % spec, "--dim", "1",
@@ -256,7 +287,7 @@ def test_oversized_block_exits_one(tmp_path, capsys):
     capsys.readouterr()
     # the oracle densifies a d = 3000 diagonal for LAPACK: 3000 x 3000 is
     # above the block cap, refused before it is allocated
-    spec.write_text("big 3000 1 2.0\n")
+    spec.write_text("big 3000 3000 2.0\n")
     code = run("oracle-check", "--geometry", "file:%s" % spec, "--symbol", "radial:3",
                "--cutoff", "10", "--cap", "5000")
     assert code == 1

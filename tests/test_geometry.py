@@ -149,17 +149,20 @@ def test_radial_shells_total_matches_count():
 
 
 def test_block_rule_lift_identity(tmp_path):
-    # the streamed class-one path relies on d * k == D on every lifted kind
+    # a block is held D // k times on every kind; on built-ins d * k == D,
+    # so that is rep_dim, and a file record has k = d
     for geom in ALL_GEOMS:
-        masked, lifted = geom.block_rule("group")
-        assert lifted and masked == (geom.kind == "sphere")
-        assert geom.block_rule("homogeneous")[0]
+        assert geom.block_rule("group") == (geom.kind == "sphere")
+        assert geom.block_rule("homogeneous")
         cutoff = 30.0 if geom.kind != "su3" else 10.0
         for p in enumerate_dual(geom, cutoff):
             assert p.rep_dim * p.class_one_dim == p.eigenspace_dim
     path = tmp_path / "spec.txt"
     path.write_text("a 2 4 1.0\n")
-    assert Geometry.from_file(str(path)).block_rule("manifold") == (False, False)
+    fg = Geometry.from_file(str(path))
+    assert fg.block_rule("manifold") is False and fg.block_rule("homogeneous") is True
+    (p,) = enumerate_dual(fg, 10.0)
+    assert (p.rep_dim, p.class_one_dim, p.eigenspace_dim // p.class_one_dim) == (2, 2, 2)
 
 
 def test_parse_geometry_forms():
@@ -404,6 +407,11 @@ def test_spectrum_file_errors(tmp_path):
     neg.write_text("lbl -2 4 1.0\n")
     with pytest.raises(SpectrumFormatError):
         load_spectrum_file(str(neg))
+    # a block is held D/d times, so D must be a multiple of d
+    odd = tmp_path / "odd.txt"
+    odd.write_text("# label d D lambda\nb 1 1 0.0\na 2 3 1.0\n")
+    with pytest.raises(SpectrumFormatError, match=r"odd\.txt:3: D = 3 is not a multiple of d = 2"):
+        load_spectrum_file(str(odd))
 
 
 def test_spectrum_file_refuses_rows_past_the_cap(tmp_path, monkeypatch):

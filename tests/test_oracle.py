@@ -43,11 +43,11 @@ def test_truncation_cap_reports_requirement(monkeypatch):
 
 
 def test_file_blocks_are_bounded_by_their_size(tmp_path, monkeypatch):
-    # a file spectrum holds each block once and its D says nothing of d:
-    # one eigenvalue with a 100000 x 100000 block is refused by the sum of
-    # d before any block is evaluated
+    # a file block is held D/d times, so the eigenvalue count bounds the
+    # sum of d: one eigenspace with a 100000 x 100000 block is refused by
+    # the count before any block is evaluated
     path = tmp_path / "spec.txt"
-    path.write_text("huge 100000 1 2.0\n")
+    path.write_text("huge 100000 100000 2.0\n")
 
     monkeypatch.setattr("dixtrace.oracle.eval_symbol", _no_blocks)
     with pytest.raises(SizeError, match="cap >= 100000"):
@@ -55,12 +55,18 @@ def test_file_blocks_are_bounded_by_their_size(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["torus:1", "torus:2", "torus:3", "su2", "so3", "su3",
-                                  "sphere:2", "sphere:3", "sphere:4"])
+                                  "sphere:2", "sphere:3", "sphere:4", "file"])
 @pytest.mark.parametrize("picture", [None, "manifold", "group", "homogeneous"])
-def test_total_dim_is_the_eigenvalue_count(name, picture):
+def test_total_dim_is_the_eigenvalue_count(tmp_path, name, picture):
     # with masked blocks cut to their class-one corners, mult x block size
-    # is D on every built-in kind, whatever the picture and spec shape
-    g = parse_geometry(name)
+    # is D on every kind, whatever the picture and spec shape; the file
+    # mixes records held once (D = d) with a group's d copies (D = d^2)
+    if name == "file":
+        path = tmp_path / "spec.txt"
+        path.write_text("a 1 1 0.0\nb 3 3 2.0\nc 2 4 3.0\nd 3 9 3.0\ne 4 8 5.0\n")
+        g = Geometry.from_file(str(path))
+    else:
+        g = parse_geometry(name)
     cutoff = 2.0 if name == "su3" else 6.0  # 2686 and at most 895 eigenvalues
     f = parse_symbol("radial:3")
     for spec in (f, ClassOneMask(f), SymbolSum([ClassOneMask(f), Scaled(2.0, f)])):

@@ -347,14 +347,12 @@ def test_block_path_agrees_with_radial_path(tmp_path):
     ("sphere:4", 30.0), ("torus:1", 1e4), ("torus:2", 60.0), ("file", 30.0)])
 def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
     # specs built from radial scalars, scaled:, sums and mask: stream by
-    # shell on lifted kinds; the same spec over diag: tables holding the
-    # same scalars runs per point.  The fold sees different terms (one per
-    # shell, 2**14 shells or q values per chunk, vs one per point, 2**14
-    # points per chunk), so sums agree to rounding and counts exactly.  On a file spectrum both sides of a mask
-    # run per point, with weight 1 per point rather than D.  A bare table on
-    # a sphere takes the mask its picture implies (a bare scalar on a file
-    # spectrum streams with weight D, which its table does not match, so it
-    # is left out).
+    # shell on every kind; the same spec over diag: tables holding the
+    # same scalars runs per point, each block held D/k times.  The fold
+    # sees different terms (one per shell, 2**14 shells or q values per
+    # chunk, vs one per point, 2**14 points per chunk), so sums agree to
+    # rounding and counts exactly.  A bare table on a sphere takes the mask
+    # its picture implies.
     if name == "file":
         path = str(tmp_path / "su2-spec.txt")  # d = n + 1, D = d^2
         save_spectrum_file(enumerate_dual(Geometry.su2(), cutoff), path)
@@ -365,20 +363,39 @@ def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
     tables = (diag_table(tmp_path / "f.txt", g, cutoff, f),
               diag_table(tmp_path / "h.txt", g, cutoff, h))
     grid = dyadic_grid(cutoff, 4)
-    lifted = g.block_rule(default_picture(g))[1]
     shapes = [lambda f, h: ClassOneMask(f),
               lambda f, h: Scaled(2.0, ClassOneMask(f)),
-              lambda f, h: SymbolSum([ClassOneMask(f), h])]
-    if lifted:
-        shapes.append(lambda f, h: f)
+              lambda f, h: SymbolSum([ClassOneMask(f), h]),
+              lambda f, h: f]
     for build in shapes:
         spec = build(f, h)
-        assert is_radial_scalar(spec, lifted) == lifted
+        assert is_radial_scalar(spec)
         streamed = partial_sums(g, spec, grid)
         per_point = partial_sums(g, build(*tables), grid)
         np.testing.assert_allclose(streamed.sums, per_point.sums, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(streamed.counts, per_point.counts)
         assert streamed.sums[-1] > 0
+
+
+@pytest.mark.parametrize("name, cutoff", [
+    ("su2", 30.0), ("so3", 30.0), ("su3", 6.0), ("torus:1", 1000.0), ("torus:2", 40.0)])
+def test_file_spectrum_of_a_kind_gives_its_sums(tmp_path, name, cutoff):
+    # a kind saved as a file spectrum holds each block D/d times, as the
+    # kind holds it rep_dim times: a radial scalar and the diag: table of
+    # its values give the kind's own sums on either spelling
+    g = parse_geometry(name)
+    path = str(tmp_path / "spec.txt")
+    save_spectrum_file(enumerate_dual(g, cutoff), path)
+    fg = Geometry.from_file(path, dim=g.dim)
+    f = RadialWeight(3.0)
+    table = diag_table(tmp_path / "f.txt", g, cutoff, f)
+    grid = dyadic_grid(cutoff, 4)
+    own = partial_sums(g, f, grid)
+    for geom, spec in ((g, table), (fg, f), (fg, table)):
+        series = partial_sums(geom, spec, grid)
+        np.testing.assert_allclose(series.sums, own.sums, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(series.counts, own.counts)
+    assert own.counts[-1] == counting_function(g, cutoff)
 
 
 def test_masked_table_past_d_2048_runs_in_flat_memory(tmp_path):

@@ -219,9 +219,10 @@ def test_block_size_guard_before_allocation(tmp_path):
         m, peak = _traced(lambda: eval_symbol(spec, big, g))
         assert m.shape == (size,) and peak < 20 * 2 ** 20
     # a diagonal of d = 10**8 (1.6 GB) in a sum with its own corner, on a
-    # file record: refused before it is allocated
+    # file record, where the corner is the whole block: refused before it
+    # is allocated
     path = tmp_path / "spec.txt"
-    path.write_text("huge 100000000 1 2.0\n")
+    path.write_text("huge 100000000 100000000 2.0\n")
     fg = Geometry.from_file(str(path))
     (huge,) = enumerate_dual(fg, 10.0)
     err, peak = _traced(lambda: eval_symbol(SymbolSum([ClassOneMask(f), f]), huge, fg))
@@ -281,10 +282,10 @@ def test_sum_and_scale_compose():
     want = 2.0 * (1 + lam) ** -0.5 + (1 + lam) ** -1.5
     np.testing.assert_allclose(got, want, rtol=1e-15)
     assert is_radial_scalar(spec)
-    assert not is_radial_scalar(ClassOneMask(spec))
-    # on lifted kinds a mask streams, and its scalar looks through it
-    assert is_radial_scalar(SymbolSum([Scaled(2.0, ClassOneMask(spec)), spec]), lifted=True)
-    assert not is_radial_scalar(ClassOneMask(DiagonalTable("t", entries={})), lifted=True)
+    assert is_radial_scalar(ClassOneMask(spec))
+    # a mask streams on every kind, and its scalar looks through it
+    assert is_radial_scalar(SymbolSum([Scaled(2.0, ClassOneMask(spec)), spec]))
+    assert not is_radial_scalar(ClassOneMask(DiagonalTable("t", entries={})))
     np.testing.assert_array_equal(scalar_values(ClassOneMask(spec), lam, g), got)
 
 
