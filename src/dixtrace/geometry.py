@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import chain, islice, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,6 +59,10 @@ _MAX_LATTICE_LABELS = 1 << 27
 # chunk pairwise, so its length is picked for speed alone: 2^14 float64
 # values (128 kB) stay in cache, and longer chunks spill out of it.
 _CHUNK = 1 << 14
+# Dual points built per batch by enumerate_dual: a batch's objects, about
+# 250 bytes a point, stay near 256 kB, and numpy's per-call cost is spread
+# over a thousand points.
+_BATCH = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -202,8 +208,7 @@ def parse_geometry(text: str, dim: int = 1, nu: float = 2.0) -> Geometry:
     raise ConfigError("unsupported geometry kind: %r" % (text,))
 
 
-@dataclass(frozen=True)
-class DualPoint:
+class DualPoint(NamedTuple):
     """One point of the dual: label, block size d, counting weight D,
     class-one dimension k, eigenvalue and weight."""
 
@@ -215,10 +220,21 @@ class DualPoint:
     weight: float
 
 
-def _mk_point(geom: Geometry, label, d: int, D: int, k: int, lam: float) -> DualPoint:
-    w = (1.0 + lam) ** (1.0 / geom.nu)
-    return DualPoint(label=label, rep_dim=d, eigenspace_dim=D, class_one_dim=k,
-                     eigenvalue=lam, weight=w)
+# a DualPoint from one 6-tuple, skipping NamedTuple's Python-level __new__
+_new_point = partial(tuple.__new__, DualPoint)
+
+
+def _points(geom: Geometry, labels, d, dd, k, lam) -> list[DualPoint]:
+    """The DualPoints of one batch, zipped from its column lists: labels,
+    d, D, k (an int column holds that value at every point) and lambda.
+
+    The weight is (1 + lambda)^(1/nu) as a Python float power, point by
+    point: numpy's vectorised power differs from it in the last ulp on a
+    share of inputs that depends on the exponent and the CPU.
+    """
+    e = 1.0 / geom.nu
+    d, dd, k = (repeat(c) if isinstance(c, int) else c for c in (d, dd, k))
+    return list(map(_new_point, zip(labels, d, dd, k, lam, [(1.0 + x) ** e for x in lam])))
 
 
 def sphere_harmonic_dim(n: int, l: int) -> int:
@@ -409,39 +425,51 @@ def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
     """Yield every dual point with weight <= weight_cutoff.
 
     Points come out sorted by (eigenvalue, label); within an eigenvalue the
-    label order is lexicographic.  This is the canonical enumeration order
-    all summation paths share.
+    label order is lexicographic (by label text on file spectra).  This is
+    the canonical enumeration order all summation paths share.
     """
+    yield from chain.from_iterable(_point_batches(geom, weight_cutoff))
+
+
+def _point_batches(geom: Geometry, weight_cutoff: float) -> Iterator[list[DualPoint]]:
+    """enumerate_dual's points as lists of up to _BATCH points, each built
+    from flat columns by _points."""
     if geom.kind == "torus":
-        yield from _enumerate_torus(geom, geom.lattice_cap(weight_cutoff))
+        yield from _torus_batches(geom, geom.lattice_cap(weight_cutoff))
     elif geom.kind == "su3":
         for _, a, b in _window_labels(_SU3, geom.lattice_cap(weight_cutoff)):
             q = _SU3.q(a, b)
             order = np.argsort(q, kind="stable")  # labels come in (a, b) order
-            for ai, bi, qi in zip(a[order].tolist(), b[order].tolist(), q[order].tolist()):
-                d = _SU3.dim(ai, bi)
-                yield _mk_point(geom, (ai, bi), d, d * d, d, qi / _SU3.den)
+            for s in range(0, order.size, _BATCH):
+                rows = order[s:s + _BATCH]
+                d = _SU3.dim(a[rows], b[rows]).tolist()
+                yield _points(geom, list(zip(a[rows].tolist(), b[rows].tolist())), d,
+                              [x * x for x in d], d, (q[rows] / _SU3.den).tolist())
     elif geom.kind == "file":
-        t = geom.lambda_threshold(weight_cutoff)
-        for row in _load_spectrum(geom):
-            if row.eigenvalue <= t:
-                yield row
+        spec = _load_spectrum(geom)
+        n = spec.admitted(geom.lambda_threshold(weight_cutoff))
+        for s in range(0, n, _BATCH):
+            rows = slice(s, min(s + _BATCH, n))
+            d = spec.rep_dim[rows].tolist()
+            yield _points(geom, [(t.decode(),) for t in spec.label[rows].tolist()], d,
+                          spec.eigenspace_dim[rows].tolist(), d, spec.eigenvalue[rows].tolist())
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
-        for l in range(r.label_max(geom.lattice_cap(weight_cutoff)) + 1):
-            lam, d, k = r.point(l)
-            yield _mk_point(geom, (l,), d, d * k, k, lam)
+        lmax = r.label_max(geom.lattice_cap(weight_cutoff))
+        for s in range(0, lmax + 1, _BATCH):
+            ls = range(s, min(s + _BATCH, lmax + 1))
+            lam, d, k = zip(*map(r.point, ls))
+            yield _points(geom, [(l,) for l in ls], d, [x * y for x, y in zip(d, k)], k, lam)
 
 
-def _enumerate_torus(geom: Geometry, cap: int) -> Iterator[DualPoint]:
+def _torus_batches(geom: Geometry, cap: int) -> Iterator[list[DualPoint]]:
     n = geom.rank
     m = math.isqrt(cap)
-    if n == 1:
-        yield _mk_point(geom, (0,), 1, 1, 1, 0.0)
-        for r in range(1, m + 1):
-            lam = float(r * r)
-            yield _mk_point(geom, (-r,), 1, 1, 1, lam)
-            yield _mk_point(geom, (r,), 1, 1, 1, lam)
+    if n == 1:  # k = 0, -1, 1, -2, 2, ...
+        for s in range(0, m + 1, _BATCH // 2):
+            ks = [k for r in range(s, min(s + _BATCH // 2, m + 1))
+                  for k in ((-r, r) if r else (0,))]
+            yield _points(geom, [(k,) for k in ks], 1, 1, 1, [float(k * k) for k in ks])
         return
     count_bound = (2 * m + 1) ** n
     if count_bound > _MAX_MATERIALIZED_POINTS:
@@ -460,11 +488,10 @@ def _enumerate_torus(geom: Geometry, cap: int) -> Iterator[DualPoint]:
         cols = [c[rows] for c in cols] + [k]
         q = q[rows] + k * k
     order = np.lexsort(cols[::-1] + [q])
-    for s in range(0, order.size, _CHUNK):  # Python ints, a chunk at a time
-        rows = order[s:s + _CHUNK]
-        labels = zip(*(c[rows].tolist() for c in cols))
-        for label, qi in zip(labels, q[rows].tolist()):
-            yield _mk_point(geom, label, 1, 1, 1, float(qi))
+    for s in range(0, order.size, _BATCH):
+        rows = order[s:s + _BATCH]
+        yield _points(geom, list(zip(*(c[rows].tolist() for c in cols))), 1, 1, 1,
+                      q[rows].astype(np.float64).tolist())
 
 
 def counting_function(geom: Geometry, weight_cutoff: float) -> int:
@@ -475,7 +502,9 @@ def counting_function(geom: Geometry, weight_cutoff: float) -> int:
     exactly (lattice_cap), file spectra through their float64 threshold.
     """
     if geom.kind == "file":
-        return sum(p.eigenspace_dim for p in enumerate_dual(geom, weight_cutoff))
+        spec = _load_spectrum(geom)
+        n = spec.admitted(geom.lambda_threshold(weight_cutoff))
+        return sum(spec.eigenspace_dim[:n].tolist())
     cap = geom.lattice_cap(weight_cutoff)
     if geom.kind == "torus":
         return _count_torus(geom.rank, cap)
@@ -499,10 +528,10 @@ def _count_torus(n: int, cap: int) -> int:
 # This is the bulk interface the summation engine consumes for scalar radial
 # symbols.  torus:1 and the rank-one kinds hand out _CHUNK shells per chunk
 # from the first one on; torus:2 and su3 hand out the occupied shells of
-# one window of _CHUNK values of q = den * lambda per chunk; higher tori and
-# file spectra hand out _CHUNK enumerated points per chunk, one entry per
-# point, so an eigenvalue repeats and may straddle two chunks (the fold
-# reads ties whole).  Chunk boundaries are fixed functions of the geometry,
+# one window of _CHUNK values of q = den * lambda per chunk; higher tori
+# hand out _CHUNK enumerated points per chunk and file spectra _CHUNK rows
+# of their sorted columns, one entry per point, so an eigenvalue repeats
+# and may straddle two chunks (the fold reads ties whole).  Chunk boundaries are fixed functions of the geometry,
 # so repeated runs and longer cutoffs reproduce sums bit-for-bit.
 # ---------------------------------------------------------------------------
 
@@ -527,10 +556,15 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
             yield r * r, dsum
     elif rows is not None:
         yield from _window_shells(rows, geom.lattice_cap(weight_cutoff))
-    elif geom.kind in ("torus", "file"):
-        # torus rank >= 3 and file spectra: the enumerated points
+    elif geom.kind == "file":  # slices of the sorted columns
+        spec = _load_spectrum(geom)
+        n = spec.admitted(geom.lambda_threshold(weight_cutoff))
+        for a in range(0, n, _CHUNK):
+            b = min(a + _CHUNK, n)
+            yield spec.eigenvalue[a:b], spec.eigenspace_dim[a:b].astype(np.float64)
+    elif geom.kind == "torus":  # rank >= 3: the enumerated points
         points = enumerate_dual(geom, weight_cutoff)
-        yield from _row_chunks(((p.eigenvalue, p.eigenspace_dim) for p in points), 2)
+        yield from _row_chunks(map(itemgetter(4, 2), points), 2)  # (lambda, D)
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
         lmax = r.label_max(geom.lattice_cap(weight_cutoff))
@@ -544,18 +578,37 @@ def _row_chunks(rows: Iterable[tuple], width: int) -> Iterator[np.ndarray]:
     come, n = _CHUNK in all but the last, so boundaries depend on the row
     index alone."""
     rows = iter(rows)
-    while (a := np.fromiter(islice(rows, _CHUNK), (np.float64, width))).size:
-        yield a.T.copy()
+    while (a := np.fromiter(chain.from_iterable(islice(rows, _CHUNK)), np.float64)).size:
+        yield a.reshape(-1, width).T.copy()
 
 
 # ---------------------------------------------------------------------------
 # Spectrum files
 # ---------------------------------------------------------------------------
 
-def _load_spectrum(geom: Geometry) -> list[DualPoint]:
+@dataclass(frozen=True)
+class SpectrumColumns:
+    """A spectrum file as flat columns, rows sorted by (lambda, label text):
+    label is the UTF-8 label text as a numpy bytes array, rep_dim and
+    eigenspace_dim are int64 and eigenvalue is float64."""
+
+    label: np.ndarray
+    rep_dim: np.ndarray
+    eigenspace_dim: np.ndarray
+    eigenvalue: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.eigenvalue)
+
+    def admitted(self, threshold: float) -> int:
+        """Number of rows with lambda <= threshold, which lead the columns."""
+        return int(np.searchsorted(self.eigenvalue, threshold, side="right"))
+
+
+def _load_spectrum(geom: Geometry) -> SpectrumColumns:
     if geom.path is None:
         raise ConfigError("file geometry has no path")
-    return load_spectrum_file(geom.path, nu=geom.nu)
+    return load_spectrum_file(geom.path)
 
 
 def _check_rows_read(path: str, rows: int) -> None:
@@ -566,48 +619,158 @@ def _check_rows_read(path: str, rows: int) -> None:
                         "at once" % (path, _MAX_MATERIALIZED_POINTS))
 
 
-def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
-    """Read `label d D lambda` records, sorted by (lambda, label); more than
-    _MAX_MATERIALIZED_POINTS records raise SizeError while the file is read.
-    With no class-one data, k = d (the mask is the identity) and the block
-    is held D/d times, so a D that d does not divide is refused."""
-    rows = []
+def load_spectrum_file(path: str) -> SpectrumColumns:
+    """Read `label d D lambda` records into flat columns, sorted once by
+    (lambda, label text); more than _MAX_MATERIALIZED_POINTS records raise
+    SizeError while the file is read.  With no class-one data, k = d (the
+    mask is the identity) and the block is held D/d times, so a D that d
+    does not divide is refused, and so is a D of 2**63 or more.
+
+    The file is read in blocks of whole lines, each parsed a column at a
+    time where it can be (_parse_block), else line by line (_parse_lines);
+    either way a field means what int() or float() makes of it.  Only the
+    columns outlive a block: 24 bytes a row plus the label text, held at
+    the width of the longest label.
+    """
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError("cannot read spectrum file %s: %s" % (path, exc)) from None
+    parts = [[empty] for empty in _parse_lines(path, 0, [], 0)]  # per column, per block
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise SpectrumFormatError(
-                    "%s:%d: expected `label d D lambda`, got %r" % (path, lineno, raw.rstrip()))
-            label, d_s, dd_s, lam_s = parts
-            try:
-                d = int(d_s)
-                dd = int(dd_s)
-                lam = float(lam_s)
-            except ValueError:
-                raise SpectrumFormatError(
-                    "%s:%d: non-numeric field in %r" % (path, lineno, raw.rstrip())) from None
-            if d < 1 or dd < 1:
-                raise SpectrumFormatError(
-                    "%s:%d: dimensions must be positive" % (path, lineno))
-            if dd % d:
-                raise SpectrumFormatError(
-                    "%s:%d: D = %d is not a multiple of d = %d" % (path, lineno, dd, d))
-            if not math.isfinite(lam) or lam < 0:
-                raise SpectrumFormatError(
-                    "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
-            w = (1.0 + lam) ** (1.0 / nu)
-            _check_rows_read(path, len(rows) + 1)
-            rows.append(DualPoint(label=(label,), rep_dim=d, eigenspace_dim=dd,
-                                  class_one_dim=d, eigenvalue=lam, weight=w))
-    rows.sort(key=lambda p: (p.eigenvalue, p.label))
-    return rows
+        lineno = held = 0
+        for block in _text_blocks(fh):
+            cols = _parse_block(block)
+            if cols is None or held + len(cols[3]) > _MAX_MATERIALIZED_POINTS:
+                cols = _parse_lines(path, lineno, block.split("\n"), held)
+            lineno += block.count("\n")
+            held += len(cols[3])
+            for part, col in zip(parts, cols):
+                part.append(col)
+    columns = []
+    while parts:  # one column's blocks joined at a time
+        columns.append(np.concatenate(parts.pop(0)))
+    order = np.lexsort((columns[0], columns[3]))
+    for i, col in enumerate(columns):  # and sorted one at a time
+        columns[i] = col[order]
+    return SpectrumColumns(*columns)
+
+
+def _text_blocks(fh, size: int = 1 << 16) -> Iterator[str]:
+    """The text of fh in blocks of whole lines, about size characters each."""
+    carry = ""
+    while chunk := fh.read(size):
+        block = carry + chunk
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield block[:cut]
+        carry = block[cut:]
+    if carry:
+        yield carry
+
+
+# The ASCII characters str.split() and str.strip() take for whitespace.
+_WHITESPACE = np.zeros(256, dtype=bool)
+_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+
+def _parse_block(text: str):
+    """(label, d, D, lambda) arrays of a block of spectrum file lines, parsed
+    a column at a time, or None if a line needs _parse_lines: text that is
+    not ASCII or holds NUL, a record of other than four fields, a d or D
+    that is not a plain run of at most 18 digits, or a value the per-line
+    checks refuse.  lambda is parsed by numpy's bytes-to-float cast, which
+    is float()."""
+    if "#" in text:  # drop comment lines; a '#' inside a label stays
+        text = "\n".join(line for line in text.split("\n")
+                         if not line.lstrip().startswith("#"))
+    if not text.isascii() or "\0" in text:
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    gap = np.concatenate(([True], _WHITESPACE[b], [True]))
+    bounds = np.flatnonzero(gap[1:] != gap[:-1])  # field starts and ends, in turn
+    if bounds.size % 8:
+        return None
+    start, length = bounds[0::2].reshape(-1, 4), (bounds[1::2] - bounds[0::2]).reshape(-1, 4)
+    # a record's first and last field share a line, and the next record's
+    # first field lies on a later line
+    first, last = np.searchsorted(np.flatnonzero(b == 10), start[:, [0, 3]]).T
+    if not (np.all(first == last) and np.all(first[1:] > last[:-1])):
+        return None
+    label, _ = _field_bytes(b, start[:, 0], length[:, 0])
+    dims = []
+    for i in (1, 2):
+        digits, inside = _field_bytes(b, start[:, i], length[:, i])
+        digits -= 48  # a byte outside the field wraps to 208
+        if digits.shape[1] > 18 or not np.all((digits <= 9) | ~inside):
+            return None
+        place = 10 ** np.maximum(length[:, i, None] - 1 - np.arange(digits.shape[1]), 0)
+        dims.append(np.sum(digits * (place * inside), axis=1))
+    d, dd = dims
+    lam, _ = _field_bytes(b, start[:, 3], length[:, 3])
+    try:
+        lam = lam.view("S%d" % lam.shape[1]).ravel().astype(np.float64)
+    except ValueError:
+        return None
+    if (np.all(d >= 1) and np.all(dd >= 1) and np.all(dd % d == 0)
+            and np.all(np.isfinite(lam)) and np.all(lam >= 0)):
+        return label.view("S%d" % label.shape[1]).ravel(), d, dd, lam
+    return None
+
+
+def _field_bytes(b: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple:
+    """(m, w) uint8 bytes of m fields of b, zero past each field's length,
+    w the longest length (at least 1), and the mask of bytes inside."""
+    col = np.arange(max(int(length.max(initial=0)), 1))
+    inside = col < length[:, None]
+    idx = start[:, None] + col
+    np.minimum(idx, len(b) - 1, out=idx)
+    out = b[idx]
+    out *= inside
+    return out, inside
+
+
+def _parse_lines(path: str, lineno: int, lines: list[str], held: int):
+    """(label, d, D, lambda) arrays of spectrum file lines, read one by one
+    after line number lineno and `held` rows: the first refused line
+    raises, naming its line number."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise SpectrumFormatError(
+                "%s:%d: expected `label d D lambda`, got %r" % (path, lineno, raw.rstrip()))
+        label, d_s, dd_s, lam_s = parts
+        try:
+            d = int(d_s)
+            dd = int(dd_s)
+            lam = float(lam_s)
+        except ValueError:
+            raise SpectrumFormatError(
+                "%s:%d: non-numeric field in %r" % (path, lineno, raw.rstrip())) from None
+        if d < 1 or dd < 1:
+            raise SpectrumFormatError(
+                "%s:%d: dimensions must be positive" % (path, lineno))
+        if dd % d:
+            raise SpectrumFormatError(
+                "%s:%d: D = %d is not a multiple of d = %d" % (path, lineno, dd, d))
+        if not math.isfinite(lam) or lam < 0:
+            raise SpectrumFormatError(
+                "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
+        if dd >= 2 ** 63:
+            raise SpectrumFormatError(
+                "%s:%d: D must be below 2**63" % (path, lineno))
+        if "\0" in label:  # numpy bytes would drop a trailing one
+            raise SpectrumFormatError(
+                "%s:%d: label holds a NUL character" % (path, lineno))
+        _check_rows_read(path, held + len(rows) + 1)
+        rows.append((label.encode(), d, dd, lam))
+    label, d, dd, lam = zip(*rows) if rows else ((),) * 4
+    return (np.array(label, dtype=np.bytes_), np.array(d, dtype=np.int64),
+            np.array(dd, dtype=np.int64), np.array(lam, dtype=np.float64))
 
 
 def label_text(point: DualPoint) -> str:

@@ -324,6 +324,24 @@ def test_file_round_trip_gives_identical_sums(tmp_path):
     np.testing.assert_array_equal(direct.counts, back.counts)
 
 
+def test_file_symbol_holds_flat_rows(tmp_path):
+    # four float64 and an index a row; per-row lists of complex peaked at
+    # 185 bytes a row
+    sym = BoundarySymbol.inverse_spectrum(BC, 50_000)
+    path = str(tmp_path / "sym.txt")
+    sym.to_file(path)
+    tracemalloc.start()
+    try:
+        back = BoundarySymbol.from_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == len(sym) == 100_001
+    assert peak <= 92 * len(sym)
+    for a, b in zip(sym.arrays(), back.arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_symbol_validation():
     with pytest.raises(ConfigError):
         BoundarySymbol.from_arrays(np.array([0, 1]), np.array([1.0 + 0j]),

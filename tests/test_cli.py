@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dixtrace import boundary
 from dixtrace.boundary import BoundarySymbol
 from dixtrace.cli import _COMMANDS, _parse, main
 from dixtrace.summation import PartialSumSeries
@@ -406,6 +407,16 @@ def test_parametrix_csv_is_the_inverse_symbol_series(tmp_path, capsys):
     assert run("parametrix", *base, "--out-csv", str(p_csv)) == 0
     assert p_csv.read_bytes() == b_csv.read_bytes()
     assert p_csv.read_text().splitlines()[0] == "cutoff,count,sum,f"
+    capsys.readouterr()
+
+
+def test_parametrix_folds_its_labels_once(tmp_path, monkeypatch, capsys):
+    folds = []
+    index_chunks = boundary._index_chunks
+    monkeypatch.setattr(boundary, "_index_chunks",
+                        lambda *args: folds.append(1) or index_chunks(*args))
+    assert run("parametrix", "--nmax", "1e4", "--out-csv", str(tmp_path / "p.csv")) == 0
+    assert len(folds) == 1
     capsys.readouterr()
 
 

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dixtrace import geometry
+from dixtrace import geometry, summation
 from dixtrace.errors import ConfigError, SizeError, SpectrumFormatError
-from dixtrace.geometry import (Geometry, counting_function, enumerate_dual,
-                               label_text, load_spectrum_file, parse_geometry,
-                               radial_shells, save_spectrum_file,
+from dixtrace.geometry import (_CHUNK, DualPoint, Geometry, counting_function,
+                               enumerate_dual, label_text, load_spectrum_file,
+                               parse_geometry, radial_shells, save_spectrum_file,
                                sphere_harmonic_dim)
-from dixtrace.summation import counting_series
+from dixtrace.summation import counting_series, dyadic_grid, partial_sums
+from dixtrace.symbol import parse_symbol
 
 ALL_GEOMS = [Geometry.torus(1), Geometry.torus(2), Geometry.su2(),
              Geometry.so3(), Geometry.su3(), Geometry.sphere(2),
@@ -430,3 +431,120 @@ def test_file_geometry_sorted_and_labeled(tmp_path):
     pts = list(enumerate_dual(Geometry.from_file(str(path)), 100.0))
     assert [label_text(p) for p in pts] == ["a", "b"]
     assert [p.eigenvalue for p in pts] == [1.0, 4.0]
+
+
+@pytest.mark.parametrize("kind", ["torus:1", "torus:2", "torus:3", "su2", "so3", "su3",
+                                  "sphere:3", "file"])
+def test_point_weights_are_python_float_powers(kind, tmp_path):
+    # numpy's vectorised power differs from Python's ** in the last ulp on
+    # a share of inputs (about 6 % at exponent 1/3), so the file spectrum
+    # at nu = 3 would catch it
+    if kind == "file":
+        lam = np.random.default_rng(5).uniform(0.0, 1e4, 5000)
+        path = tmp_path / "spec.txt"
+        path.write_text("".join("p%d 1 1 %r\n" % (i, x) for i, x in enumerate(lam.tolist())))
+        geom, cutoff = Geometry.from_file(str(path), nu=3.0), 30.0
+    else:
+        geom = parse_geometry(kind)
+        cutoff = {"torus:2": 40.0}.get(kind, SMALL_CUTOFF.get(kind, 3000.0))
+    pts = list(enumerate_dual(geom, cutoff))
+    assert len(pts) > 1000 and all(type(p) is DualPoint for p in pts)
+    assert [p.weight for p in pts] == [(1.0 + p.eigenvalue) ** (1.0 / geom.nu) for p in pts]
+    keys = [(p.eigenvalue, p.label) for p in pts]
+    assert keys == sorted(keys)
+
+
+def _object_reader(path, nu):
+    """A spectrum file as one DualPoint per record, sorted by (lambda,
+    label) with Python's sort: the reference for the column reader."""
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            d, dd, lam = int(parts[1]), int(parts[2]), float(parts[3])
+            rows.append(DualPoint((parts[0],), d, dd, d, lam, (1.0 + lam) ** (1.0 / nu)))
+    rows.sort(key=lambda p: (p.eigenvalue, p.label))
+    return rows
+
+
+def test_file_columns_match_the_object_reader(tmp_path, monkeypatch):
+    # more than two chunks of rows, ties everywhere (one across the first
+    # chunk boundary) and integer labels, whose text order is not numeric
+    rng = np.random.default_rng(17)
+    n = 2 * _CHUNK + 4000
+    labels = rng.permutation(n)
+    d = rng.integers(1, 4, n)
+    lam = rng.integers(0, 200, n) / 3.0
+    path = tmp_path / "spec.txt"
+    path.write_text("# label d D lambda\n" + "".join(
+        "%d %d %d %r\n" % row for row in zip(labels.tolist(), d.tolist(),
+                                            (d * rng.integers(1, 4, n)).tolist(),
+                                            lam.tolist())))
+    table = tmp_path / "table.txt"
+    table.write_text("".join("%d\n%s\n" % (l, " ".join(["%r" % x] * k)) for l, k, x in
+                             zip(labels.tolist(), d.tolist(), rng.normal(size=n).tolist())))
+    geom = Geometry.from_file(str(path), dim=2)
+    ref = _object_reader(path, geom.nu)
+    assert ref[_CHUNK - 1].eigenvalue == ref[_CHUNK].eigenvalue
+    assert any(a.eigenvalue == b.eigenvalue and int(a.label[0]) > int(b.label[0])
+               for a, b in zip(ref, ref[1:]))
+    assert list(enumerate_dual(geom, 10.0)) == ref
+
+    def ref_points(g, cutoff):
+        t = g.lambda_threshold(cutoff)
+        return iter([p for p in ref if p.eigenvalue <= t])
+
+    def ref_shells(g, cutoff):
+        rows = np.array([(p.eigenvalue, p.eigenspace_dim) for p in ref_points(g, cutoff)])
+        for s in range(0, len(rows), _CHUNK):
+            yield rows[s:s + _CHUNK, 0].copy(), rows[s:s + _CHUNK, 1].copy()
+
+    grid = dyadic_grid(10.0, 8)
+    specs = [parse_symbol("radial:1"), parse_symbol("diag:%s" % table)]
+    got = [partial_sums(geom, spec, grid) for spec in specs]
+    monkeypatch.setattr(summation, "radial_shells", ref_shells)
+    monkeypatch.setattr(summation, "enumerate_dual", ref_points)
+    for spec, series in zip(specs, got):
+        want = partial_sums(geom, spec, grid)
+        np.testing.assert_array_equal(series.sums, want.sums)
+        np.testing.assert_array_equal(series.counts, want.counts)
+    assert got[1].counts[-1] == counting_function(geom, 10.0)
+
+
+def test_spectrum_reader_holds_flat_columns(tmp_path):
+    # 24 bytes a row and the label text are held; one DualPoint per
+    # record took 352 bytes a row
+    n = 100_000
+    path = tmp_path / "spec.txt"
+    path.write_text("# label d D lambda\n" + "".join(
+        "%d 1 2 %d.5\n" % (i, i % 977) for i in range(n)))
+    tracemalloc.start()
+    try:
+        spec = load_spectrum_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec) == n and spec.label.itemsize == 5
+    assert peak <= n * (64 + spec.label.itemsize)
+
+
+def test_spectrum_reader_names_lines_past_the_first_block(tmp_path):
+    good = "".join("p%d 2 4 %d.0\n" % (i, i) for i in range(20_000))  # several blocks
+    for bad, message in [
+            ("q 1 1\n", r"expected `label d D lambda`, got 'q 1 1'$"),
+            ("q 1 x 1.0\n", r"non-numeric field in 'q 1 x 1.0'$"),
+            ("q 0 1 1.0\n", r"dimensions must be positive$"),
+            ("q 2 3 1.0\n", r"D = 3 is not a multiple of d = 2$"),
+            ("q 1 1 nan\n", r"eigenvalue must be finite and >= 0$"),
+            ("q 1 9223372036854775808 1.0\n", r"D must be below 2\*\*63$"),
+            ("q\0 1 1 1.0\n", r"label holds a NUL character$")]:
+        path = tmp_path / "spec.txt"
+        path.write_text("# head\n" + good + bad + good, encoding="utf-8")
+        with pytest.raises(SpectrumFormatError, match=r"spec\.txt:20002: " + message):
+            load_spectrum_file(str(path))
+    # what int() and float() accept, the reader accepts, on either path
+    path.write_text(good + "q +1 1_0 1_0.5\n\u00e9 1 1 2.5\n", encoding="utf-8")
+    spec = load_spectrum_file(str(path))
+    assert len(spec) == 20_002
+    assert spec.label[spec.eigenvalue == 10.5].tolist() == [b"q"]
+    assert spec.eigenspace_dim[spec.eigenvalue == 10.5].tolist() == [10]
