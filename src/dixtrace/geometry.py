@@ -35,6 +35,7 @@ float64; only file spectra evaluate N^nu - 1 in float64.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
@@ -447,12 +448,7 @@ def _point_batches(geom: Geometry, weight_cutoff: float) -> Iterator[list[DualPo
                               [x * x for x in d], d, (q[rows] / _SU3.den).tolist())
     elif geom.kind == "file":
         spec = _load_spectrum(geom)
-        n = spec.admitted(geom.lambda_threshold(weight_cutoff))
-        for s in range(0, n, _BATCH):
-            rows = slice(s, min(s + _BATCH, n))
-            d = spec.rep_dim[rows].tolist()
-            yield _points(geom, [(t.decode(),) for t in spec.label[rows].tolist()], d,
-                          spec.eigenspace_dim[rows].tolist(), d, spec.eigenvalue[rows].tolist())
+        yield from _file_batches(geom, spec, spec.admitted(geom.lambda_threshold(weight_cutoff)))
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
         lmax = r.label_max(geom.lattice_cap(weight_cutoff))
@@ -460,6 +456,15 @@ def _point_batches(geom: Geometry, weight_cutoff: float) -> Iterator[list[DualPo
             ls = range(s, min(s + _BATCH, lmax + 1))
             lam, d, k = zip(*map(r.point, ls))
             yield _points(geom, [(l,) for l in ls], d, [x * y for x, y in zip(d, k)], k, lam)
+
+
+def _file_batches(geom: Geometry, spec: "SpectrumColumns", n: int) -> Iterator[list[DualPoint]]:
+    """The DualPoints of a spectrum's first n rows, a batch at a time."""
+    for s in range(0, n, _BATCH):
+        rows = slice(s, min(s + _BATCH, n))
+        d = spec.rep_dim[rows].tolist()
+        yield _points(geom, [(t,) for t in spec.labels(rows)], d,
+                      spec.eigenspace_dim[rows].tolist(), d, spec.eigenvalue[rows].tolist())
 
 
 def _torus_batches(geom: Geometry, cap: int) -> Iterator[list[DualPoint]]:
@@ -531,8 +536,9 @@ def _count_torus(n: int, cap: int) -> int:
 # one window of _CHUNK values of q = den * lambda per chunk; higher tori
 # hand out _CHUNK enumerated points per chunk and file spectra _CHUNK rows
 # of their sorted columns, one entry per point, so an eigenvalue repeats
-# and may straddle two chunks (the fold reads ties whole).  Chunk boundaries are fixed functions of the geometry,
-# so repeated runs and longer cutoffs reproduce sums bit-for-bit.
+# and may straddle two chunks (the fold reads ties whole).  Chunk
+# boundaries are fixed functions of the geometry, so repeated runs and
+# longer cutoffs reproduce sums bit-for-bit.
 # ---------------------------------------------------------------------------
 
 def radial_shells(geom: Geometry, weight_cutoff: float):
@@ -589,10 +595,13 @@ def _row_chunks(rows: Iterable[tuple], width: int) -> Iterator[np.ndarray]:
 @dataclass(frozen=True)
 class SpectrumColumns:
     """A spectrum file as flat columns, rows sorted by (lambda, label text):
-    label is the UTF-8 label text as a numpy bytes array, rep_dim and
-    eigenspace_dim are int64 and eigenvalue is float64."""
+    rep_dim and eigenspace_dim are int64 and eigenvalue is float64.  The
+    labels' UTF-8 text stays in file order in one buffer, record j's label
+    being text[offset[j]:offset[j + 1]], and row i is record order[i]."""
 
-    label: np.ndarray
+    text: bytearray
+    offset: np.ndarray
+    order: np.ndarray
     rep_dim: np.ndarray
     eigenspace_dim: np.ndarray
     eigenvalue: np.ndarray
@@ -604,11 +613,18 @@ class SpectrumColumns:
         """Number of rows with lambda <= threshold, which lead the columns."""
         return int(np.searchsorted(self.eigenvalue, threshold, side="right"))
 
+    def labels(self, rows: slice) -> list[str]:
+        """The label text of a slice of rows."""
+        j = self.order[rows]
+        t = self.text
+        return [t[a:b].decode() for a, b in zip(self.offset[j].tolist(),
+                                                self.offset[j + 1].tolist())]
+
 
 def _load_spectrum(geom: Geometry) -> SpectrumColumns:
     if geom.path is None:
         raise ConfigError("file geometry has no path")
-    return load_spectrum_file(geom.path)
+    return _read_spectrum(geom.path)
 
 
 def _check_rows_read(path: str, rows: int) -> None:
@@ -619,158 +635,102 @@ def _check_rows_read(path: str, rows: int) -> None:
                         "at once" % (path, _MAX_MATERIALIZED_POINTS))
 
 
-def load_spectrum_file(path: str) -> SpectrumColumns:
-    """Read `label d D lambda` records into flat columns, sorted once by
-    (lambda, label text); more than _MAX_MATERIALIZED_POINTS records raise
-    SizeError while the file is read.  With no class-one data, k = d (the
-    mask is the identity) and the block is held D/d times, so a D that d
-    does not divide is refused, and so is a D of 2**63 or more.
+def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
+    """Read `label d D lambda` records as DualPoints of weight
+    (1 + lambda)^(1/nu), sorted by (lambda, label text); the file is read
+    and checked as a file: geometry reads it (_read_spectrum)."""
+    spec = _read_spectrum(path)
+    return list(chain.from_iterable(
+        _file_batches(Geometry.from_file(path, nu=nu), spec, len(spec))))
 
-    The file is read in blocks of whole lines, each parsed a column at a
-    time where it can be (_parse_block), else line by line (_parse_lines);
-    either way a field means what int() or float() makes of it.  Only the
-    columns outlive a block: 24 bytes a row plus the label text, held at
-    the width of the longest label.
+
+def _read_spectrum(path: str) -> SpectrumColumns:
+    """Read `label d D lambda` records into flat columns, one line at a time,
+    and sort them once by (lambda, label text); more than
+    _MAX_MATERIALIZED_POINTS records raise SizeError while the file is read.
+    With no class-one data, k = d (the mask is the identity) and the block
+    is held D/d times, so a D that d does not divide is refused, and so is
+    a D of 2**63 or more.  Held: 40 bytes a row plus the label text.
     """
+    text, offset = bytearray(), array("q", [0])
+    d_col, dd_col, lam_col = array("q"), array("q"), array("d")
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError("cannot read spectrum file %s: %s" % (path, exc)) from None
-    parts = [[empty] for empty in _parse_lines(path, 0, [], 0)]  # per column, per block
     with fh:
-        lineno = held = 0
-        for block in _text_blocks(fh):
-            cols = _parse_block(block)
-            if cols is None or held + len(cols[3]) > _MAX_MATERIALIZED_POINTS:
-                cols = _parse_lines(path, lineno, block.split("\n"), held)
-            lineno += block.count("\n")
-            held += len(cols[3])
-            for part, col in zip(parts, cols):
-                part.append(col)
-    columns = []
-    while parts:  # one column's blocks joined at a time
-        columns.append(np.concatenate(parts.pop(0)))
-    order = np.lexsort((columns[0], columns[3]))
-    for i, col in enumerate(columns):  # and sorted one at a time
-        columns[i] = col[order]
-    return SpectrumColumns(*columns)
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise SpectrumFormatError(
+                    "%s:%d: expected `label d D lambda`, got %r" % (path, lineno, raw.rstrip()))
+            label, d_s, dd_s, lam_s = parts
+            try:
+                d = int(d_s)
+                dd = int(dd_s)
+                lam = float(lam_s)
+            except ValueError:
+                raise SpectrumFormatError(
+                    "%s:%d: non-numeric field in %r" % (path, lineno, raw.rstrip())) from None
+            if d < 1 or dd < 1:
+                raise SpectrumFormatError(
+                    "%s:%d: dimensions must be positive" % (path, lineno))
+            if dd % d:
+                raise SpectrumFormatError(
+                    "%s:%d: D = %d is not a multiple of d = %d" % (path, lineno, dd, d))
+            if not math.isfinite(lam) or lam < 0:
+                raise SpectrumFormatError(
+                    "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
+            if dd >= 2 ** 63:
+                raise SpectrumFormatError(
+                    "%s:%d: D must be below 2**63" % (path, lineno))
+            _check_rows_read(path, len(lam_col) + 1)
+            text += label.encode()
+            offset.append(len(text))
+            d_col.append(d)
+            dd_col.append(dd)
+            lam_col.append(lam)
+    # numpy views of the arrays, the only references left to them, so each
+    # sorted column frees its unsorted one
+    offset, d_col, dd_col = (np.frombuffer(c, dtype=np.int64) for c in (offset, d_col, dd_col))
+    lam_col = np.frombuffer(lam_col, dtype=np.float64)
+    key = _label_prefixes(text, offset)
+    order = np.lexsort((key, lam_col))
+    lam_col = lam_col[order]  # one column at a time
+    key = key[order]
+    tied = (lam_col[1:] == lam_col[:-1]) & (key[1:] == key[:-1])
+    del key
+    _sort_tied_runs(order, tied, text, offset)
+    return SpectrumColumns(text, offset, order, d_col[order], dd_col[order], lam_col)
 
 
-def _text_blocks(fh, size: int = 1 << 16) -> Iterator[str]:
-    """The text of fh in blocks of whole lines, about size characters each."""
-    carry = ""
-    while chunk := fh.read(size):
-        block = carry + chunk
-        cut = block.rfind("\n") + 1
-        if cut:
-            yield block[:cut]
-        carry = block[cut:]
-    if carry:
-        yield carry
+def _label_prefixes(text: bytearray, offset: np.ndarray) -> np.ndarray:
+    """Each label's first 8 bytes, zero-padded, as a uint64 that orders as
+    the bytes do; built a byte of _CHUNK labels at a time."""
+    buf = np.frombuffer(text, dtype=np.uint8)
+    key = np.zeros(len(offset) - 1, dtype=np.uint64)
+    for a in range(0, key.size, _CHUNK):
+        k = key[a:a + _CHUNK]
+        start, end = offset[a:a + k.size], offset[a + 1:a + k.size + 1]
+        for c in range(8):
+            k <<= 8
+            k |= np.where(start + c < end, buf[np.minimum(start + c, buf.size - 1)], 0)
+    return key
 
 
-# The ASCII characters str.split() and str.strip() take for whitespace.
-_WHITESPACE = np.zeros(256, dtype=bool)
-_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-
-
-def _parse_block(text: str):
-    """(label, d, D, lambda) arrays of a block of spectrum file lines, parsed
-    a column at a time, or None if a line needs _parse_lines: text that is
-    not ASCII or holds NUL, a record of other than four fields, a d or D
-    that is not a plain run of at most 18 digits, or a value the per-line
-    checks refuse.  lambda is parsed by numpy's bytes-to-float cast, which
-    is float()."""
-    if "#" in text:  # drop comment lines; a '#' inside a label stays
-        text = "\n".join(line for line in text.split("\n")
-                         if not line.lstrip().startswith("#"))
-    if not text.isascii() or "\0" in text:
-        return None
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    gap = np.concatenate(([True], _WHITESPACE[b], [True]))
-    bounds = np.flatnonzero(gap[1:] != gap[:-1])  # field starts and ends, in turn
-    if bounds.size % 8:
-        return None
-    start, length = bounds[0::2].reshape(-1, 4), (bounds[1::2] - bounds[0::2]).reshape(-1, 4)
-    # a record's first and last field share a line, and the next record's
-    # first field lies on a later line
-    first, last = np.searchsorted(np.flatnonzero(b == 10), start[:, [0, 3]]).T
-    if not (np.all(first == last) and np.all(first[1:] > last[:-1])):
-        return None
-    label, _ = _field_bytes(b, start[:, 0], length[:, 0])
-    dims = []
-    for i in (1, 2):
-        digits, inside = _field_bytes(b, start[:, i], length[:, i])
-        digits -= 48  # a byte outside the field wraps to 208
-        if digits.shape[1] > 18 or not np.all((digits <= 9) | ~inside):
-            return None
-        place = 10 ** np.maximum(length[:, i, None] - 1 - np.arange(digits.shape[1]), 0)
-        dims.append(np.sum(digits * (place * inside), axis=1))
-    d, dd = dims
-    lam, _ = _field_bytes(b, start[:, 3], length[:, 3])
-    try:
-        lam = lam.view("S%d" % lam.shape[1]).ravel().astype(np.float64)
-    except ValueError:
-        return None
-    if (np.all(d >= 1) and np.all(dd >= 1) and np.all(dd % d == 0)
-            and np.all(np.isfinite(lam)) and np.all(lam >= 0)):
-        return label.view("S%d" % label.shape[1]).ravel(), d, dd, lam
-    return None
-
-
-def _field_bytes(b: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple:
-    """(m, w) uint8 bytes of m fields of b, zero past each field's length,
-    w the longest length (at least 1), and the mask of bytes inside."""
-    col = np.arange(max(int(length.max(initial=0)), 1))
-    inside = col < length[:, None]
-    idx = start[:, None] + col
-    np.minimum(idx, len(b) - 1, out=idx)
-    out = b[idx]
-    out *= inside
-    return out, inside
-
-
-def _parse_lines(path: str, lineno: int, lines: list[str], held: int):
-    """(label, d, D, lambda) arrays of spectrum file lines, read one by one
-    after line number lineno and `held` rows: the first refused line
-    raises, naming its line number."""
-    rows = []
-    for lineno, raw in enumerate(lines, start=lineno + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise SpectrumFormatError(
-                "%s:%d: expected `label d D lambda`, got %r" % (path, lineno, raw.rstrip()))
-        label, d_s, dd_s, lam_s = parts
-        try:
-            d = int(d_s)
-            dd = int(dd_s)
-            lam = float(lam_s)
-        except ValueError:
-            raise SpectrumFormatError(
-                "%s:%d: non-numeric field in %r" % (path, lineno, raw.rstrip())) from None
-        if d < 1 or dd < 1:
-            raise SpectrumFormatError(
-                "%s:%d: dimensions must be positive" % (path, lineno))
-        if dd % d:
-            raise SpectrumFormatError(
-                "%s:%d: D = %d is not a multiple of d = %d" % (path, lineno, dd, d))
-        if not math.isfinite(lam) or lam < 0:
-            raise SpectrumFormatError(
-                "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
-        if dd >= 2 ** 63:
-            raise SpectrumFormatError(
-                "%s:%d: D must be below 2**63" % (path, lineno))
-        if "\0" in label:  # numpy bytes would drop a trailing one
-            raise SpectrumFormatError(
-                "%s:%d: label holds a NUL character" % (path, lineno))
-        _check_rows_read(path, held + len(rows) + 1)
-        rows.append((label.encode(), d, dd, lam))
-    label, d, dd, lam = zip(*rows) if rows else ((),) * 4
-    return (np.array(label, dtype=np.bytes_), np.array(d, dtype=np.int64),
-            np.array(dd, dtype=np.int64), np.array(lam, dtype=np.float64))
+def _sort_tied_runs(order: np.ndarray, tied: np.ndarray, text: bytearray,
+                    offset: np.ndarray) -> None:
+    """Sort each run of rows whose (lambda, label prefix) tie, tied[i]
+    saying that rows i and i + 1 do, by full label text, in place and
+    stably, with Python's sort."""
+    edge = np.flatnonzero(np.diff(tied, prepend=False, append=False)).tolist()
+    for a, b in zip(edge[0::2], edge[1::2]):
+        run = order[a:b + 1]
+        keys = [text[s:e] for s, e in zip(offset[run].tolist(), offset[run + 1].tolist())]
+        order[a:b + 1] = run[sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def label_text(point: DualPoint) -> str:

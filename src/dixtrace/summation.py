@@ -49,7 +49,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, FitError, SpectrumFormatError
-from .geometry import Geometry, _row_chunks, enumerate_dual, radial_shells
+from .geometry import Geometry, _row_chunks, enumerate_dual, label_text, radial_shells
 from .symbol import ClassOneMask, RadialWeight, SymbolSpec, eval_symbol, \
     is_radial_scalar, nuclear_trace_abs, scalar_values
 
@@ -291,7 +291,7 @@ def _point_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[np
     """Per-point (lambda, D/k * Tr|sigma|, D) rows in enumerate_dual's
     order, geometry._CHUNK points per chunk; a tie may straddle two chunks."""
     def row(p):
-        t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=p)
+        t = nuclear_trace_abs(eval_symbol(spec, p, geom), label=label_text(p))
         return p.eigenvalue, p.eigenspace_dim // p.class_one_dim * t, p.eigenspace_dim
     return _row_chunks(map(row, enumerate_dual(geom, n_max)), 3)
 

@@ -208,19 +208,12 @@ def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarra
     return _eval(spec, point, geom, point.rep_dim)
 
 
-def check_block_size(label: str | DualPoint, shape: tuple) -> None:
-    """SizeError for a block of more than MAX_BLOCK_ENTRIES entries; label
-    is label text or a DualPoint (see _label_name)."""
+def check_block_size(label: str, shape: tuple) -> None:
+    """SizeError for a block of more than MAX_BLOCK_ENTRIES entries."""
     if math.prod(shape) > MAX_BLOCK_ENTRIES:
         raise SizeError("label %s needs a %s symbol block, above the cap of %d "
                         "entries; lower the cutoff" % (
-                            _label_name(label), " x ".join(map(str, shape)), MAX_BLOCK_ENTRIES))
-
-
-def _label_name(label: str | DualPoint) -> str:
-    """The label an error names: text as given, or a DualPoint's label_text,
-    formatted only once an error needs it."""
-    return label if isinstance(label, str) else label_text(label)
+                            label, " x ".join(map(str, shape)), MAX_BLOCK_ENTRIES))
 
 
 def _eval(spec: SymbolSpec, point: DualPoint, geom: Geometry, k: int) -> np.ndarray:
@@ -232,14 +225,14 @@ def _eval(spec: SymbolSpec, point: DualPoint, geom: Geometry, k: int) -> np.ndar
     if isinstance(spec, SymbolSum):
         parts = [_eval(p, point, geom, k) for p in spec.parts]
         shape = (max(map(len, parts)),) * max(b.ndim for b in parts)
-        check_block_size(point, shape)
+        check_block_size(label_text(point), shape)
         acc = np.zeros(shape, dtype=np.complex128)
         for b in parts:  # in order, each entry adding up as it would densely
             into = np.einsum("ii->i", acc) if b.ndim < acc.ndim else acc  # a view
             into[(slice(len(b)),) * b.ndim] += b
         return acc
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
-        check_block_size(point, (k,))
+        check_block_size(label_text(point), (k,))
         value = float(scalar_values(spec, np.array([point.eigenvalue]), geom)[0])
         if not math.isfinite(value):
             raise DomainError("symbol value not finite at label %s" % label_text(point))
@@ -275,7 +268,7 @@ def _block(m) -> np.ndarray:
     return diag if np.count_nonzero(m) == np.count_nonzero(diag) else m
 
 
-def singular_values(m: np.ndarray, label: str | DualPoint | None = None) -> np.ndarray:
+def singular_values(m: np.ndarray, label: str | None = None) -> np.ndarray:
     """Singular values of a symbol block, descending: the modulus (np.hypot)
     of a diagonal (1-d, or square with no nonzero off-diagonal entry), else
     the Hermitian eigenvalue path within HERMITIAN_TOL, else one-sided
@@ -313,7 +306,7 @@ def _round_robin(d: int) -> tuple:
     return tuple(rounds)
 
 
-def _jacobi_singular_values(m: np.ndarray, label: str | DualPoint | None) -> np.ndarray:
+def _jacobi_singular_values(m: np.ndarray, label: str | None) -> np.ndarray:
     """One-sided Jacobi: rotate column pairs until they are all orthogonal.
 
     Each sweep visits every pair once in round-robin order; the pairs of one
@@ -351,12 +344,12 @@ def _jacobi_singular_values(m: np.ndarray, label: str | DualPoint | None) -> np.
     else:
         raise NumericError("Jacobi singular value iteration did not converge "
                            "within %d sweeps%s" % (JACOBI_MAX_SWEEPS,
-                                                   " at label %s" % _label_name(label) if label else ""))
+                                                   " at label %s" % label if label else ""))
     sv = np.sqrt(np.real(np.sum(a.conj() * a, axis=0)))
     return np.sort(sv)[::-1]
 
 
-def nuclear_trace_abs(m: np.ndarray, label: str | DualPoint | None = None) -> float:
+def nuclear_trace_abs(m: np.ndarray, label: str | None = None) -> float:
     """Sum of singular values; exactly d |c| for a diagonal of d entries c."""
     m = _block(m)
     if m.ndim == 1 and len(m) and (len(m) == 1 or np.all(m == m[0])):

@@ -511,40 +511,53 @@ def test_file_columns_match_the_object_reader(tmp_path, monkeypatch):
     assert got[1].counts[-1] == counting_function(geom, 10.0)
 
 
-def test_spectrum_reader_holds_flat_columns(tmp_path):
-    # 24 bytes a row and the label text are held; one DualPoint per
-    # record took 352 bytes a row
+@pytest.mark.parametrize("long_label", [0, 10_000])
+def test_spectrum_reader_holds_flat_columns(tmp_path, long_label):
+    # 40 bytes a row and the label text are held, however long one label
+    # is; one DualPoint per record took 352 bytes a row
     n = 100_000
     path = tmp_path / "spec.txt"
-    path.write_text("# label d D lambda\n" + "".join(
-        "%d 1 2 %d.5\n" % (i, i % 977) for i in range(n)))
+    path.write_text("# label d D lambda\n" + "X" * (long_label + 1) + " 1 2 3.5\n" + "".join(
+        "%d 1 2 %d.5\n" % (i, i % 977) for i in range(n - 1)))
     tracemalloc.start()
     try:
-        spec = load_spectrum_file(str(path))
+        spec = geometry._read_spectrum(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(spec) == n and spec.label.itemsize == 5
-    assert peak <= n * (64 + spec.label.itemsize)
+    assert len(spec) == n and spec.labels(slice(0, 1)) == ["0"]
+    assert "X" * (long_label + 1) in spec.labels(slice(None))
+    assert peak <= n * 64 + len(spec.text)
 
 
-def test_spectrum_reader_names_lines_past_the_first_block(tmp_path):
-    good = "".join("p%d 2 4 %d.0\n" % (i, i) for i in range(20_000))  # several blocks
+def test_file_labels_sort_by_their_whole_text(tmp_path):
+    # labels that share their first 8 bytes, or differ by a trailing NUL,
+    # at tied eigenvalues: the prefix sort is refined to the object order
+    rng = np.random.default_rng(23)
+    stems = ["-12,-13,", "abcdefgh", "abcdefg", "\u00e9\u00e9\u00e9\u00e9", "a"]
+    labels = ["%s%s%s" % (stems[i % 5], rng.integers(0, 30), "\0" * (i % 3 == 0))
+              for i in range(3000)]
+    path = tmp_path / "spec.txt"
+    path.write_text("".join("%s 1 1 %d\n" % (l, x) for l, x in
+                            zip(labels, rng.integers(0, 5, 3000).tolist())), encoding="utf-8")
+    assert load_spectrum_file(str(path), 3.0) == _object_reader(path, 3.0)
+
+
+def test_spectrum_reader_messages_name_their_line(tmp_path):
+    good = "".join("p%d 2 4 %d.0\n" % (i, i) for i in range(2000))
     for bad, message in [
             ("q 1 1\n", r"expected `label d D lambda`, got 'q 1 1'$"),
             ("q 1 x 1.0\n", r"non-numeric field in 'q 1 x 1.0'$"),
             ("q 0 1 1.0\n", r"dimensions must be positive$"),
             ("q 2 3 1.0\n", r"D = 3 is not a multiple of d = 2$"),
             ("q 1 1 nan\n", r"eigenvalue must be finite and >= 0$"),
-            ("q 1 9223372036854775808 1.0\n", r"D must be below 2\*\*63$"),
-            ("q\0 1 1 1.0\n", r"label holds a NUL character$")]:
+            ("q 1 9223372036854775808 1.0\n", r"D must be below 2\*\*63$")]:
         path = tmp_path / "spec.txt"
         path.write_text("# head\n" + good + bad + good, encoding="utf-8")
-        with pytest.raises(SpectrumFormatError, match=r"spec\.txt:20002: " + message):
+        with pytest.raises(SpectrumFormatError, match=r"spec\.txt:2002: " + message):
             load_spectrum_file(str(path))
-    # what int() and float() accept, the reader accepts, on either path
-    path.write_text(good + "q +1 1_0 1_0.5\n\u00e9 1 1 2.5\n", encoding="utf-8")
-    spec = load_spectrum_file(str(path))
-    assert len(spec) == 20_002
-    assert spec.label[spec.eigenvalue == 10.5].tolist() == [b"q"]
-    assert spec.eigenspace_dim[spec.eigenvalue == 10.5].tolist() == [10]
+    # what int() and float() accept, the reader accepts
+    path.write_text(good + "q +1 1_0 1_0.5\n\u00e9\0 1 1 2.5\n", encoding="utf-8")
+    pts = {p.eigenvalue: p for p in load_spectrum_file(str(path))}
+    assert len(pts) == 2002 and pts[10.5].label == ("q",) and pts[10.5].eigenspace_dim == 10
+    assert pts[2.5].label == ("\u00e9\0",)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dixtrace import symbol
 from dixtrace.boundary import BoundarySymbol, IntervalBC, boundary_series
 from dixtrace.errors import ConfigError, FitError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
@@ -485,14 +484,3 @@ def test_series_rejects_unknown_picture():
     with pytest.raises(ConfigError):
         PartialSumSeries(np.array([2.0]), np.array([1.0]), np.array([1.0]),
                          dim=1, picture="sideways")
-
-
-def test_per_point_path_formats_a_label_only_to_look_it_up(tmp_path, monkeypatch):
-    # a diag: table looks each point's label text up once; the size checks
-    # and the nuclear trace format it only for an error message
-    g = Geometry.torus(1)
-    table = diag_table(tmp_path / "t.txt", g, 2e3, RadialWeight(1.0))
-    calls = []
-    monkeypatch.setattr(symbol, "label_text", lambda p: calls.append(1) or label_text(p))
-    series = partial_sums(g, SymbolSum([table, RadialWeight(1.0)]), dyadic_grid(2e3))
-    assert len(calls) == series.counts[-1] == 3999
