@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
                      SpectrumFormatError)
-from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _check_rows_read
+from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _records
 from .summation import PartialSumSeries, _stream_snapshots, check_grid
 from .trace import TraceEstimate, _estimate
 
@@ -72,29 +72,17 @@ class PowerDecay:
 
 
 def _rows(path: str, what: str, layout: str) -> Iterator[tuple]:
-    """(lineno, j, floats) for each data line of a text file of `layout`
-    rows, an integer label j then floats; `#` starts a comment line.  More
-    than _MAX_MATERIALIZED_POINTS data rows raise SizeError as they are read."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from None
-    with fh:
-        count = 0
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            count += 1
-            _check_rows_read(path, count)
-            if len(parts) != len(layout.split()):
-                raise SpectrumFormatError("%s:%d: expected `%s`" % (path, lineno, layout))
-            try:  # labels are int64 wherever they are held
-                row = lineno, int(np.int64(parts[0])), [float(t) for t in parts[1:]]
-            except (ValueError, OverflowError):
-                raise SpectrumFormatError("%s:%d: non-numeric field"
-                                          % (path, lineno)) from None
-            yield row
+    """(lineno, j, floats) for each data line (geometry._records) of a text
+    file of `layout` rows, an integer label j then floats."""
+    for lineno, _line, parts in _records(path, what):
+        if len(parts) != len(layout.split()):
+            raise SpectrumFormatError("%s:%d: expected `%s`" % (path, lineno, layout))
+        try:  # labels are int64 wherever they are held
+            row = lineno, int(np.int64(parts[0])), [float(t) for t in parts[1:]]
+        except (ValueError, OverflowError):
+            raise SpectrumFormatError("%s:%d: non-numeric field"
+                                      % (path, lineno)) from None
+        yield row
 
 
 def _load_alpha(path: str) -> tuple:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -520,12 +520,15 @@ def counting_function(geom: Geometry, weight_cutoff: float) -> int:
 
 
 def _count_torus(n: int, cap: int) -> int:
-    """Number of k in Z^n with |k|^2 <= cap."""
-    m = math.isqrt(cap)
-    if n == 1:
-        return 2 * m + 1
-    return _count_torus(n - 1, cap) + 2 * sum(
-        _count_torus(n - 1, cap - x * x) for x in range(1, m + 1))
+    """Number of k in Z^n with |k|^2 <= cap.  The recursion meets the same
+    (rank, cap) pairs many times, so each is counted once per call."""
+    @cache
+    def count(n: int, cap: int) -> int:
+        m = math.isqrt(cap)
+        if n == 1:
+            return 2 * m + 1
+        return count(n - 1, cap) + 2 * sum(count(n - 1, cap - x * x) for x in range(1, m + 1))
+    return count(n, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +630,28 @@ def _load_spectrum(geom: Geometry) -> SpectrumColumns:
     return _read_spectrum(geom.path)
 
 
-def _check_rows_read(path: str, rows: int) -> None:
-    """SizeError once a file read into memory passes the point cap; file
-    readers call it before holding each further row."""
-    if rows > _MAX_MATERIALIZED_POINTS:
-        raise SizeError("%s has more than %d data rows, the cap on points held "
-                        "at once" % (path, _MAX_MATERIALIZED_POINTS))
+def _records(path: str, what: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(lineno, line, fields) for each data line of a UTF-8 text file, line
+    being the raw text.  Every input file is read here: blank lines and
+    lines whose first field starts with `#` are skipped, a file that cannot
+    be opened raises ConfigError naming it as `what`, and more than
+    _MAX_MATERIALIZED_POINTS data lines raise SizeError before the next one
+    is handed out."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from None
+    with fh:
+        count = 0
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            count += 1
+            if count > _MAX_MATERIALIZED_POINTS:
+                raise SizeError("%s has more than %d data rows, the cap on points held "
+                                "at once" % (path, _MAX_MATERIALIZED_POINTS))
+            yield lineno, line, fields
 
 
 def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
@@ -645,54 +664,43 @@ def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
 
 
 def _read_spectrum(path: str) -> SpectrumColumns:
-    """Read `label d D lambda` records into flat columns, one line at a time,
-    and sort them once by (lambda, label text); more than
-    _MAX_MATERIALIZED_POINTS records raise SizeError while the file is read.
+    """Read `label d D lambda` records (_records) into flat columns, one
+    line at a time, and sort them once by (lambda, label text).
     With no class-one data, k = d (the mask is the identity) and the block
     is held D/d times, so a D that d does not divide is refused, and so is
     a D of 2**63 or more.  Held: 40 bytes a row plus the label text.
     """
     text, offset = bytearray(), array("q", [0])
     d_col, dd_col, lam_col = array("q"), array("q"), array("d")
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError("cannot read spectrum file %s: %s" % (path, exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise SpectrumFormatError(
-                    "%s:%d: expected `label d D lambda`, got %r" % (path, lineno, raw.rstrip()))
-            label, d_s, dd_s, lam_s = parts
-            try:
-                d = int(d_s)
-                dd = int(dd_s)
-                lam = float(lam_s)
-            except ValueError:
-                raise SpectrumFormatError(
-                    "%s:%d: non-numeric field in %r" % (path, lineno, raw.rstrip())) from None
-            if d < 1 or dd < 1:
-                raise SpectrumFormatError(
-                    "%s:%d: dimensions must be positive" % (path, lineno))
-            if dd % d:
-                raise SpectrumFormatError(
-                    "%s:%d: D = %d is not a multiple of d = %d" % (path, lineno, dd, d))
-            if not math.isfinite(lam) or lam < 0:
-                raise SpectrumFormatError(
-                    "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
-            if dd >= 2 ** 63:
-                raise SpectrumFormatError(
-                    "%s:%d: D must be below 2**63" % (path, lineno))
-            _check_rows_read(path, len(lam_col) + 1)
-            text += label.encode()
-            offset.append(len(text))
-            d_col.append(d)
-            dd_col.append(dd)
-            lam_col.append(lam)
+    for lineno, raw, parts in _records(path, "spectrum file"):
+        if len(parts) != 4:
+            raise SpectrumFormatError(
+                "%s:%d: expected `label d D lambda`, got %r" % (path, lineno, raw.rstrip()))
+        label, d_s, dd_s, lam_s = parts
+        try:
+            d = int(d_s)
+            dd = int(dd_s)
+            lam = float(lam_s)
+        except ValueError:
+            raise SpectrumFormatError(
+                "%s:%d: non-numeric field in %r" % (path, lineno, raw.rstrip())) from None
+        if d < 1 or dd < 1:
+            raise SpectrumFormatError(
+                "%s:%d: dimensions must be positive" % (path, lineno))
+        if dd % d:
+            raise SpectrumFormatError(
+                "%s:%d: D = %d is not a multiple of d = %d" % (path, lineno, dd, d))
+        if not math.isfinite(lam) or lam < 0:
+            raise SpectrumFormatError(
+                "%s:%d: eigenvalue must be finite and >= 0" % (path, lineno))
+        if dd >= 2 ** 63:
+            raise SpectrumFormatError(
+                "%s:%d: D must be below 2**63" % (path, lineno))
+        text += label.encode()
+        offset.append(len(text))
+        d_col.append(d)
+        dd_col.append(dd)
+        lam_col.append(lam)
     # numpy views of the arrays, the only references left to them, so each
     # sorted column frees its unsorted one
     offset, d_col, dd_col = (np.frombuffer(c, dtype=np.int64) for c in (offset, d_col, dd_col))

@@ -20,8 +20,9 @@ bit: pairwise sums of chunk prefixes, with one chunk length.  Terms come
 in ascending eigenvalue order in fixed chunks: geometry._CHUNK shells or
 labels on the torus:1, rank-one and boundary streams, the occupied shells
 of a window of geometry._CHUNK values of q = den * lambda on torus:2 and
-su3, and geometry._CHUNK points of enumerate_dual wherever dual points are
-enumerated (the per-point path, higher tori, file spectra).  The fold
+su3, geometry._CHUNK points of enumerate_dual wherever dual points are
+enumerated (the per-point path, higher tori), and on the radial path
+geometry._CHUNK-row slices of a file spectrum's sorted columns.  The fold
 owns ties: a run of equal eigenvalues may straddle chunks, and a
 threshold is read only once a chunk's last key lies strictly above it.
 Its snapshot is the Neumaier-compensated carry of the chunk totals before
@@ -57,14 +58,24 @@ PICTURES = ("manifold", "group", "homogeneous", "boundary-index")
 
 SCHEMA_VERSION = 1
 
+# Most cutoffs dyadic_grid builds; each costs an exact threshold and a fold
+# step.
+MAX_GRID_CUTOFFS = 1_000_000
+
 
 def dyadic_grid(n_max: float, points_per_octave: int = 4) -> np.ndarray:
-    """Geometric cutoff grid from 2 to n_max, last point exactly n_max."""
+    """Geometric cutoff grid from 2 to n_max, last point exactly n_max; a
+    grid of more than MAX_GRID_CUTOFFS cutoffs raises ConfigError before it
+    is built."""
     if not 4 <= n_max < math.inf:
         raise ConfigError("grid n_max must be finite and >= 4, got %r" % (n_max,))
     if points_per_octave < 1:
         raise ConfigError("points_per_octave must be >= 1")
     n_max = float(n_max)
+    count = math.ceil(points_per_octave * math.log2(n_max / 2.0)) + 1
+    if count > MAX_GRID_CUTOFFS:
+        raise ConfigError("a grid of about %d cutoffs is above the cap of %d; lower "
+                          "points_per_octave or n_max" % (count, MAX_GRID_CUTOFFS))
     vals = []
     k = 0
     while True:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, NumericError, SizeError,
                      SpectrumFormatError, TableLookupError)
-from .geometry import DualPoint, Geometry, label_text
+from .geometry import DualPoint, Geometry, _records, label_text
 
 HERMITIAN_TOL = 1e-13
 JACOBI_REL_TOL = 1e-12
@@ -371,68 +371,62 @@ def parse_complex(tok: str) -> complex:
 
 
 def _load_table(path: str, diagonal: bool) -> dict:
-    """Read records: a label line, then the entry lines for that label.
+    """Read records: a label line, then the entry lines for that label, one
+    record's lines at a time (geometry._records).
 
-    Full tables require d lines of d entries.  Diagonal tables take one line
-    of d entries, or the full square shape when its off-diagonal part is zero.
-    Entries are checked finite here, once, and come back read-only.
+    The first entry line sets d, and a record holds up to d rows of d
+    entries.  Full tables require d rows.  Diagonal tables take one row, or
+    the full square shape when its off-diagonal part is zero; their rows end
+    at the first line that is not d numbers.  Entries are checked finite
+    here, once, and come back read-only.
     """
     entries: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1)]
-    except OSError as exc:
-        raise ConfigError("cannot read symbol table %s: %s" % (path, exc)) from None
-    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
-    pos = 0
-    while pos < len(lines):
-        lineno, label = lines[pos]
-        if len(label.split()) != 1:
+    records = _records(path, "symbol table")
+    rec = next(records, None)
+    while rec is not None:
+        lineno, line, fields = rec
+        if len(fields) != 1:
             raise SpectrumFormatError("%s:%d: expected a label line, got %r"
-                                      % (path, lineno, label))
-        pos += 1
-        if pos >= len(lines):
+                                      % (path, lineno, line.strip()))
+        label = fields[0]
+        rec = next(records, None)
+        if rec is None:
             raise SpectrumFormatError("%s:%d: label %r has no entries"
                                       % (path, lineno, label))
-        first_no, first = lines[pos]
-        row = [parse_complex(t) for t in first.split()]
-        d = len(row)
-        pos += 1
-        if diagonal:
-            # one row of d entries, unless a full d x d block follows
-            more = []
-            while (len(more) < d - 1 and pos < len(lines)
-                   and len(lines[pos][1].split()) == d
-                   and _is_row_of_numbers(lines[pos][1])):
-                more.append([parse_complex(t) for t in lines[pos][1].split()])
-                pos += 1
-            if more:
-                if len(more) != d - 1:
-                    raise SpectrumFormatError(
-                        "%s:%d: diagonal table label %r has %d rows, expected 1 or %d"
-                        % (path, first_no, label, 1 + len(more), d))
-                full = np.array([row] + more, dtype=np.complex128)
-                if np.any(full - np.diag(np.diag(full)) != 0):
-                    raise SpectrumFormatError(
-                        "%s:%d: diagonal table label %r has nonzero off-diagonal entries"
-                        % (path, first_no, label))
-                entries[label] = np.diag(full).copy()
+        first_no = rec[0]
+        rows = [np.array([parse_complex(t) for t in rec[2]], dtype=np.complex128)]
+        d = len(rows[0])
+        rec = next(records, None)
+        while len(rows) < d:
+            if diagonal:  # one row of d entries, unless a full d x d block follows
+                row = _numbers(rec[2]) if rec is not None and len(rec[2]) == d else None
+                if row is None:
+                    break
+            elif rec is None:
+                raise SpectrumFormatError(
+                    "%s:%d: label %r matrix is truncated" % (path, first_no, label))
             else:
-                entries[label] = np.array(row, dtype=np.complex128)
+                row = [parse_complex(t) for t in rec[2]]
+                if len(row) != d:
+                    raise SpectrumFormatError(
+                        "%s:%d: expected %d entries, got %d" % (path, rec[0], d, len(row)))
+            rows.append(np.array(row, dtype=np.complex128))
+            rec = next(records, None)
+        if not diagonal:
+            entries[label] = np.stack(rows)
+        elif len(rows) == 1:
+            entries[label] = rows[0]
+        elif len(rows) != d:
+            raise SpectrumFormatError(
+                "%s:%d: diagonal table label %r has %d rows, expected 1 or %d"
+                % (path, first_no, label, len(rows), d))
         else:
-            rows = [row]
-            for _ in range(d - 1):
-                if pos >= len(lines):
-                    raise SpectrumFormatError(
-                        "%s:%d: label %r matrix is truncated" % (path, first_no, label))
-                rno, rline = lines[pos]
-                vals = [parse_complex(t) for t in rline.split()]
-                if len(vals) != d:
-                    raise SpectrumFormatError(
-                        "%s:%d: expected %d entries, got %d" % (path, rno, d, len(vals)))
-                rows.append(vals)
-                pos += 1
-            entries[label] = np.array(rows, dtype=np.complex128)
+            full = np.stack(rows)
+            if np.any(full - np.diag(np.diag(full)) != 0):
+                raise SpectrumFormatError(
+                    "%s:%d: diagonal table label %r has nonzero off-diagonal entries"
+                    % (path, first_no, label))
+            entries[label] = np.diag(full).copy()
     for label, entry in entries.items():
         if not np.all(np.isfinite(entry.view(np.float64))):
             raise DomainError("symbol table %s label %s has a non-finite entry"
@@ -441,10 +435,9 @@ def _load_table(path: str, diagonal: bool) -> dict:
     return entries
 
 
-def _is_row_of_numbers(line: str) -> bool:
+def _numbers(fields: list[str]) -> list | None:
+    """The fields as complex numbers, or None if one is not a number."""
     try:
-        for t in line.split():
-            parse_complex(t)
-        return True
+        return [parse_complex(t) for t in fields]
     except SpectrumFormatError:
-        return False
+        return None

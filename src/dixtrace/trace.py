@@ -175,15 +175,8 @@ def torus_density_integral(a: Callable, samples_per_dim: int, ndim: int = 1) -> 
     if ndim == 1:
         vals = [a(i * step) for i in range(samples_per_dim)]
     else:
-        vals = []
-        idx = [0] * ndim
-        total = samples_per_dim ** ndim
-        for flat in range(total):
-            rem = flat
-            for d in range(ndim - 1, -1, -1):
-                idx[d] = rem % samples_per_dim
-                rem //= samples_per_dim
-            vals.append(a(tuple(i * step for i in idx)))
+        vals = [a(tuple(i * step for i in idx))
+                for idx in itertools.product(range(samples_per_dim), repeat=ndim)]
     return math.fsum(vals) / len(vals)
 
 

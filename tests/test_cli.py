@@ -65,6 +65,12 @@ def test_quasinorm_stable_and_unstable(tmp_path, capsys):
     assert code2 == 2
 
 
+def test_oversized_grid_exits_one(capsys):
+    assert run("trace", "--geometry", "torus:1", "--symbol", "radial:1",
+               "--points-per-octave", "100000000") == 1
+    assert "cutoffs is above the cap" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_one(capsys):
     assert run("trace", "--symbol", "radial:1") == 1
     assert "geometry" in capsys.readouterr().err

@@ -79,6 +79,13 @@ def test_torus2_count_small_by_hand():
     assert counting_function(Geometry.torus(2), 2.0) == 9
 
 
+def test_high_rank_torus_counts():
+    # the recursion meets each (rank, cap) pair once per call, so these run
+    # in milliseconds; the values are those of the unmemoized recursion
+    assert counting_function(Geometry.torus(6), 40.0) == 21151301549
+    assert counting_function(Geometry.torus(8), 16.0) == 17281998049
+
+
 def test_enumeration_sorted_by_eigenvalue():
     for geom in ALL_GEOMS:
         cutoff = 12.0 if geom.kind != "su3" else 8.0

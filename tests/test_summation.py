@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dixtrace import summation
 from dixtrace.boundary import BoundarySymbol, IntervalBC, boundary_series
 from dixtrace.errors import ConfigError, FitError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
@@ -56,6 +57,19 @@ def test_dyadic_grid_rejects_tiny_range():
         dyadic_grid(3.0)
     with pytest.raises(ConfigError):
         dyadic_grid(1e4, 0)
+
+
+def test_dyadic_grid_refuses_an_oversized_grid(monkeypatch):
+    n = len(dyadic_grid(1000.0, 4))
+    monkeypatch.setattr(summation, "MAX_GRID_CUTOFFS", n)
+    assert len(dyadic_grid(1000.0, 4)) == n
+    with pytest.raises(ConfigError, match="grid of about %d cutoffs is above the cap of %d"
+                       % (n + 1, n)):
+        dyadic_grid(1000.0 * 2 ** 0.25, 4)
+    monkeypatch.undo()
+    # 10^8 per octave would be a list of 1.6e9 cutoffs: refused before it is built
+    with pytest.raises(ConfigError, match="above the cap"):
+        dyadic_grid(1e5, 10 ** 8)
 
 
 @given(st.floats(min_value=4.0, max_value=1e8), st.integers(1, 12))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dixtrace.symbol as symbol
+from dixtrace import geometry
 from dixtrace.errors import (ConfigError, DomainError, NumericError, SizeError,
                              SpectrumFormatError, TableLookupError)
 from dixtrace.geometry import DualPoint, Geometry, enumerate_dual
@@ -389,3 +390,55 @@ def test_truncated_matrix_table(tmp_path):
     path.write_text("1\n1 0\n")
     with pytest.raises(SpectrumFormatError):
         FullMatrixTable(str(path))
+
+
+# The first data line after the header sits at line 4, so each message's
+# line number shows that comments and blank lines count as lines.
+@pytest.mark.parametrize("diagonal, body, message", [
+    (True, "0 1\n", "t.txt:4: expected a label line, got '0 1'"),
+    (True, "0\n1\n2\n", "t.txt:6: label '2' has no entries"),
+    (False, "0\n1 0\n", "t.txt:5: label '0' matrix is truncated"),
+    (False, "0\n1 0\n\n# c\n0 1 2\n", "t.txt:8: expected 2 entries, got 3"),
+    (False, "0\n1 0\n1\n", "t.txt:6: expected 2 entries, got 1"),
+    (True, "0\n1 2 3\n0 2 0\n", "t.txt:5: diagonal table label '0' has 2 rows, expected 1 or 3"),
+    (True, "0\n1 0\n# c\n1 2\n", "t.txt:5: diagonal table label '0' has nonzero off-diagonal"),
+])
+def test_table_messages_name_their_line(tmp_path, diagonal, body, message):
+    path = tmp_path / "t.txt"
+    path.write_text("# table\n\n  # indented comment\n" + body)
+    table = DiagonalTable if diagonal else FullMatrixTable
+    with pytest.raises(SpectrumFormatError) as err:
+        table(str(path))
+    assert str(err.value).startswith(str(tmp_path / message))
+
+
+@pytest.mark.parametrize("table", [DiagonalTable, FullMatrixTable])
+def test_tables_refuse_rows_past_the_cap(tmp_path, monkeypatch, table):
+    monkeypatch.setattr(geometry, "_MAX_MATERIALIZED_POINTS", 5)
+    path = tmp_path / "t.txt"
+    # six data lines, then a malformed one the reader must never reach
+    path.write_text("# header\n" + "".join("%d\n1\n" % j for j in range(3)) + "x y z\n")
+    with pytest.raises(SizeError, match="t.txt has more than 5 data rows"):
+        table(str(path))
+    path.write_text("".join("%d\n1\n" % j for j in range(2)) + "2\n")
+    with pytest.raises(SpectrumFormatError, match="label '2' has no entries"):
+        table(str(path))
+
+
+def test_matrix_table_holds_one_record_at_a_time(tmp_path):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "m.txt"
+    with open(path, "w") as fh:
+        for n in range(80):
+            fh.write("%d\n" % n)
+            for row in rng.normal(size=(n + 1, 2 * n + 2)).view(np.complex128):
+                fh.write(" ".join("%.17g%+.17gj" % (z.real, z.imag) for z in row) + "\n")
+    tracemalloc.start()
+    try:
+        table = FullMatrixTable(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(e.nbytes for e in table.entries.values())
+    assert held == 16 * sum(d * d for d in range(1, 81))
+    assert peak <= 1.2 * held
