@@ -48,7 +48,8 @@ from .errors import ConfigError, SizeError, SpectrumFormatError
 
 _BUILTIN_KINDS = ("torus", "su2", "so3", "su3", "sphere", "file")
 
-# Guard for paths that must materialize every dual point at once.
+# Guard for paths that must materialize every dual point at once, and on
+# the cube count of the per-point tori, which stream theirs.
 _MAX_MATERIALIZED_POINTS = 50_000_000
 # Guard for the rank-two lattice scans (torus:2, su3): labels (a, b) with
 # a, b >= 0 below the cutoff, counted before the first window is built.
@@ -403,14 +404,19 @@ def _window_labels(rule, cap: int):
     b_next = np.zeros(rule.b_max(0, cap) + 1, dtype=np.int64)  # q is symmetric
     for lo in range(0, cap + 1, _CHUNK):
         hi = min(lo + _CHUNK - 1, cap)
-        a = np.arange(rule.b_max(0, hi) + 1, dtype=np.int64)
-        b_end = rule.b_max(a, hi) + 1
-        count = b_end - b_next[:a.size]
-        # row a adds b = b_next[a] .. b_end[a] - 1
-        skip = np.repeat(b_next[:a.size] - (np.cumsum(count) - count), count)
-        b = np.arange(skip.size) + skip
-        b_next[:a.size] = b_end
-        yield lo, np.repeat(a, count), b
+        rows = rule.b_max(0, hi) + 1
+        b_end = rule.b_max(np.arange(rows, dtype=np.int64), hi) + 1
+        a, b = _ranges(b_next[:rows], b_end)  # row a adds b = b_next[a] .. b_end[a] - 1
+        b_next[:rows] = b_end
+        yield lo, a, b
+
+
+def _ranges(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, x) int64 arrays listing x = start[row] .. end[row] - 1 for
+    each row in turn."""
+    count = end - start
+    row = np.repeat(np.arange(count.size), count)
+    return row, np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
 def _window_shells(rule, cap: int):
@@ -479,24 +485,55 @@ def _torus_batches(geom: Geometry, cap: int) -> Iterator[list[DualPoint]]:
     count_bound = (2 * m + 1) ** n
     if count_bound > _MAX_MATERIALIZED_POINTS:
         raise SizeError(
-            "torus:%d enumeration at this cutoff would materialize ~%d points "
+            "torus:%d enumeration at this cutoff would enumerate ~%d points "
             "(cap %d); lower the cutoff"
             % (n, count_bound, _MAX_MATERIALIZED_POINTS))
+    for cols, q in _torus_windows(n, cap):
+        order = np.lexsort(cols[::-1] + [q])
+        for s in range(0, order.size, _BATCH):
+            rows = order[s:s + _BATCH]
+            yield _points(geom, list(zip(*(c[rows].tolist() for c in cols))), 1, 1, 1,
+                          q[rows].astype(np.float64).tolist())
+
+
+def _torus_windows(n: int, cap: int) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """(cols, q) for the k in Z^n, n >= 2, with q = |k|^2 <= cap, one window
+    of q at a time: cols are the int64 columns k_1 .. k_n, unordered within
+    a window, and windows come in ascending q.
+
+    The prefixes (k_1 .. k_{n-1}) of the ball are built once, sorted by
+    their own q; a window extends each prefix it reaches by every |k_n|
+    its q range admits, from the prefix's next |k_n| on.  A window's width
+    in q is the last one's scaled to _CHUNK points by the last one's count,
+    and at most doubled, so a window holds about _CHUNK points whatever the
+    cutoff.
+    """
     # the ball, not the cube: extend each row (k_1..k_i, q) by every k_{i+1}
-    # with q + k_{i+1}^2 <= cap, one axis at a time
-    cols, q = [], np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        r = _isqrt(cap - q)
-        width = 2 * r + 1
-        rows = np.repeat(np.arange(q.size), width)
-        k = np.arange(rows.size) - np.repeat(np.cumsum(width) - r - 1, width)
+    # with q + k_{i+1}^2 <= cap, one axis at a time, stopping one axis short
+    cols, q0 = [], np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        r = _isqrt(cap - q0)
+        rows, k = _ranges(-r, r + 1)
         cols = [c[rows] for c in cols] + [k]
-        q = q[rows] + k * k
-    order = np.lexsort(cols[::-1] + [q])
-    for s in range(0, order.size, _BATCH):
-        rows = order[s:s + _BATCH]
-        yield _points(geom, list(zip(*(c[rows].tolist() for c in cols))), 1, 1, 1,
-                      q[rows].astype(np.float64).tolist())
+        q0 = q0[rows] + k * k
+    by_q = np.argsort(q0, kind="stable")  # the prefixes a window reaches lead
+    cols, q0 = [c[by_q] for c in cols], q0[by_q]
+    a_next = np.zeros(q0.size, dtype=np.int64)
+    lo, width = 0, 1
+    while lo <= cap:
+        hi = min(lo + width - 1, cap)
+        live = int(np.searchsorted(q0, hi, side="right"))
+        a_end = _isqrt(hi - q0[:live]) + 1
+        p, a = _ranges(a_next[:live], a_end)  # prefix p adds |k_n| = a
+        a_next[:live] = a_end
+        p, a = np.concatenate((p, p[a > 0])), np.concatenate((a, -a[a > 0]))
+        width = min(2 * width, max(1, width * _CHUNK // max(p.size, 1)))
+        lo = hi + 1
+        q = q0[p]
+        q += a * a
+        window = [c[p] for c in cols] + [a]
+        del p, a  # only the window outlives the yield
+        yield window, q
 
 
 def counting_function(geom: Geometry, weight_cutoff: float) -> int:

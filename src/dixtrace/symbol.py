@@ -377,8 +377,8 @@ def _load_table(path: str, diagonal: bool) -> dict:
     The first entry line sets d, and a record holds up to d rows of d
     entries.  Full tables require d rows.  Diagonal tables take one row, or
     the full square shape when its off-diagonal part is zero; their rows end
-    at the first line that is not d numbers.  Entries are checked finite
-    here, once, and come back read-only.
+    at the first line that is not d numbers.  A repeated label is refused.
+    Entries are checked finite here, once, and come back read-only.
     """
     entries: dict = {}
     records = _records(path, "symbol table")
@@ -389,12 +389,15 @@ def _load_table(path: str, diagonal: bool) -> dict:
             raise SpectrumFormatError("%s:%d: expected a label line, got %r"
                                       % (path, lineno, line.strip()))
         label = fields[0]
+        if label in entries:
+            raise SpectrumFormatError("%s:%d: label %r repeats an earlier record"
+                                      % (path, lineno, label))
         rec = next(records, None)
         if rec is None:
             raise SpectrumFormatError("%s:%d: label %r has no entries"
                                       % (path, lineno, label))
         first_no = rec[0]
-        rows = [np.array([parse_complex(t) for t in rec[2]], dtype=np.complex128)]
+        rows = [np.array(_entries(path, rec), dtype=np.complex128)]
         d = len(rows[0])
         rec = next(records, None)
         while len(rows) < d:
@@ -406,7 +409,7 @@ def _load_table(path: str, diagonal: bool) -> dict:
                 raise SpectrumFormatError(
                     "%s:%d: label %r matrix is truncated" % (path, first_no, label))
             else:
-                row = [parse_complex(t) for t in rec[2]]
+                row = _entries(path, rec)
                 if len(row) != d:
                     raise SpectrumFormatError(
                         "%s:%d: expected %d entries, got %d" % (path, rec[0], d, len(row)))
@@ -433,6 +436,14 @@ def _load_table(path: str, diagonal: bool) -> dict:
                               % (path, label))
         entry.flags.writeable = False
     return entries
+
+
+def _entries(path: str, rec: tuple) -> list:
+    """A record's fields as complex numbers; a bad one names its line."""
+    try:
+        return [parse_complex(t) for t in rec[2]]
+    except SpectrumFormatError as exc:
+        raise SpectrumFormatError("%s:%d: %s" % (path, rec[0], exc)) from None
 
 
 def _numbers(fields: list[str]) -> list | None:

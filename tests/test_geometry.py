@@ -269,6 +269,34 @@ def test_torus_enumeration_matches_the_cube_reference(n, cutoff):
     assert all(type(x) is int for _, k in got for x in k)
 
 
+# balls of 24 395 to 70 661 points, 5 to 16 windows of q each; torus:3 at
+# N = 22 has cap 483, an occupied shell
+@pytest.mark.parametrize("n, cutoff", [(2, 150.0), (3, 22.0), (4, 10.5), (5, 5.5)])
+def test_torus_windows_match_the_cube_reference(n, cutoff):
+    g = Geometry.torus(n)
+    cap = g.lattice_cap(cutoff)
+    assert sum(1 for _ in geometry._torus_windows(n, cap)) >= 5
+    m = math.isqrt(cap)
+    ref = sorted((sum(x * x for x in k), k)
+                 for k in product(range(-m, m + 1), repeat=n)
+                 if sum(x * x for x in k) <= cap)
+    assert n != 3 or ref[-1][0] == cap
+    got = [(p.eigenvalue, p.label) for p in enumerate_dual(g, cutoff)]
+    assert got == [(float(q), k) for q, k in ref]
+
+
+def test_torus3_partial_sums_hold_one_window():
+    # 903 939 points; holding the whole ball peaked at 41.6 MB
+    tracemalloc.start()
+    try:
+        series = partial_sums(Geometry.torus(3), parse_symbol("radial:3"), dyadic_grid(60.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.counts[-1] == counting_function(Geometry.torus(3), 60.0)
+    assert peak <= 4 * 2 ** 20
+
+
 def test_torus3_enumeration_builds_the_ball():
     # 112 931 points of the 205 379 in the cube [-29, 29]^3; building the
     # cube first peaked at 15.7 MB

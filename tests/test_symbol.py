@@ -402,6 +402,10 @@ def test_truncated_matrix_table(tmp_path):
     (False, "0\n1 0\n1\n", "t.txt:6: expected 2 entries, got 1"),
     (True, "0\n1 2 3\n0 2 0\n", "t.txt:5: diagonal table label '0' has 2 rows, expected 1 or 3"),
     (True, "0\n1 0\n# c\n1 2\n", "t.txt:5: diagonal table label '0' has nonzero off-diagonal"),
+    (True, "0\n1 x\n", "t.txt:5: bad complex literal 'x'"),
+    (False, "0\n1 0\n0 1+2i\n1\n1 0\n0 x\n", "t.txt:9: bad complex literal 'x'"),
+    (True, "0\n1\n0\n2\n", "t.txt:6: label '0' repeats an earlier record"),
+    (False, "0\n1\n1\n2\n\n0\n3\n", "t.txt:9: label '0' repeats an earlier record"),
 ])
 def test_table_messages_name_their_line(tmp_path, diagonal, body, message):
     path = tmp_path / "t.txt"
