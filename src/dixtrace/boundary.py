@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
                      SpectrumFormatError)
-from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _records
+from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _MAX_STREAMED_LABELS, _records
 from .summation import PartialSumSeries, _stream_snapshots, check_grid
 from .trace import TraceEstimate, _estimate
 
@@ -53,10 +53,6 @@ ZERO_EIGENVALUE_TOL = 1e-12
 
 # s0_summability_check: a last-octave increment ratio at or above this diverges
 S0_RATIO_THRESHOLD = 0.9
-
-# generated symbols' index sums stream in flat memory; this bounds their run time
-# (about a minute per 1e9 labels for the two passes of `dixtrace boundary`)
-_MAX_STREAMED_LABELS = 1 << 30
 
 
 @dataclass(frozen=True)

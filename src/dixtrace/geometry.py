@@ -23,7 +23,10 @@ Built-in kinds:
 
 enumerate_dual, counting_function and radial_shells read each kind's
 formulas from one place (_RankOne, and the row rules _Torus2 and _SU3 for
-the rank-two lattices).
+the rank-two lattices).  Every lattice stream (torus:2 and su3 shells, su3
+points, per-point tori) walks q = den * lambda in windows of about 2^14
+labels by one row rule (_windows): rows sorted by their least q, which
+each window extends by the labels its q range admits.
 
 The weight of a point is w = (1+lambda)^(1/nu).  All cutoffs N act through
 the equivalent rule lambda <= N^nu - 1, so that boundary ties are included
@@ -56,11 +59,16 @@ _MAX_MATERIALIZED_POINTS = 50_000_000
 _MAX_LATTICE_LABELS = 1 << 27
 
 # Shells, points or boundary labels per streamed chunk, one length for
-# every chunked stream, and the width in q = den * lambda of the rank-two
-# lattice windows; fixed so summation is reproducible.  The fold sums each
+# every chunked stream, and about the labels of one lattice window
+# (_windows); fixed so summation is reproducible.  The fold sums each
 # chunk pairwise, so its length is picked for speed alone: 2^14 float64
 # values (128 kB) stay in cache, and longer chunks spill out of it.
 _CHUNK = 1 << 14
+# Labels of a closed-form stream (torus:1 and rank-one shells, generated
+# boundary symbols), refused before the first chunk: they run in flat
+# memory, so this bounds their run time (on 2 vCPUs, su2 `radial:3` sums
+# about 1e8 labels a second, and `dixtrace boundary` 1e9 labels a minute).
+_MAX_STREAMED_LABELS = 1 << 30
 # Dual points built per batch by enumerate_dual: a batch's objects, about
 # 250 bytes a point, stay near 256 kB, and numpy's per-call cost is spread
 # over a thousand points.
@@ -123,14 +131,18 @@ class Geometry:
         """Largest admissible eigenvalue for weight cutoff N, as the float64
         that eigenvalues are compared against.
 
-        File spectra evaluate N^nu - 1 in float64.  Built-in kinds read the
-        exact cap q of lattice_cap as the streams compute eigenvalues: q / den
-        on higher tori and su3, and the last admitted label's eigenvalue on
+        File spectra evaluate N^nu - 1 in float64, and inf where N^nu
+        overflows it, which admits every row.  Built-in kinds read the exact
+        cap q of lattice_cap as the streams compute eigenvalues: q / den on
+        higher tori and su3, and the last admitted label's eigenvalue on
         torus:1 and rank one, as past 2**53 q may round onto the next one's.
         """
         if self.kind == "file":
             _check_cutoff(weight_cutoff)
-            return float(weight_cutoff) ** self.nu - 1.0
+            try:
+                return float(weight_cutoff) ** self.nu - 1.0
+            except OverflowError:  # past float64, so every row is admitted
+                return math.inf
         cap = self.lattice_cap(weight_cutoff)
         if self.kind == "torus" and self.rank == 1:
             return float(math.isqrt(cap) ** 2)
@@ -166,10 +178,8 @@ class Geometry:
         return picture == "homogeneous" or self.kind == "sphere"
 
     def describe(self) -> str:
-        if self.kind == "torus":
-            return "torus:%d" % self.rank
-        if self.kind == "sphere":
-            return "sphere:%d" % self.rank
+        if self.kind in ("torus", "sphere"):
+            return "%s:%d" % (self.kind, self.rank)
         if self.kind == "file":
             return "file:%s" % self.path
         return self.kind
@@ -187,22 +197,14 @@ def parse_geometry(text: str, dim: int = 1, nu: float = 2.0) -> Geometry:
     """
     head, _, tail = text.partition(":")
     head = head.strip().lower()
-    if head == "torus":
+    if head in ("torus", "sphere"):  # Geometry.torus(n), Geometry.sphere(n)
         try:
-            return Geometry.torus(int(tail))
+            return getattr(Geometry, head)(int(tail))
         except ValueError:
-            raise ConfigError("bad torus rank in %r" % (text,)) from None
-    if head == "sphere":
-        try:
-            return Geometry.sphere(int(tail))
-        except ValueError:
-            raise ConfigError("bad sphere dimension in %r" % (text,)) from None
-    if head == "su2":
-        return Geometry.su2()
-    if head == "so3":
-        return Geometry.so3()
-    if head == "su3":
-        return Geometry.su3()
+            what = "torus rank" if head == "torus" else "sphere dimension"
+            raise ConfigError("bad %s in %r" % (what, text)) from None
+    if head in ("su2", "so3", "su3"):
+        return getattr(Geometry, head)()
     if head == "file":
         if not tail:
             raise ConfigError("file geometry needs a path: file:PATH")
@@ -298,11 +300,7 @@ def _den(geom: Geometry) -> int:
     """den of a built-in kind, whose eigenvalues lie in (1/den)Z."""
     if geom.kind == "file":
         raise ConfigError("a file spectrum has no exact eigenvalue lattice")
-    if geom.kind == "torus":
-        return 1
-    if geom.kind == "su3":
-        return _SU3.den
-    return _rank_one(geom).den
+    return {"torus": 1, "su3": _SU3.den}.get(geom.kind) or _rank_one(geom).den
 
 
 def _isqrt(x):
@@ -319,10 +317,10 @@ def _isqrt(x):
 
 
 # Row rules of the rank-two lattices.  Labels (a, b) have a, b >= 0 and an
-# integer q(a, b) = den * lambda, symmetric in a and b and strictly
-# increasing in each.  b_max(a, q) is the largest b with q(a, b) <= q, for
-# rows with q(a, 0) <= q; weight(a, b) is the float64 D of a label.  Every
-# function takes ints or int64 arrays.
+# integer q(a, b) = den * lambda, strictly increasing in each.  b_max(a, q)
+# is the largest b with q(a, b) <= q, for rows with q(a, 0) <= q;
+# weight(a, b) is the float64 D of a label.  Every function takes ints or
+# int64 arrays.
 
 class _Torus2:
     """torus:2: the label (a, b) = (|k1|, |k2|) stands for its sign choices."""
@@ -366,6 +364,11 @@ class _SU3:
         return d * d
 
     @staticmethod
+    def blocks(label):  # (d, D, k) of a batch of labels [a, b]
+        d = _SU3.dim(*label).tolist()
+        return d, [x * x for x in d], d
+
+    @staticmethod
     def row_count(a: int, b_max: int) -> int:
         # exact sum of D over b <= b_max: d = m u (u + m) / 2 (m = a+1, u = b+1),
         # so it is m^2 (S4 + 2m S3 + m^2 S2) / 4 with S_k = sum of u^k, u <= n
@@ -387,28 +390,27 @@ def _rows(rule, cap: int) -> Iterator[tuple[int, int]]:
         a += 1
 
 
-def _window_labels(rule, cap: int):
-    """Yield (lo, a, b) int64 arrays: the labels with lo <= q(a, b) < lo +
-    _CHUNK and q <= cap, rows in order and b ascending within a row.
-
-    The label count is checked against _MAX_LATTICE_LABELS before the first
-    window, one isqrt per row.  Windows are fixed in q, so the labels of a
-    window never depend on how far the cap lies beyond it.
+def _windows(floor: np.ndarray, start: np.ndarray, end, cap: int):
+    """Yield (lo, row, x) int64 arrays, one window lo <= q <= hi at a time
+    up to cap: the labels (row, x), rows in order and x ascending, of rows
+    whose integer q rises with x.  floor, ascending, bounds each row's q
+    from below; start holds each row's first x, then its next x (it is
+    advanced in place); end(live, hi) gives the x past the last with
+    q <= hi on the first live rows, those with floor <= hi.  A window's
+    width is the last one's scaled to _CHUNK labels by the last one's
+    count, at most doubled, so no window but the last depends on the cap.
     """
-    n = 0
-    for _, b_max in _rows(rule, cap):
-        n += b_max + 1
-        if n > _MAX_LATTICE_LABELS:
-            raise SizeError("%s at this cutoff has more than %d labels (a, b) "
-                            "with a, b >= 0; lower the cutoff" % (rule.name, _MAX_LATTICE_LABELS))
-    b_next = np.zeros(rule.b_max(0, cap) + 1, dtype=np.int64)  # q is symmetric
-    for lo in range(0, cap + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, cap)
-        rows = rule.b_max(0, hi) + 1
-        b_end = rule.b_max(np.arange(rows, dtype=np.int64), hi) + 1
-        a, b = _ranges(b_next[:rows], b_end)  # row a adds b = b_next[a] .. b_end[a] - 1
-        b_next[:rows] = b_end
-        yield lo, a, b
+    x_next = start
+    lo, width = 0, 1
+    while lo <= cap:
+        hi = min(lo + width - 1, cap)
+        live = int(np.searchsorted(floor, hi, side="right"))
+        x_end = end(live, hi)
+        count = int((x_end - x_next[:live]).sum())
+        yield (lo, *_ranges(x_next[:live], x_end))  # held by the consumer alone
+        x_next[:live] = x_end
+        width = min(2 * width, max(1, width * _CHUNK // max(count, 1)))
+        lo = hi + 1
 
 
 def _ranges(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,13 +421,52 @@ def _ranges(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return row, np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
-def _window_shells(rule, cap: int):
-    """Shells of one window at a time: (lam, dsum) of its occupied q."""
-    for lo, a, b in _window_labels(rule, cap):
-        hist = np.bincount(rule.q(a, b) - lo, weights=rule.weight(a, b))
-        q = np.flatnonzero(hist > 0)  # faster than testing floats for nonzero
-        if q.size:
-            yield (q + lo) / rule.den, hist[q]
+def _lattice_windows(rule, cap: int):
+    """_windows over the labels (a, b), a, b >= 0, of a rank-two row rule:
+    row a has floor q(a, 0) and ends at b_max(a, hi).  The label count is
+    checked against _MAX_LATTICE_LABELS first, one isqrt per row."""
+    n = a = 0
+    for a, b_max in _rows(rule, cap):
+        n += b_max + 1
+        if n > _MAX_LATTICE_LABELS:
+            raise SizeError("%s at this cutoff has more than %d labels (a, b) "
+                            "with a, b >= 0; lower the cutoff" % (rule.name, _MAX_LATTICE_LABELS))
+    a = np.arange(a + 1, dtype=np.int64)
+    return _windows(rule.q(a, 0), np.zeros_like(a),
+                    lambda live, hi: rule.b_max(a[:live], hi) + 1, cap)
+
+
+def _torus_windows(n: int, cap: int) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """(cols, q) for the k in Z^n with q = |k|^2 <= cap, one window of
+    _windows at a time: cols are the int64 columns k_1 .. k_n, unordered
+    within a window.  The prefixes (k_1 .. k_{n-1}) of the ball are built
+    once, sorted by q, and prefix i is two rows of x = |k_n| with its q as
+    floor: row 2i has k_n = x from x = 0, row 2i + 1 has k_n = -x from 1.
+    """
+    count_bound = (2 * math.isqrt(cap) + 1) ** n
+    if count_bound > _MAX_MATERIALIZED_POINTS:
+        raise SizeError("torus:%d enumeration at this cutoff would enumerate ~%d points (cap "
+                        "%d); lower the cutoff" % (n, count_bound, _MAX_MATERIALIZED_POINTS))
+    # the ball, not the cube: extend each row (k_1..k_i, q) by every k_{i+1}
+    # with q + k_{i+1}^2 <= cap, one axis at a time, stopping one axis short
+    cols, q0 = [], np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        r = _isqrt(cap - q0)
+        rows, k = _ranges(-r, r + 1)
+        cols = [c[rows] for c in cols] + [k]
+        q0 = q0[rows] + k * k
+    by_q = np.argsort(q0, kind="stable")
+    cols, floor = [c[by_q] for c in cols], np.repeat(q0[by_q], 2)
+    windows = _windows(floor, np.arange(floor.size) % 2,
+                       lambda live, hi: _isqrt(hi - floor[:live]) + 1, cap)
+    for _, row, x in windows:
+        q = floor[row]
+        q += x * x
+        x[row % 2 == 1] *= -1
+        row >>= 1  # the prefix
+        window = [c[row] for c in cols] + [x]
+        del row, x  # only the window outlives the yield
+        yield window, q
 
 
 def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
@@ -442,16 +483,12 @@ def _point_batches(geom: Geometry, weight_cutoff: float) -> Iterator[list[DualPo
     """enumerate_dual's points as lists of up to _BATCH points, each built
     from flat columns by _points."""
     if geom.kind == "torus":
-        yield from _torus_batches(geom, geom.lattice_cap(weight_cutoff))
+        windows = _torus_windows(geom.rank, geom.lattice_cap(weight_cutoff))
+        yield from _lattice_batches(geom, windows, lambda cols: (1, 1, 1))
     elif geom.kind == "su3":
-        for _, a, b in _window_labels(_SU3, geom.lattice_cap(weight_cutoff)):
-            q = _SU3.q(a, b)
-            order = np.argsort(q, kind="stable")  # labels come in (a, b) order
-            for s in range(0, order.size, _BATCH):
-                rows = order[s:s + _BATCH]
-                d = _SU3.dim(a[rows], b[rows]).tolist()
-                yield _points(geom, list(zip(a[rows].tolist(), b[rows].tolist())), d,
-                              [x * x for x in d], d, (q[rows] / _SU3.den).tolist())
+        windows = (([a, b], _SU3.q(a, b))
+                   for _, a, b in _lattice_windows(_SU3, geom.lattice_cap(weight_cutoff)))
+        yield from _lattice_batches(geom, windows, _SU3.blocks)
     elif geom.kind == "file":
         spec = _load_spectrum(geom)
         yield from _file_batches(geom, spec, spec.admitted(geom.lambda_threshold(weight_cutoff)))
@@ -464,6 +501,20 @@ def _point_batches(geom: Geometry, weight_cutoff: float) -> Iterator[list[DualPo
             yield _points(geom, [(l,) for l in ls], d, [x * y for x, y in zip(d, k)], k, lam)
 
 
+def _lattice_batches(geom: Geometry, windows, blocks) -> Iterator[list[DualPoint]]:
+    """The DualPoints of a lattice stream, _BATCH at a time: windows yields
+    (cols, q), the int64 label columns and q = den * lambda of a window,
+    which is sorted by (q, label); blocks(cols) gives a batch's (d, D, k)."""
+    den = _den(geom)
+    for cols, q in windows:
+        order = np.lexsort(cols[::-1] + [q])
+        for s in range(0, order.size, _BATCH):
+            rows = order[s:s + _BATCH]
+            label = [c[rows] for c in cols]
+            yield _points(geom, list(zip(*(c.tolist() for c in label))), *blocks(label),
+                          (q[rows] / den).tolist())
+
+
 def _file_batches(geom: Geometry, spec: "SpectrumColumns", n: int) -> Iterator[list[DualPoint]]:
     """The DualPoints of a spectrum's first n rows, a batch at a time."""
     for s in range(0, n, _BATCH):
@@ -471,69 +522,6 @@ def _file_batches(geom: Geometry, spec: "SpectrumColumns", n: int) -> Iterator[l
         d = spec.rep_dim[rows].tolist()
         yield _points(geom, [(t,) for t in spec.labels(rows)], d,
                       spec.eigenspace_dim[rows].tolist(), d, spec.eigenvalue[rows].tolist())
-
-
-def _torus_batches(geom: Geometry, cap: int) -> Iterator[list[DualPoint]]:
-    n = geom.rank
-    m = math.isqrt(cap)
-    if n == 1:  # k = 0, -1, 1, -2, 2, ...
-        for s in range(0, m + 1, _BATCH // 2):
-            ks = [k for r in range(s, min(s + _BATCH // 2, m + 1))
-                  for k in ((-r, r) if r else (0,))]
-            yield _points(geom, [(k,) for k in ks], 1, 1, 1, [float(k * k) for k in ks])
-        return
-    count_bound = (2 * m + 1) ** n
-    if count_bound > _MAX_MATERIALIZED_POINTS:
-        raise SizeError(
-            "torus:%d enumeration at this cutoff would enumerate ~%d points "
-            "(cap %d); lower the cutoff"
-            % (n, count_bound, _MAX_MATERIALIZED_POINTS))
-    for cols, q in _torus_windows(n, cap):
-        order = np.lexsort(cols[::-1] + [q])
-        for s in range(0, order.size, _BATCH):
-            rows = order[s:s + _BATCH]
-            yield _points(geom, list(zip(*(c[rows].tolist() for c in cols))), 1, 1, 1,
-                          q[rows].astype(np.float64).tolist())
-
-
-def _torus_windows(n: int, cap: int) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-    """(cols, q) for the k in Z^n, n >= 2, with q = |k|^2 <= cap, one window
-    of q at a time: cols are the int64 columns k_1 .. k_n, unordered within
-    a window, and windows come in ascending q.
-
-    The prefixes (k_1 .. k_{n-1}) of the ball are built once, sorted by
-    their own q; a window extends each prefix it reaches by every |k_n|
-    its q range admits, from the prefix's next |k_n| on.  A window's width
-    in q is the last one's scaled to _CHUNK points by the last one's count,
-    and at most doubled, so a window holds about _CHUNK points whatever the
-    cutoff.
-    """
-    # the ball, not the cube: extend each row (k_1..k_i, q) by every k_{i+1}
-    # with q + k_{i+1}^2 <= cap, one axis at a time, stopping one axis short
-    cols, q0 = [], np.zeros(1, dtype=np.int64)
-    for _ in range(n - 1):
-        r = _isqrt(cap - q0)
-        rows, k = _ranges(-r, r + 1)
-        cols = [c[rows] for c in cols] + [k]
-        q0 = q0[rows] + k * k
-    by_q = np.argsort(q0, kind="stable")  # the prefixes a window reaches lead
-    cols, q0 = [c[by_q] for c in cols], q0[by_q]
-    a_next = np.zeros(q0.size, dtype=np.int64)
-    lo, width = 0, 1
-    while lo <= cap:
-        hi = min(lo + width - 1, cap)
-        live = int(np.searchsorted(q0, hi, side="right"))
-        a_end = _isqrt(hi - q0[:live]) + 1
-        p, a = _ranges(a_next[:live], a_end)  # prefix p adds |k_n| = a
-        a_next[:live] = a_end
-        p, a = np.concatenate((p, p[a > 0])), np.concatenate((a, -a[a > 0]))
-        width = min(2 * width, max(1, width * _CHUNK // max(p.size, 1)))
-        lo = hi + 1
-        q = q0[p]
-        q += a * a
-        window = [c[p] for c in cols] + [a]
-        del p, a  # only the window outlives the yield
-        yield window, q
 
 
 def counting_function(geom: Geometry, weight_cutoff: float) -> int:
@@ -572,13 +560,13 @@ def _count_torus(n: int, cap: int) -> int:
 # Radial shell streams: (lambda ascending, summed D per shell) in float64.
 # This is the bulk interface the summation engine consumes for scalar radial
 # symbols.  torus:1 and the rank-one kinds hand out _CHUNK shells per chunk
-# from the first one on; torus:2 and su3 hand out the occupied shells of
-# one window of _CHUNK values of q = den * lambda per chunk; higher tori
-# hand out _CHUNK enumerated points per chunk and file spectra _CHUNK rows
-# of their sorted columns, one entry per point, so an eigenvalue repeats
-# and may straddle two chunks (the fold reads ties whole).  Chunk
-# boundaries are fixed functions of the geometry, so repeated runs and
-# longer cutoffs reproduce sums bit-for-bit.
+# from the first one on, up to _MAX_STREAMED_LABELS labels; torus:2 and su3
+# the occupied shells of one window of about _CHUNK labels (a, b) per chunk
+# (_windows); higher tori _CHUNK enumerated points per chunk and file
+# spectra _CHUNK rows of their sorted columns, one entry per point, so an
+# eigenvalue repeats and may straddle two chunks (the fold reads ties
+# whole).  Chunk boundaries are fixed functions of the geometry, so
+# repeated runs and longer cutoffs reproduce sums bit-for-bit.
 # ---------------------------------------------------------------------------
 
 def radial_shells(geom: Geometry, weight_cutoff: float):
@@ -592,16 +580,17 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
     """
     rows = _ROWS.get(geom.describe())
     if geom.kind == "torus" and geom.rank == 1:
-        m = math.isqrt(geom.lattice_cap(weight_cutoff))
-        for a in range(0, m + 1, _CHUNK):
-            b = min(a + _CHUNK, m + 1)
-            r = np.arange(a, b, dtype=np.float64)
-            dsum = np.full(b - a, 2.0)
-            if a == 0:
+        for r in _label_chunks(geom, math.isqrt(geom.lattice_cap(weight_cutoff)) + 1):
+            dsum = np.full(r.size, 2.0)
+            if r[0] == 0:
                 dsum[0] = 1.0
             yield r * r, dsum
-    elif rows is not None:
-        yield from _window_shells(rows, geom.lattice_cap(weight_cutoff))
+    elif rows is not None:  # the occupied shells of each window
+        for lo, a, b in _lattice_windows(rows, geom.lattice_cap(weight_cutoff)):
+            hist = np.bincount(rows.q(a, b) - lo, weights=rows.weight(a, b))
+            q = np.flatnonzero(hist > 0)  # faster than testing floats for nonzero
+            if q.size:
+                yield (q + lo) / rows.den, hist[q]
     elif geom.kind == "file":  # slices of the sorted columns
         spec = _load_spectrum(geom)
         n = spec.admitted(geom.lambda_threshold(weight_cutoff))
@@ -613,10 +602,19 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
         yield from _row_chunks(map(itemgetter(4, 2), points), 2)  # (lambda, D)
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
-        lmax = r.label_max(geom.lattice_cap(weight_cutoff))
-        for a in range(0, lmax + 1, _CHUNK):
-            lam, d, k = r.point(np.arange(a, min(a + _CHUNK, lmax + 1), dtype=np.float64))
+        for l in _label_chunks(geom, r.label_max(geom.lattice_cap(weight_cutoff)) + 1):
+            lam, d, k = r.point(l)
             yield lam, d * k
+
+
+def _label_chunks(geom: Geometry, n: int) -> Iterator[np.ndarray]:
+    """The labels 0 .. n - 1 of a closed-form stream as float64 arrays,
+    _CHUNK at a time; SizeError above _MAX_STREAMED_LABELS first."""
+    if n > _MAX_STREAMED_LABELS:
+        raise SizeError("%s shell stream at this cutoff has %d labels, above the cap "
+                        "of %d; lower the cutoff" % (geom.describe(), n, _MAX_STREAMED_LABELS))
+    for a in range(0, n, _CHUNK):
+        yield np.arange(a, min(a + _CHUNK, n), dtype=np.float64)
 
 
 def _row_chunks(rows: Iterable[tuple], width: int) -> Iterator[np.ndarray]:

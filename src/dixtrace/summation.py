@@ -19,10 +19,13 @@ Both share one accumulation contract so results are reproducible bit for
 bit: pairwise sums of chunk prefixes, with one chunk length.  Terms come
 in ascending eigenvalue order in fixed chunks: geometry._CHUNK shells or
 labels on the torus:1, rank-one and boundary streams, the occupied shells
-of a window of geometry._CHUNK values of q = den * lambda on torus:2 and
-su3, geometry._CHUNK points of enumerate_dual wherever dual points are
-enumerated (the per-point path, higher tori), and on the radial path
-geometry._CHUNK-row slices of a file spectrum's sorted columns.  The fold
+of a window of about geometry._CHUNK labels (a, b) on torus:2 and su3
+(geometry._windows: rows of labels sorted by their least q = den *
+lambda, each window as wide in q as the last one's count scaled to
+geometry._CHUNK labels, at most doubled), geometry._CHUNK points of
+enumerate_dual wherever dual points are enumerated (the per-point path,
+higher tori), and on the radial path geometry._CHUNK-row slices of a file
+spectrum's sorted columns.  The fold
 owns ties: a run of equal eigenvalues may straddle chunks, and a
 threshold is read only once a chunk's last key lies strictly above it.
 Its snapshot is the Neumaier-compensated carry of the chunk totals before

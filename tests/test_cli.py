@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -568,3 +569,36 @@ def test_fixed_verdict_rules_are_not_flags(tmp_path, capsys, command):
     cfg = _config(tmp_path, {"divergence_threshold": 0.2})
     assert run(command, "--config", cfg) == 1
     assert "unknown key 'divergence_threshold'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, stream", [
+    (["trace", "--geometry", "su2", "--symbol", "radial:3", "--nmax", "1e12"], "su2"),
+    (["trace", "--geometry", "su2", "--symbol", "radial:3", "--nmax", "1e300"], "su2"),
+    (["trace", "--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "1e13"], "torus:1"),
+    (["trace", "--geometry", "sphere:3", "--symbol", "radial:3", "--nmax", "1e12"], "sphere:3"),
+    (["weyl", "--geometry", "so3", "--nmax", "1e12"], "so3"),
+])
+def test_closed_form_streams_refuse_past_the_label_cap(capsys, argv, stream):
+    # streamed to the end, su2 at 1e12 would take hours (0.27 s per 2e7 labels)
+    start = time.perf_counter()
+    assert run(*argv) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s shell stream at this cutoff has " % stream)
+    assert err.endswith(" labels, above the cap of 1073741824; lower the cutoff\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--nmax", "1e200"], ["--nu", "3", "--nmax", "1e150"]])
+def test_file_cutoff_past_float64_admits_every_row(tmp_path, capsys, extra):
+    # N^nu overflows float64: the threshold is inf, which admits the whole
+    # finite spectrum, as 1e100 does
+    path = tmp_path / "torus1.txt"
+    path.write_text("".join("%d 1 1 %d\n" % (k, k * k) for k in range(-50, 51)))
+    geom = ["--geometry", "file:%s" % path, "--symbol", "radial:1"]
+    start = time.perf_counter()
+    code = run("trace", *geom, *extra)
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    assert "verdict:" in out.out

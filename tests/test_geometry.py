@@ -269,9 +269,9 @@ def test_torus_enumeration_matches_the_cube_reference(n, cutoff):
     assert all(type(x) is int for _, k in got for x in k)
 
 
-# balls of 24 395 to 70 661 points, 5 to 16 windows of q each; torus:3 at
+# balls of 24 395 to 70 661 points, 5 to 29 windows of q each; torus:3 at
 # N = 22 has cap 483, an occupied shell
-@pytest.mark.parametrize("n, cutoff", [(2, 150.0), (3, 22.0), (4, 10.5), (5, 5.5)])
+@pytest.mark.parametrize("n, cutoff", [(1, 2e4), (2, 150.0), (3, 22.0), (4, 10.5), (5, 5.5)])
 def test_torus_windows_match_the_cube_reference(n, cutoff):
     g = Geometry.torus(n)
     cap = g.lattice_cap(cutoff)
@@ -283,6 +283,32 @@ def test_torus_windows_match_the_cube_reference(n, cutoff):
     assert n != 3 or ref[-1][0] == cap
     got = [(p.eigenvalue, p.label) for p in enumerate_dual(g, cutoff)]
     assert got == [(float(q), k) for q, k in ref]
+
+
+def test_windows_walk_a_row_rule_that_is_not_symmetric():
+    # g2's metric, q(a, b) != q(b, a): rows a = 0 .. a_max with floor
+    # q(a, 0) reach every label.  Finding the rows by b_max(0, hi), as if q
+    # were symmetric, gives 706 of the 869 labels.
+    def q(a, b):
+        return a * a + 3 * a * b + 3 * b * b + 5 * a + 9 * b
+
+    def b_max(a, cap):  # 3b^2 + (3a + 9) b + a^2 + 5a - cap <= 0
+        return (geometry._isqrt((3 * a + 9) ** 2 - 12 * (a * a + 5 * a - cap)) - 3 * a - 9) // 6
+
+    cap = 3000
+    a = np.arange(60)
+    a = a[q(a, 0) <= cap]
+    windows = list(geometry._windows(q(a, 0), np.zeros_like(a),
+                                     lambda live, hi: b_max(a[:live], hi) + 1, cap))
+    assert len(windows) >= 5
+    got = []
+    for (lo, row, x), end in zip(windows, [lo for lo, _, _ in windows[1:]] + [cap + 1]):
+        qs = q(a[row], x)
+        assert np.all((lo <= qs) & (qs < end))  # windows ascend in q
+        got += zip(qs.tolist(), a[row].tolist(), x.tolist())
+    ref = [(q(x, y), x, y) for x in range(60) for y in range(60) if q(x, y) <= cap]
+    assert len(ref) == 869
+    assert sorted(got) == sorted(ref)
 
 
 def test_torus3_partial_sums_hold_one_window():

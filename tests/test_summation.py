@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dixtrace import summation
+from dixtrace import geometry, summation
 from dixtrace.boundary import BoundarySymbol, IntervalBC, boundary_series
 from dixtrace.errors import ConfigError, FitError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
@@ -147,21 +147,27 @@ def test_grid_extension_keeps_prefix_bits():
     np.testing.assert_array_equal(a.counts, b.counts[:k])
 
 
-@pytest.mark.parametrize("name, symbol, den, empty", [("torus:2", "modulus:0.5", 1, 3),
-                                                      ("su3", "radial:9", 9, 3)])
-def test_grid_extension_across_lattice_windows(name, symbol, den, empty):
-    # torus:2 and su3 shells come in windows of _CHUNK values of q = den *
-    # lambda, fixed in q, and only occupied shells are streamed.  Short
-    # grids end on the last q of windows 1 and 2, on the first q of the
-    # next, and on the empty start of window `empty` (the stream then ends
-    # a window early); their snapshots must reappear bit for bit on a grid
-    # 5.5 windows long.  Windows placed relative to the cap would shift
-    # between the two.
+@pytest.mark.parametrize("name, symbol", [("torus:2", "modulus:0.5"), ("su3", "radial:9")])
+def test_grid_extension_across_lattice_windows(name, symbol):
+    # torus:2 and su3 shells come in windows of about _CHUNK labels (a, b)
+    # in q = den * lambda (geometry._windows), and only occupied shells are
+    # streamed.  Short grids end on the last q of two full windows, on the
+    # first q of the next, and on the empty start of a later window (the
+    # stream then ends a window early); their snapshots must reappear bit
+    # for bit on a grid about 7 windows long.  Windows placed relative to
+    # the cap would shift between the two.
     g = parse_geometry(name)
-    ends = [q for k in (1, 2) for q in (k * _CHUNK - 1, k * _CHUNK)] + [empty * _CHUNK]
-    end_cutoffs = [math.sqrt(1 + (q + 0.5) / den) for q in ends]  # cap = q
+    rule = geometry._ROWS[name]
+    long_end = math.sqrt(1 + 10 * _CHUNK / rule.den)
+    windows = [(lo, set(rule.q(a, b).tolist()))
+               for lo, a, b in geometry._lattice_windows(rule, g.lattice_cap(long_end))]
+    starts = [lo for lo, _ in windows]
+    occupied = set().union(*(qs for _, qs in windows))
+    empty = next(lo for lo in starts[-3:] if lo not in occupied)
+    ends = [q for lo in starts[-5:-3] for q in (lo - 1, lo)] + [empty]
+    end_cutoffs = [math.sqrt(1 + (q + 0.5) / rule.den) for q in ends]  # cap = q
     assert [g.lattice_cap(n) for n in end_cutoffs] == ends
-    long = np.union1d(dyadic_grid(math.sqrt(1 + 5.5 * _CHUNK / den), 64), end_cutoffs)
+    long = np.union1d(dyadic_grid(long_end, 64), end_cutoffs)
     b = partial_sums(g, parse_symbol(symbol), long)
     for end in end_cutoffs:
         short = long[long <= end]
