@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
-                     SpectrumFormatError)
+                     SpectrumFormatError, count_text)
 from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _MAX_STREAMED_LABELS, _records
 from .summation import PartialSumSeries, _stream_snapshots, check_grid
 from .trace import TraceEstimate, _estimate
@@ -128,8 +128,8 @@ class IntervalBC:
 def _capped(n: int, cap: int) -> int:
     """n labels; SizeError above cap, before anything is allocated."""
     if n > cap:
-        raise SizeError("boundary symbol of %d labels is above the cap of %d; "
-                        "lower the cutoff" % (n, cap))
+        raise SizeError("boundary symbol of %s labels is above the cap of %d; "
+                        "lower the cutoff" % (count_text(n), cap))
     return n
 
 

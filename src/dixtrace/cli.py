@@ -18,11 +18,14 @@ explicit flags win.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
-import sys
+import os
 
+# idle OpenBLAS workers spin 2^28 cycles (~0.1 CPU-s) before they sleep; 2^20 sleeps them at once
+if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "GOTO_THREAD_TIMEOUT" not in os.environ:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
+
+# numpy loads after the timeout is set, and the package's modules load
+# before argparse and json, so their import peak does not stack on those
 import numpy as np
 
 # perfbench/tracer.py wraps cli.boundary_dixmier_weyl and cli.parametrix_trace,
@@ -39,6 +42,11 @@ from .summation import (SCHEMA_VERSION, PartialSumSeries, counting_series,
 from .symbol import parse_complex, parse_symbol
 from .trace import (density_integral_from_samples, dixmier_estimate, quasinorm,
                     residue_factored)
+
+import argparse
+import json
+import math
+import sys
 
 
 class _Parser(argparse.ArgumentParser):

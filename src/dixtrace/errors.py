@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count format their
+messages use."""
 
 
 class DixtraceError(Exception):
@@ -35,3 +36,13 @@ class EllipticityError(DixtraceError):
 
 class FitError(DixtraceError):
     """A least-squares fit is degenerate (too few points, constant data)."""
+
+
+def count_text(n: int) -> str:
+    """An integer count for a message: exact below 10**15, else two
+    significant digits and a decimal exponent (2.0e+300).  Decimal holds
+    any int exactly, where float(n) overflows past about 1.8e308."""
+    if n < 10 ** 15:
+        return str(n)
+    from decimal import Decimal  # imported here, off every process's start
+    return format(Decimal(n), ".1e")

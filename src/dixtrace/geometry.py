@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SizeError, SpectrumFormatError
+from .errors import ConfigError, SizeError, SpectrumFormatError, count_text
 
 _BUILTIN_KINDS = ("torus", "su2", "so3", "su3", "sphere", "file")
 
@@ -135,7 +135,8 @@ class Geometry:
         overflows it, which admits every row.  Built-in kinds read the exact
         cap q of lattice_cap as the streams compute eigenvalues: q / den on
         higher tori and su3, and the last admitted label's eigenvalue on
-        torus:1 and rank one, as past 2**53 q may round onto the next one's.
+        torus:1 and rank one, as past 2**53 q may round onto the next one's;
+        inf on tori and su3 where that value passes float64.
         """
         if self.kind == "file":
             _check_cutoff(weight_cutoff)
@@ -144,10 +145,13 @@ class Geometry:
             except OverflowError:  # past float64, so every row is admitted
                 return math.inf
         cap = self.lattice_cap(weight_cutoff)
-        if self.kind == "torus" and self.rank == 1:
-            return float(math.isqrt(cap) ** 2)
-        if self.kind in ("torus", "su3"):
-            return float(cap) / _den(self)
+        try:
+            if self.kind == "torus" and self.rank == 1:
+                return float(math.isqrt(cap) ** 2)
+            if self.kind in ("torus", "su3"):
+                return float(cap) / _den(self)
+        except OverflowError:  # past float64, so every eigenvalue is admitted
+            return math.inf
         r = _rank_one(self)
         return r.eigenvalue(float(r.label_max(cap)))
 
@@ -445,8 +449,9 @@ def _torus_windows(n: int, cap: int) -> Iterator[tuple[list[np.ndarray], np.ndar
     """
     count_bound = (2 * math.isqrt(cap) + 1) ** n
     if count_bound > _MAX_MATERIALIZED_POINTS:
-        raise SizeError("torus:%d enumeration at this cutoff would enumerate ~%d points (cap "
-                        "%d); lower the cutoff" % (n, count_bound, _MAX_MATERIALIZED_POINTS))
+        raise SizeError("torus:%d enumeration at this cutoff would enumerate ~%s points (cap "
+                        "%d); lower the cutoff" % (n, count_text(count_bound),
+                                                   _MAX_MATERIALIZED_POINTS))
     # the ball, not the cube: extend each row (k_1..k_i, q) by every k_{i+1}
     # with q + k_{i+1}^2 <= cap, one axis at a time, stopping one axis short
     cols, q0 = [], np.zeros(1, dtype=np.int64)
@@ -611,8 +616,9 @@ def _label_chunks(geom: Geometry, n: int) -> Iterator[np.ndarray]:
     """The labels 0 .. n - 1 of a closed-form stream as float64 arrays,
     _CHUNK at a time; SizeError above _MAX_STREAMED_LABELS first."""
     if n > _MAX_STREAMED_LABELS:
-        raise SizeError("%s shell stream at this cutoff has %d labels, above the cap "
-                        "of %d; lower the cutoff" % (geom.describe(), n, _MAX_STREAMED_LABELS))
+        raise SizeError("%s shell stream at this cutoff has %s labels, above the cap "
+                        "of %d; lower the cutoff" % (geom.describe(), count_text(n),
+                                                     _MAX_STREAMED_LABELS))
     for a in range(0, n, _CHUNK):
         yield np.arange(a, min(a + _CHUNK, n), dtype=np.float64)
 

@@ -52,7 +52,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, FitError, SpectrumFormatError
+from .errors import ConfigError, FitError, SpectrumFormatError, count_text
 from .geometry import Geometry, _row_chunks, enumerate_dual, label_text, radial_shells
 from .symbol import ClassOneMask, RadialWeight, SymbolSpec, eval_symbol, \
     is_radial_scalar, nuclear_trace_abs, scalar_values
@@ -77,8 +77,8 @@ def dyadic_grid(n_max: float, points_per_octave: int = 4) -> np.ndarray:
     n_max = float(n_max)
     count = math.ceil(points_per_octave * math.log2(n_max / 2.0)) + 1
     if count > MAX_GRID_CUTOFFS:
-        raise ConfigError("a grid of about %d cutoffs is above the cap of %d; lower "
-                          "points_per_octave or n_max" % (count, MAX_GRID_CUTOFFS))
+        raise ConfigError("a grid of about %s cutoffs is above the cap of %d; lower "
+                          "points_per_octave or n_max" % (count_text(count), MAX_GRID_CUTOFFS))
     vals = []
     k = 0
     while True:

@@ -589,6 +589,22 @@ def test_closed_form_streams_refuse_past_the_label_cap(capsys, argv, stream):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["trace", "--geometry", "su2", "--symbol", "radial:3"], "2.0e+300 labels"),
+    (["trace", "--geometry", "torus:1", "--symbol", "radial:1"], "1.0e+300 labels"),
+    (["boundary", "--boundary-symbol", "inverse"], "1.0e+300 labels"),
+    (["trace", "--geometry", "torus:3", "--symbol", "radial:3"], "~8.0e+900 points"),
+    (["trace", "--geometry", "torus:1", "--symbol", "radial:1",
+      "--points-per-octave", "10000000000000000000000000"], "1.0e+28 cutoffs"),
+])
+def test_caps_print_huge_counts_in_scientific_notation(capsys, argv, count):
+    # the exact counts have 301 to 901 digits, and N^2 at 1e300 is past float64
+    assert run(*argv, "--nmax", "1e300") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert " %s" % count in err
+
+
 @pytest.mark.parametrize("extra", [["--nmax", "1e200"], ["--nu", "3", "--nmax", "1e150"]])
 def test_file_cutoff_past_float64_admits_every_row(tmp_path, capsys, extra):
     # N^nu overflows float64: the threshold is inf, which admits the whole
