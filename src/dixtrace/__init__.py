@@ -12,20 +12,19 @@ import importlib
 _EXPORTS = {
     "boundary": ("AlphaTable", "BoundarySymbol", "IntervalBC", "PowerDecay",
                  "boundary_dixmier", "boundary_dixmier_weyl", "boundary_series",
-                 "boundary_weyl_series", "interval_eigenvalue", "interval_spectrum",
-                 "parametrix_trace", "s0_summability_check"),
+                 "boundary_weyl_series", "parametrix_trace", "s0_summability_check"),
     "errors": ("ConfigError", "DixtraceError", "DomainError", "EllipticityError",
                "FitError", "NumericError", "SizeError", "SpectrumFormatError",
                "TableLookupError"),
     "geometry": ("DualPoint", "Geometry", "counting_function", "enumerate_dual",
-                 "load_spectrum_file", "parse_geometry", "radial_shells",
-                 "save_spectrum_file", "sphere_harmonic_dim"),
+                 "parse_geometry", "radial_shells", "save_spectrum_file",
+                 "sphere_harmonic_dim"),
     "golden": ("su2_bessel_count_ratio", "su2_bessel_terms", "su2_count_cubic",
                "su2_square_sum", "su3_dim_sum", "su3_dim_sum_direct"),
-    "oracle": ("TruncatedOperator", "compare_symbol_vs_oracle", "dixmier_partial_norm",
-               "lpinf_partial_norm", "operator_singular_values", "truncate_operator"),
+    "oracle": ("TruncatedOperator", "compare_symbol_vs_oracle", "operator_singular_values",
+               "truncate_operator"),
     "summation": ("PartialSumSeries", "counting_series", "default_picture",
-                  "dyadic_grid", "partial_sums", "scale_series", "weyl_fit"),
+                  "dyadic_grid", "partial_sums", "weyl_fit"),
     "symbol": ("BesselPotential", "ClassOneMask", "DiagonalTable", "FullMatrixTable",
                "ModulusWeight", "PowerOfEigenvalue", "RadialWeight", "Scaled",
                "SymbolSum", "eval_symbol", "nuclear_trace_abs", "parse_symbol",
@@ -33,7 +32,7 @@ _EXPORTS = {
     "trace": ("MeasurabilityProbe", "QuasiNormResult", "TraceEstimate",
               "density_integral_from_samples", "dixmier_estimate", "log_model_fit",
               "marcinkiewicz_exponent", "measurability_probe", "quasinorm",
-              "residue_factored", "torus_density_integral"),
+              "residue_factored"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

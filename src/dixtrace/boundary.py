@@ -140,10 +140,10 @@ def _label_count(j_max: int, cap: int) -> int:
     return _capped(2 * j_max + 1, cap)
 
 
-def _label_js(l0: int, l1: int) -> np.ndarray:
-    """Labels j at enumeration indices l0 <= l < l1, l0 even: the even l
-    hold j = -l/2, the odd l hold j = (l+1)/2."""
-    js = np.empty(l1 - l0, dtype=np.int64)
+def _label_js(l0: int, l1: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Labels j at enumeration indices l0 <= l < l1, l0 even, written into
+    out where given: the even l hold j = -l/2, the odd l hold j = (l+1)/2."""
+    js = np.empty(l1 - l0, dtype=np.int64) if out is None else out
     half = l0 // 2
     n_even = len(js[0::2])
     js[0::2] = np.arange(-half, -half - n_even, -1)
@@ -151,13 +151,12 @@ def _label_js(l0: int, l1: int) -> np.ndarray:
     return js
 
 
-def enumeration_js(j_max: int) -> np.ndarray:
-    """Index labels in canonical order: 0, 1, -1, 2, -2, ..., j_max, -j_max.
-
-    More than _MAX_MATERIALIZED_POINTS labels raise SizeError before any
-    array is allocated.
-    """
-    return _label_js(0, _label_count(j_max, _MAX_MATERIALIZED_POINTS))
+def _reused(held: list, n: int, *dtypes) -> list:
+    """n-element views of one array per dtype, kept in held and allocated
+    again only when a chunk longer than every earlier one asks for them."""
+    if not held or len(held[0]) < n:
+        held[:] = [np.empty(n, dtype=t) for t in dtypes]
+    return [a[:n] for a in held]
 
 
 def _alpha_values(bc: IntervalBC, js: np.ndarray) -> np.ndarray:
@@ -173,32 +172,22 @@ def _alpha_values(bc: IntervalBC, js: np.ndarray) -> np.ndarray:
     raise ConfigError("unknown alpha model %r" % (bc.alpha,))
 
 
-def interval_eigenvalue(bc: IntervalBC, j: int) -> complex:
-    """lambda_j = 2 pi j - i ln(-a/b) + alpha_j for a single index."""
-    return complex(_eigenvalues(bc, np.array([j], dtype=np.int64))[0])
-
-
-def _eigenvalues(bc: IntervalBC, js: np.ndarray) -> np.ndarray:
-    """lambda_j for an array of labels; a |lambda_j| below 1e-12 is rejected
-    with a domain error naming j."""
-    lam = 2.0 * math.pi * js - 1j * bc.log_ratio()
+def _eigenvalues(bc: IntervalBC, js: np.ndarray, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """lambda_j for an array of labels, into out (complex128) where given,
+    |lambda_j| going through scratch (float64); a |lambda_j| below 1e-12
+    is rejected with a domain error naming j."""
+    lam = np.empty(len(js), dtype=np.complex128) if out is None else out
+    np.multiply(2.0 * math.pi, js, out=lam)
+    lam -= 1j * bc.log_ratio()
     if bc.alpha is not None:
         lam += _alpha_values(bc, js)
-    bad = np.abs(lam) < ZERO_EIGENVALUE_TOL
+    bad = np.abs(lam, out=scratch) < ZERO_EIGENVALUE_TOL
     if np.any(bad):
         j_bad = int(js[np.argmax(bad)])
         raise DomainError("eigenvalue at j = %d is zero; the model assumes an "
                           "invertible operator" % j_bad)
     return lam
-
-
-def interval_spectrum(bc: IntervalBC, j_max: int):
-    """Eigenvalues for |j| <= j_max in canonical enumeration order.
-
-    Returns (js, lambdas), materialized under the point cap.
-    """
-    js = enumeration_js(j_max)
-    return js, _eigenvalues(bc, js)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -214,7 +203,13 @@ class BoundarySymbol:
     returning (js, lam, values) for the enumeration indices l0 <= l < l1.
     chunks() calls it on fixed slices, so equal values give equal sums bit
     for bit whether a symbol is generated from the spectrum or read from
-    arrays, and arrays() gathers every label under the point cap.
+    arrays.
+
+    A chunk's arrays are valid only until the symbol computes another one:
+    generated symbols and reciprocals compute every chunk into arrays they
+    allocate once, and a reciprocal hands out the js and lam of the symbol
+    it inverts.  So a consumer folds or copies a chunk before it asks for
+    the next, and never walks one symbol twice at once.
     """
 
     def __init__(self, n: int, order: int, chunk: Callable[[int, int], tuple]):
@@ -234,22 +229,14 @@ class BoundarySymbol:
         for l0 in range(0, self._n, _CHUNK):
             yield (l0, *self.chunk(l0, min(l0 + _CHUNK, self._n)))
 
-    def arrays(self) -> tuple:
-        """(js, lam, values) of every label; SizeError above the point cap."""
-        n = _capped(self._n, _MAX_MATERIALIZED_POINTS)
-        out = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.complex128),
-               np.empty(n, dtype=np.complex128))
-        for l0, *parts in self.chunks():
-            for whole, part in zip(out, parts):
-                whole[l0:l0 + len(part)] = part
-        return out
-
     def reciprocal(self) -> "BoundarySymbol":
         """The symbol 1/sigma on the same labels, chunk by chunk.
 
         Every value must be nonzero; the error names the first violating
         enumeration index and its label.
         """
+        held = []
+
         def chunk(l0, l1):
             js, lam, values = self.chunk(l0, l1)
             zero = values == 0.0
@@ -258,7 +245,7 @@ class BoundarySymbol:
                 raise EllipticityError("parametrix needs an invertible symbol; "
                                        "sigma is zero at enumeration index l = %d (j = %d)"
                                        % (l0 + k, int(js[k])))
-            inverse = 1.0 / values
+            inverse = np.divide(1.0, values, out=_reused(held, len(values), np.complex128)[0])
             _check_finite(inverse)
             return js, lam, inverse
         return BoundarySymbol(self._n, self.order, chunk)
@@ -277,24 +264,25 @@ class BoundarySymbol:
     def from_callable(bc: IntervalBC, j_max: int,
                       fn: Callable[[int, complex], complex]) -> "BoundarySymbol":
         """fn(j, lambda_j) called once per canonical label, held as arrays."""
-        js, lam = interval_spectrum(bc, j_max)
+        js = _label_js(0, _label_count(j_max, _MAX_MATERIALIZED_POINTS))
+        lam = _eigenvalues(bc, js)
         return BoundarySymbol.from_arrays(
             js, lam, [fn(int(j), complex(l)) for j, l in zip(js, lam)], order=bc.order)
 
     @staticmethod
     def inverse_spectrum(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
         """The canonical benchmark sigma(xi_j) = 1/lambda_j."""
-        return _generated(bc, j_max, lambda js, lam: 1.0 / lam)
+        return _generated(bc, j_max, lambda lam, out: np.divide(1.0, lam, out=out))
 
     @staticmethod
     def spectrum_symbol(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
         """sigma(xi_j) = lambda_j, the symbol of the model operator itself."""
-        return _generated(bc, j_max, lambda js, lam: lam)
+        return _generated(bc, j_max, lambda lam, out: lam)
 
     @staticmethod
     def one(bc: IntervalBC, j_max: int) -> "BoundarySymbol":
         """sigma(xi_j) = 1; its own reciprocal."""
-        return _generated(bc, j_max, lambda js, lam: np.ones_like(lam))
+        return _generated(bc, j_max, lambda lam, out: np.copyto(out, 1.0) or out)
 
     @staticmethod
     def from_file(path: str, order: int = 1) -> "BoundarySymbol":
@@ -345,23 +333,33 @@ class BoundarySymbol:
 
 def _generated(bc: IntervalBC, j_max: int,
                values_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> BoundarySymbol:
-    """The labels |j| <= j_max, each chunk computed from its labels as
-    lambda_j and then values_fn(js, lam), up to _MAX_STREAMED_LABELS labels."""
+    """The labels |j| <= j_max, up to _MAX_STREAMED_LABELS of them, each
+    chunk computed from its labels as lambda_j and then as the values
+    values_fn(lam, out) returns, out being free for them.  Every chunk is
+    computed into the same arrays (_reused)."""
+    held = []
+
     def chunk(l0, l1):
-        js = _label_js(l0, l1)
-        lam = _eigenvalues(bc, js)
-        values = values_fn(js, lam)
+        js, lam, values, scratch = _reused(held, l1 - l0, np.int64, np.complex128,
+                                           np.complex128, np.float64)
+        _label_js(l0, l1, out=js)
+        _eigenvalues(bc, js, out=lam, scratch=scratch)
+        values = values_fn(lam, values)
         _check_finite(values)
         return js, lam, values
     return BoundarySymbol(_label_count(j_max, _MAX_STREAMED_LABELS), bc.order, chunk)
 
 
 def _index_chunks(sym: BoundarySymbol, terms: Callable) -> Iterator[tuple]:
-    """(l, terms(lam, values), 1) per symbol chunk, for _stream_snapshots."""
-    unit = np.ones(_CHUNK)
-    for l0, _js, lam, values in sym.chunks():
+    """(l, terms(lam, values, out), 1) per symbol chunk, for
+    _stream_snapshots; the keys l and out are arrays allocated once, valid
+    until the next chunk, as the symbol's own are."""
+    size = min(len(sym), _CHUNK)
+    keys, out, unit = np.arange(size, dtype=np.float64), np.empty(size), np.ones(size)
+    for _l0, _js, lam, values in sym.chunks():
         n = len(values)
-        yield np.arange(l0, l0 + n, dtype=np.float64), terms(lam, values), unit[:n]
+        yield keys[:n], terms(lam, values, out[:n]), unit[:n]
+        keys += _CHUNK  # the next chunk starts _CHUNK labels on
 
 
 def boundary_series(sym: BoundarySymbol, grid: np.ndarray) -> PartialSumSeries:
@@ -374,7 +372,7 @@ def boundary_series(sym: BoundarySymbol, grid: np.ndarray) -> PartialSumSeries:
     grid = check_grid(grid)
     if len(sym) == 0:
         raise ConfigError("empty boundary symbol")
-    sums, counts = _stream_snapshots(_index_chunks(sym, lambda lam, v: np.abs(v)),
+    sums, counts = _stream_snapshots(_index_chunks(sym, lambda lam, v, out: np.abs(v, out=out)),
                                      np.floor(grid))
     return PartialSumSeries(grid.copy(), sums, counts, dim=1, picture="boundary-index")
 
@@ -472,7 +470,7 @@ def s0_summability_check(sym: BoundarySymbol, s_grid: Sequence[float]) -> S0Repo
     s0 = None
     for s in s_values:
         snaps, _ = _stream_snapshots(
-            _index_chunks(sym, lambda lam, v: ((1.0 + np.abs(lam) ** 2) ** inv_2m) ** (-s)),
+            _index_chunks(sym, lambda lam, v, out: ((1.0 + np.abs(lam) ** 2) ** inv_2m) ** (-s)),
             marks)
         # increments over index octaves [2^k, 2^{k+1})
         incs = np.diff(snaps[:n_oct + 1])

@@ -10,7 +10,9 @@ summable s found) and 1 for configuration or runtime errors.
 
 Each command has only the flags its handler reads; the verdict thresholds
 are fixed rules of the trace, boundary and oracle modules, not flags.
-Every default lives in build_parser; `dixtrace CMD --help` prints them.
+Every default lives in build_parser, except those of --dim and --nu, which
+parse_geometry applies to file geometries and refuses on built-in kinds;
+`dixtrace CMD --help` prints them all.
 Flags may also come from a JSON config file (--config) keyed by long flag
 names: an entry means what the flag's text means, null is absent, and
 explicit flags win.
@@ -85,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="radial:s | bessel:s:nu | power:s[:shift] | "
                                 "modulus:s | scaled:c:INNER | mask:INNER | "
                                 "diag:PATH | matrix:PATH")
-        p.add_argument("--dim", type=int, default=1,
-                       help="manifold dimension for file geometries (default %(default)s)")
-        p.add_argument("--nu", type=float, default=2.0,
-                       help="Laplacian order for file geometries (default %(default)s)")
+        p.add_argument("--dim", type=int,
+                       help="manifold dimension for file geometries (default 1)")
+        p.add_argument("--nu", type=float,
+                       help="Laplacian order for file geometries (default 2.0)")
         if symbol:
             p.add_argument("--picture", choices=["manifold", "group", "homogeneous"],
                            help="block rule, mask and multiplicity (default: the "

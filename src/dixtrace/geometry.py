@@ -96,8 +96,9 @@ class Geometry:
             raise ConfigError("unsupported geometry kind: %r" % (self.kind,))
         if self.dim < 1:
             raise ConfigError("geometry dim must be >= 1, got %r" % (self.dim,))
-        if not (self.nu > 0):
-            raise ConfigError("laplacian order nu must be positive, got %r" % (self.nu,))
+        if not 0 < self.nu < math.inf:
+            raise ConfigError("laplacian order nu must be positive and finite, got %r"
+                              % (self.nu,))
 
     @staticmethod
     def torus(n: int) -> "Geometry":
@@ -194,26 +195,31 @@ def _check_cutoff(weight_cutoff: float) -> None:
         raise ConfigError("weight cutoff must be finite and >= 1, got %r" % (weight_cutoff,))
 
 
-def parse_geometry(text: str, dim: int = 1, nu: float = 2.0) -> Geometry:
+def parse_geometry(text: str, dim: int | None = None, nu: float | None = None) -> Geometry:
     """Parse a CLI geometry string such as torus:2, su2, sphere:3, file:PATH.
 
-    dim and nu only apply to file geometries; built-ins know their own.
+    dim and nu are for file geometries, 1 and 2.0 where None; built-ins
+    know their own, so a value given for one is refused, naming its flag.
     """
     head, _, tail = text.partition(":")
     head = head.strip().lower()
+    if head == "file":
+        if not tail:
+            raise ConfigError("file geometry needs a path: file:PATH")
+        return Geometry.from_file(tail, dim=1 if dim is None else dim,
+                                  nu=2.0 if nu is None else nu)
+    if head not in _BUILTIN_KINDS:
+        raise ConfigError("unsupported geometry kind: %r" % (text,))
+    for flag, value in (("--dim", dim), ("--nu", nu)):
+        if value is not None:
+            raise ConfigError("%s is for file geometries; %s knows its own" % (flag, text))
     if head in ("torus", "sphere"):  # Geometry.torus(n), Geometry.sphere(n)
         try:
             return getattr(Geometry, head)(int(tail))
         except ValueError:
             what = "torus rank" if head == "torus" else "sphere dimension"
             raise ConfigError("bad %s in %r" % (what, text)) from None
-    if head in ("su2", "so3", "su3"):
-        return getattr(Geometry, head)()
-    if head == "file":
-        if not tail:
-            raise ConfigError("file geometry needs a path: file:PATH")
-        return Geometry.from_file(tail, dim=dim, nu=nu)
-    raise ConfigError("unsupported geometry kind: %r" % (text,))
+    return getattr(Geometry, head)()
 
 
 class DualPoint(NamedTuple):
@@ -693,15 +699,6 @@ def _records(path: str, what: str) -> Iterator[tuple[int, str, list[str]]]:
                 raise SizeError("%s has more than %d data rows, the cap on points held "
                                 "at once" % (path, _MAX_MATERIALIZED_POINTS))
             yield lineno, line, fields
-
-
-def load_spectrum_file(path: str, nu: float = 2.0) -> list[DualPoint]:
-    """Read `label d D lambda` records as DualPoints of weight
-    (1 + lambda)^(1/nu), sorted by (lambda, label text); the file is read
-    and checked as a file: geometry reads it (_read_spectrum)."""
-    spec = _read_spectrum(path)
-    return list(chain.from_iterable(
-        _file_batches(Geometry.from_file(path, nu=nu), spec, len(spec))))
 
 
 def _read_spectrum(path: str) -> SpectrumColumns:

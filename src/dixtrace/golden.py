@@ -13,9 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, FitError
-from .summation import PartialSumSeries
-from .trace import log_model_fit
+from .errors import ConfigError
 
 # The direct substitution of n^2/(4 (1+lambda)^(3/2)) with lambda = n(n+2)/4
 # gives coefficient 8: n^2/4 * (4/(n^2+2n+4))^(3/2) ~ 8 n^2 (n^2+3)^(-3/2)
@@ -94,20 +92,3 @@ def su3_dim_sum_direct(n: int) -> int:
             total += (a + 1) * (b + 1) * (a + b + 2) // 2
     return total
 
-
-def count_log_ratio(series: PartialSumSeries) -> tuple:
-    """Count-normalized estimate: extrapolate f_k = S(N_k)/log(count(N_k)).
-
-    Some references normalize by the log of the eigenvalue count rather
-    than dim * log N; asymptotically the count grows like N^dim so the two
-    agree in the limit, but at finite N they differ.  Returns
-    (tau_hat, f_values).
-    """
-    counts = np.asarray(series.counts, dtype=np.float64)
-    if np.any(counts <= 1.0):
-        raise FitError("count-normalized ratio needs counts > 1 everywhere")
-    f = series.sums / np.log(counts)
-    if len(f) < 4:
-        raise FitError("count-normalized ratio needs at least 4 grid points")
-    tau, _c1, _c2, _rms = log_model_fit(series.cutoffs, f)
-    return float(tau), f

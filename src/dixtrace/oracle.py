@@ -1,9 +1,8 @@
 """Brute-force operator oracle.
 
 Everything here works at the level of actual matrices: materialize the
-block-diagonal truncation of the operator below a weight cutoff, get its
-singular values from LAPACK, and form partial Dixmier / quasi-norm sums
-directly from the sorted list.  This is deliberately independent of the
+block-diagonal truncation of the operator below a weight cutoff and get
+its singular values from LAPACK.  This is deliberately independent of the
 symbol-side streaming path (different SVD, different summation order) so
 the two can be compared as a cross-check.
 """
@@ -22,7 +21,6 @@ from .symbol import (ClassOneMask, SymbolSpec, check_block_size, eval_symbol,
                      singular_values)
 
 DEFAULT_CAP = 10_000
-DENSE_DIM_CAP = 300
 ORACLE_TOL = 1e-9  # max abs and relative sum difference that still match
 
 
@@ -85,56 +83,12 @@ def _square(label: str, m: np.ndarray) -> np.ndarray:
     return np.diag(m)
 
 
-def operator_singular_values(op: TruncatedOperator,
-                             dense: bool = False) -> np.ndarray:
-    """All singular values of the truncation, descending, with multiplicity.
-
-    The default path runs LAPACK SVD per block, diagonal blocks densified,
-    and repeats each block's values by its multiplicity.  dense=True
-    assembles the full block-diagonal matrix first (capped at dimension
-    300) and decomposes it in one call; it exists purely as a paranoia
-    check on the block path.
-    """
-    if dense:
-        if op.total_dim > DENSE_DIM_CAP:
-            raise SizeError("dense oracle capped at dimension %d, operator has %d"
-                            % (DENSE_DIM_CAP, op.total_dim))
-        full = np.zeros((op.total_dim, op.total_dim), dtype=np.complex128)
-        at = 0
-        for label, m, mult in op.blocks:
-            m = _square(label, m)
-            d = len(m)
-            for _ in range(mult):
-                full[at:at + d, at:at + d] = m
-                at += d
-        svals = np.linalg.svd(full, compute_uv=False)
-        return np.sort(svals)[::-1]
+def operator_singular_values(op: TruncatedOperator) -> np.ndarray:
+    """All singular values of the truncation, descending, with multiplicity:
+    LAPACK SVD per block, diagonal blocks densified, each block's values
+    repeated by its multiplicity."""
     return _sorted_with_multiplicity(
         op, lambda m, label: np.linalg.svd(_square(label, m), compute_uv=False))
-
-
-def dixmier_partial_norm(svals: np.ndarray, n: int) -> float:
-    """(1/log n) * sum of the n largest singular values."""
-    svals = np.asarray(svals, dtype=np.float64)
-    if n < 2:
-        raise ConfigError("partial norm needs n >= 2")
-    if n > len(svals):
-        raise ConfigError("asked for %d singular values, operator has %d"
-                          % (n, len(svals)))
-    return float(math.fsum(svals[:n]) / math.log(n))
-
-
-def lpinf_partial_norm(svals: np.ndarray, n: int, p: float) -> float:
-    """n^(1/p - 1) * sum of the n largest singular values."""
-    svals = np.asarray(svals, dtype=np.float64)
-    if not (p > 1) or math.isinf(p):
-        raise ValueError("p must be finite and > 1")
-    if n < 1:
-        raise ConfigError("partial norm needs n >= 1")
-    if n > len(svals):
-        raise ConfigError("asked for %d singular values, operator has %d"
-                          % (n, len(svals)))
-    return float(n ** (1.0 / p - 1.0) * math.fsum(svals[:n]))
 
 
 def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,

@@ -45,9 +45,8 @@ of counting_function, which is exact.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -165,30 +164,6 @@ class PartialSumSeries:
                 sums.append(float(row[2]))
         return PartialSumSeries(np.array(cutoffs), np.array(sums),
                                 np.array(counts), dim=dim, picture=picture)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "picture": self.picture,
-            "dim": self.dim,
-            "cutoffs": [float(x) for x in self.cutoffs],
-            "counts": [float(x) for x in self.counts],
-            "sums": [float(x) for x in self.sums],
-        }
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-
-    @staticmethod
-    def from_json(path: str) -> "PartialSumSeries":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return PartialSumSeries(np.array(doc["cutoffs"], dtype=np.float64),
-                                np.array(doc["sums"], dtype=np.float64),
-                                np.array(doc["counts"], dtype=np.float64),
-                                dim=int(doc["dim"]), picture=doc["picture"])
 
 
 def _format_count(c: float) -> str:
@@ -313,14 +288,6 @@ def _point_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[np
 def counting_series(geom: Geometry, grid: np.ndarray) -> PartialSumSeries:
     """Series whose counts (and sums) are the eigenvalue counting function."""
     return partial_sums(geom, RadialWeight(0.0), grid)
-
-
-def scale_series(series: PartialSumSeries, c: float) -> PartialSumSeries:
-    """Multiply all partial sums by c >= 0 (counts untouched)."""
-    if c < 0:
-        raise ConfigError("scale factor must be >= 0, got %r" % (c,))
-    return replace(series, cutoffs=series.cutoffs.copy(), sums=c * series.sums,
-                   counts=series.counts.copy())
 
 
 @dataclass

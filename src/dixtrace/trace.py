@@ -17,15 +17,14 @@ the extrapolated value is below VANISHING_REL times the largest f_k
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .summation import SCHEMA_VERSION, PartialSumSeries, scale_series
+from .summation import SCHEMA_VERSION, PartialSumSeries
 
 DIVERGENCE_THRESHOLD = 0.1  # growth of f over the last three octaves
 VANISHING_REL = 1e-3  # |tau| against max |f|
@@ -53,13 +52,6 @@ class TraceEstimate:
             "verdict": self.verdict,
             "grid_max": self.grid_max,
         }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "TraceEstimate":
-        return TraceEstimate(value=doc["value"], naive_last=doc["naive_last"],
-                             fit_coeffs=tuple(doc["fit_coeffs"]),
-                             fit_residual=doc["fit_residual"],
-                             verdict=doc["verdict"], grid_max=doc["grid_max"])
 
 
 @dataclass
@@ -161,25 +153,6 @@ def residue_factored(a_integral: float, series: PartialSumSeries) -> TraceEstima
                    fit_residual=abs(a) * est.fit_residual)
 
 
-def torus_density_integral(a: Callable, samples_per_dim: int, ndim: int = 1) -> float:
-    """Periodic rectangle rule for int_{[0,1)^ndim} a(x) dx.
-
-    Exact (up to rounding) for trigonometric polynomials of degree below
-    samples_per_dim in each variable.
-    """
-    if samples_per_dim < 1:
-        raise ConfigError("samples_per_dim must be >= 1")
-    if ndim < 1 or samples_per_dim ** ndim > 20_000_000:
-        raise ConfigError("density grid too large")
-    step = 1.0 / samples_per_dim
-    if ndim == 1:
-        vals = [a(i * step) for i in range(samples_per_dim)]
-    else:
-        vals = [a(tuple(i * step for i in idx))
-                for idx in itertools.product(range(samples_per_dim), repeat=ndim)]
-    return math.fsum(vals) / len(vals)
-
-
 def density_integral_from_samples(values: Iterable[float]) -> float:
     """Rectangle rule from user-tabulated density samples on a uniform grid:
     their mean, folded in one pass, so an iterator (a file read line by
@@ -218,21 +191,9 @@ def measurability_probe(series: PartialSumSeries) -> MeasurabilityProbe:
                               dispersion=abs(taus[0] - taus[1]))
 
 
-def estimate_to_json(est: TraceEstimate, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(est.to_json_dict(), fh, indent=1)
-        fh.write("\n")
-
-
-def estimate_from_json(path: str) -> TraceEstimate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return TraceEstimate.from_json_dict(json.load(fh))
-
-
 __all__ = [
     "TraceEstimate", "QuasiNormResult", "MeasurabilityProbe",
     "dixmier_estimate", "quasinorm", "residue_factored",
-    "torus_density_integral", "density_integral_from_samples",
-    "measurability_probe", "log_model_fit", "marcinkiewicz_exponent",
-    "scale_series", "estimate_to_json", "estimate_from_json",
+    "density_integral_from_samples", "measurability_probe", "log_model_fit",
+    "marcinkiewicz_exponent",
 ]

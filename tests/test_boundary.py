@@ -10,9 +10,8 @@ from dixtrace import geometry
 from dixtrace.boundary import (AlphaTable, BoundarySymbol, IntervalBC,
                                PowerDecay, boundary_dixmier,
                                boundary_dixmier_weyl, boundary_series,
-                               boundary_weyl_series, enumeration_js,
-                               interval_eigenvalue, interval_spectrum,
-                               parametrix_trace, s0_summability_check)
+                               boundary_weyl_series, parametrix_trace,
+                               s0_summability_check)
 from dixtrace.errors import (ConfigError, DomainError, EllipticityError,
                              SizeError, SpectrumFormatError)
 from dixtrace.geometry import _CHUNK
@@ -22,20 +21,41 @@ from dixtrace.trace import dixmier_estimate
 BC = IntervalBC(a=-math.e, b=1.0)
 
 
+def arrays(sym):
+    """(js, lam, values) of every label, each chunk copied before the next
+    one is asked for."""
+    parts = [[a.copy() for a in chunk] for _l0, *chunk in sym.chunks()]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def spectrum(bc, j_max):
+    """(js, lambda_j) of the labels |j| <= j_max in enumeration order."""
+    js, lam, _ = BoundarySymbol.spectrum_symbol(bc, j_max).chunk(0, 2 * j_max + 1)
+    return js, lam
+
+
+def eigenvalue(bc, j):
+    """lambda_j of one label, the last of a chunk starting at an even index."""
+    l = 2 * abs(j) - (j > 0)
+    js, lam, _ = BoundarySymbol.spectrum_symbol(bc, abs(j)).chunk(l - l % 2, l + 1)
+    assert js[-1] == j
+    return complex(lam[-1])
+
+
 def test_eigenvalue_formula():
     # -a/b = e, so the log term is exactly 1 and lambda_j = 2 pi j - i
-    lam = interval_eigenvalue(BC, 3)
+    lam = eigenvalue(BC, 3)
     assert lam == pytest.approx(6 * math.pi - 1j)
-    lam_neg = interval_eigenvalue(BC, -2)
+    lam_neg = eigenvalue(BC, -2)
     assert lam_neg == pytest.approx(-4 * math.pi - 1j)
 
 
 def test_self_adjoint_case_is_real_multiples_of_2pi():
     bc = IntervalBC(a=-1.0, b=1.0)
-    assert interval_eigenvalue(bc, 3) == pytest.approx(6 * math.pi)
+    assert eigenvalue(bc, 3) == pytest.approx(6 * math.pi)
     # j = 0 would be an exact zero eigenvalue: rejected, naming the index
     with pytest.raises(DomainError) as err:
-        interval_spectrum(bc, 5)
+        spectrum(bc, 5)
     assert "j = 0" in str(err.value)
     # the generated symbol keeps the check, chunk by chunk
     with pytest.raises(DomainError, match="j = 0"):
@@ -43,8 +63,8 @@ def test_self_adjoint_case_is_real_multiples_of_2pi():
 
 
 def test_enumeration_order():
-    np.testing.assert_array_equal(enumeration_js(3), [0, 1, -1, 2, -2, 3, -3])
-    js, lam = interval_spectrum(BC, 4)
+    np.testing.assert_array_equal(spectrum(BC, 3)[0], [0, 1, -1, 2, -2, 3, -3])
+    js, lam = spectrum(BC, 4)
     np.testing.assert_array_equal(js, [0, 1, -1, 2, -2, 3, -3, 4, -4])
     assert lam[0] == pytest.approx(-1j)
 
@@ -52,15 +72,13 @@ def test_enumeration_order():
 def test_enumeration_size_guard():
     # far above the point cap, so the guard must fire before allocating
     with pytest.raises(SizeError, match="above the cap"):
-        enumeration_js(10 ** 12)
+        BoundarySymbol.from_callable(BC, 10 ** 12, lambda j, lam: 1.0)
     # generated symbols stream, under their own label cap
     with pytest.raises(SizeError, match="above the cap"):
         BoundarySymbol.inverse_spectrum(BC, 10 ** 12)
     big = BoundarySymbol.spectrum_symbol(BC, 30_000_000)
     assert len(big) == 60_000_001
     # gathering its labels is refused before allocating
-    with pytest.raises(SizeError, match="above the cap"):
-        big.arrays()
     with pytest.raises(SizeError, match="above the cap"):
         boundary_weyl_series(big, 1, dyadic_grid(64, 2))
 
@@ -76,8 +94,8 @@ def test_bc_validation():
 
 def test_power_decay_perturbation_values():
     bc = IntervalBC(a=-math.e, b=1.0, alpha=PowerDecay(c=2.0, eps=0.5))
-    base = interval_eigenvalue(BC, 4)
-    pert = interval_eigenvalue(bc, 4)
+    base = eigenvalue(BC, 4)
+    pert = eigenvalue(bc, 4)
     assert pert - base == pytest.approx(2.0 / 5 ** 1.5)
 
 
@@ -85,9 +103,9 @@ def test_alpha_table(tmp_path):
     path = tmp_path / "alpha.txt"
     path.write_text("# j re im\n0 0.25 0\n2 0 -0.5\n")
     bc = IntervalBC(a=-math.e, b=1.0, alpha=AlphaTable(str(path)))
-    assert interval_eigenvalue(bc, 0) == pytest.approx(0.25 - 1j)
-    assert interval_eigenvalue(bc, 2) == pytest.approx(4 * math.pi - 1.5j)
-    assert interval_eigenvalue(bc, 1) == pytest.approx(2 * math.pi - 1j)
+    assert eigenvalue(bc, 0) == pytest.approx(0.25 - 1j)
+    assert eigenvalue(bc, 2) == pytest.approx(4 * math.pi - 1.5j)
+    assert eigenvalue(bc, 1) == pytest.approx(2 * math.pi - 1j)
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0.25\n")
     with pytest.raises(SpectrumFormatError):
@@ -134,7 +152,7 @@ def test_alpha_table_sums_match_from_arrays(tmp_path):
     j_max = _CHUNK + 7
     sym = BoundarySymbol.inverse_spectrum(
         IntervalBC(a=-math.e, b=1.0, alpha=AlphaTable(str(path))), j_max)
-    js, lam = interval_spectrum(BC, j_max)
+    js, lam = spectrum(BC, j_max)
     lam += np.array([table.get(int(j), 0.0) for j in js])
     ref = BoundarySymbol.from_arrays(js, lam, 1.0 / lam)
     grid = dyadic_grid(len(sym) - 1, 8)
@@ -181,7 +199,7 @@ def test_parametrix_identical_to_inverse_symbol_trace():
 def test_parametrix_rejects_zero_symbol_value():
     # the error names l and j, also past the first chunk
     for l_zero in (7, _CHUNK + 5):
-        js, lam, values = BoundarySymbol.spectrum_symbol(BC, _CHUNK).arrays()
+        js, lam, values = arrays(BoundarySymbol.spectrum_symbol(BC, _CHUNK))
         values[l_zero] = 0.0
         sym = BoundarySymbol.from_arrays(js, lam, values)
         with pytest.raises(EllipticityError) as err:
@@ -189,12 +207,27 @@ def test_parametrix_rejects_zero_symbol_value():
         assert "l = %d (j = %d)" % (l_zero, js[l_zero]) in str(err.value)
 
 
+def test_generated_chunks_reuse_their_arrays():
+    # a generated symbol and a reciprocal compute every chunk into the same
+    # arrays, so a chunk is valid only until the next one is asked for
+    for sym in (BoundarySymbol.inverse_spectrum(BC, _CHUNK),
+                BoundarySymbol.spectrum_symbol(BC, _CHUNK).reciprocal()):
+        chunks = sym.chunks()
+        first = next(chunks)
+        first_values = first[3].copy()
+        second = next(chunks)
+        assert second[0] == _CHUNK
+        for a, b in zip(first[1:], second[1:]):
+            assert np.shares_memory(a, b)
+        assert not np.array_equal(first[3][:1], first_values[:1])
+
+
 def test_index_sums_match_fsum():
     # a = b = 1: lambda_j = pi (2j + 1), so |sigma_l| = 1 / (pi |2j + 1|)
     bc = IntervalBC(a=1.0, b=1.0)
     grid = dyadic_grid(1e6, 4)
     series = boundary_series(BoundarySymbol.inverse_spectrum(bc, 500_001), grid)
-    js, lam = interval_spectrum(bc, 500_001)
+    js, lam = spectrum(bc, 500_001)
     assert np.all(lam.imag == 0)
     terms = np.abs(1.0 / lam).tolist()
     for n, count, s in zip(grid, series.counts, series.sums):
@@ -263,7 +296,7 @@ def test_weyl_cutoff_variant_matches_index_variant():
 def test_weyl_ties_across_chunks():
     # equal keys straddling a chunk boundary all count at a cutoff on them
     n = _CHUNK + 3
-    js = enumeration_js(n // 2)
+    js = spectrum(BC, n // 2)[0]
     lam = np.full(n, 2.0 + 0j)
     lam[-1] = 3.0
     sym = BoundarySymbol.from_arrays(js, lam, np.ones(n, dtype=complex))
@@ -277,7 +310,7 @@ def test_weyl_respects_order():
     bc2 = IntervalBC(a=-math.e, b=1.0, order=2)
     sym = BoundarySymbol.inverse_spectrum(bc2, 10_000)
     series = boundary_weyl_series(sym, 1, dyadic_grid(64, 2))
-    lam_abs = np.abs(sym.arrays()[1])
+    lam_abs = np.abs(arrays(sym)[1])
     expect = np.count_nonzero(np.sqrt(lam_abs) <= 64.0)
     assert series.counts[-1] == expect
 
@@ -287,7 +320,7 @@ def test_file_round_trip_and_resorting(tmp_path):
     path = str(tmp_path / "sym.txt")
     sym.to_file(path)
     back = BoundarySymbol.from_file(path)
-    for a, b in zip(sym.arrays(), back.arrays()):
+    for a, b in zip(arrays(sym), arrays(back)):
         np.testing.assert_array_equal(a, b)
     # rows shuffled on disk come back in canonical enumeration order
     lines = Path(path).read_text().splitlines()
@@ -296,7 +329,7 @@ def test_file_round_trip_and_resorting(tmp_path):
     with open(shuffled, "w") as fh:
         fh.write("\n".join(body[::-1]) + "\n")
     again = BoundarySymbol.from_file(shuffled)
-    for a, b in zip(again.arrays(), back.arrays()):
+    for a, b in zip(arrays(again), arrays(back)):
         np.testing.assert_array_equal(a, b)
 
 
@@ -338,7 +371,7 @@ def test_file_symbol_holds_flat_rows(tmp_path):
         tracemalloc.stop()
     assert len(back) == len(sym) == 100_001
     assert peak <= 92 * len(sym)
-    for a, b in zip(sym.arrays(), back.arrays()):
+    for a, b in zip(arrays(sym), arrays(back)):
         np.testing.assert_array_equal(a, b)
 
 

@@ -605,6 +605,39 @@ def test_caps_print_huge_counts_in_scientific_notation(capsys, argv, count):
     assert " %s" % count in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "2"])
+def test_nu_is_refused_on_built_in_kinds(tmp_path, capsys, value):
+    # a built-in kind knows its own nu, so a --nu, also a config entry, is
+    # an error rather than a flag that does nothing
+    for base in (["trace", "--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "100"],
+                 ["weyl", "--geometry", "su2", "--nmax", "64"]):
+        for extra in (["--nu", value], ["--config", _config(tmp_path, {"nu": value})]):
+            assert run(*base, *extra) == 1
+            assert capsys.readouterr().err == \
+                "error: --nu is for file geometries; %s knows its own\n" % base[2]
+
+
+@pytest.mark.parametrize("value", ["-3", "1", "3"])
+def test_dim_is_refused_on_built_in_kinds(tmp_path, capsys, value):
+    for base in (["trace", "--geometry", "sphere:3", "--symbol", "radial:3", "--nmax", "100"],
+                 ["oracle-check", "--geometry", "su3", "--symbol", "radial:8", "--cutoff", "2"]):
+        for extra in (["--dim", value], ["--config", _config(tmp_path, {"dim": value})]):
+            assert run(*base, *extra) == 1
+            assert capsys.readouterr().err == \
+                "error: --dim is for file geometries; %s knows its own\n" % base[2]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+def test_file_geometry_refuses_a_non_finite_or_zero_nu(tmp_path, capsys, value):
+    # an infinite nu would admit every row at every cutoff
+    path = tmp_path / "spec.txt"
+    path.write_text("".join("%d 1 1 %d\n" % (k, k * k) for k in range(-5, 6)))
+    assert run("trace", "--geometry", "file:%s" % path, "--symbol", "radial:1",
+               "--nmax", "8", "--nu=" + value) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: laplacian order nu must be positive and finite, got ")
+
+
 @pytest.mark.parametrize("extra", [["--nmax", "1e200"], ["--nu", "3", "--nmax", "1e150"]])
 def test_file_cutoff_past_float64_admits_every_row(tmp_path, capsys, extra):
     # N^nu overflows float64: the threshold is inf, which admits the whole

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from dixtrace import geometry, summation
 from dixtrace.errors import ConfigError, SizeError, SpectrumFormatError
 from dixtrace.geometry import (_CHUNK, DualPoint, Geometry, counting_function,
-                               enumerate_dual, label_text, load_spectrum_file,
-                               parse_geometry, radial_shells, save_spectrum_file,
-                               sphere_harmonic_dim)
+                               enumerate_dual, label_text, parse_geometry,
+                               radial_shells, save_spectrum_file, sphere_harmonic_dim)
 from dixtrace.summation import counting_series, dyadic_grid, partial_sums
 from dixtrace.symbol import parse_symbol
 
@@ -443,6 +442,12 @@ def test_torus3_materialization_guard():
         list(enumerate_dual(Geometry.torus(3), 5000.0))
 
 
+def _file_points(path, nu=2.0):
+    """Every record of a spectrum file, as a file: geometry enumerates it at
+    a cutoff whose N^nu overflows float64, which admits every row."""
+    return list(enumerate_dual(Geometry.from_file(str(path), nu=nu), 1e300))
+
+
 def test_spectrum_file_round_trip(tmp_path):
     src = list(enumerate_dual(Geometry.su2(), 6.0))
     path = str(tmp_path / "spec.txt")
@@ -461,19 +466,19 @@ def test_spectrum_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("lbl 2 4 notanumber\n")
     with pytest.raises(SpectrumFormatError) as err:
-        load_spectrum_file(str(bad))
+        _file_points(bad)
     assert "1" in str(err.value)  # names the offending line
     with pytest.raises(ConfigError):
-        load_spectrum_file(str(tmp_path / "missing.txt"))
+        _file_points(tmp_path / "missing.txt")
     neg = tmp_path / "neg.txt"
     neg.write_text("lbl -2 4 1.0\n")
     with pytest.raises(SpectrumFormatError):
-        load_spectrum_file(str(neg))
+        _file_points(neg)
     # a block is held D/d times, so D must be a multiple of d
     odd = tmp_path / "odd.txt"
     odd.write_text("# label d D lambda\nb 1 1 0.0\na 2 3 1.0\n")
     with pytest.raises(SpectrumFormatError, match=r"odd\.txt:3: D = 3 is not a multiple of d = 2"):
-        load_spectrum_file(str(odd))
+        _file_points(odd)
 
 
 def test_spectrum_file_refuses_rows_past_the_cap(tmp_path, monkeypatch):
@@ -481,9 +486,9 @@ def test_spectrum_file_refuses_rows_past_the_cap(tmp_path, monkeypatch):
     path = tmp_path / "spec.txt"
     path.write_text("# label d D lambda\n" + "".join("p%d 1 1 %d.0\n" % (i, i) for i in range(5)))
     with pytest.raises(SizeError, match="more than 4 data rows"):
-        load_spectrum_file(str(path))
+        _file_points(path)
     path.write_text("".join("p%d 1 1 %d.0\n" % (i, i) for i in range(4)))
-    assert len(load_spectrum_file(str(path))) == 4
+    assert len(_file_points(path)) == 4
 
 
 def test_file_geometry_sorted_and_labeled(tmp_path):
@@ -601,7 +606,7 @@ def test_file_labels_sort_by_their_whole_text(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text("".join("%s 1 1 %d\n" % (l, x) for l, x in
                             zip(labels, rng.integers(0, 5, 3000).tolist())), encoding="utf-8")
-    assert load_spectrum_file(str(path), 3.0) == _object_reader(path, 3.0)
+    assert _file_points(path, 3.0) == _object_reader(path, 3.0)
 
 
 def test_spectrum_reader_messages_name_their_line(tmp_path):
@@ -616,9 +621,9 @@ def test_spectrum_reader_messages_name_their_line(tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("# head\n" + good + bad + good, encoding="utf-8")
         with pytest.raises(SpectrumFormatError, match=r"spec\.txt:2002: " + message):
-            load_spectrum_file(str(path))
+            _file_points(path)
     # what int() and float() accept, the reader accepts
     path.write_text(good + "q +1 1_0 1_0.5\n\u00e9\0 1 1 2.5\n", encoding="utf-8")
-    pts = {p.eigenvalue: p for p in load_spectrum_file(str(path))}
+    pts = {p.eigenvalue: p for p in _file_points(path)}
     assert len(pts) == 2002 and pts[10.5].label == ("q",) and pts[10.5].eigenspace_dim == 10
     assert pts[2.5].label == ("\u00e9\0",)

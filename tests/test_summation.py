@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -16,7 +15,7 @@ from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
                                radial_shells, save_spectrum_file)
 from dixtrace.summation import (PartialSumSeries, _stream_snapshots,
                                 counting_series, default_picture, dyadic_grid,
-                                partial_sums, scale_series, weyl_fit)
+                                partial_sums, weyl_fit)
 from dixtrace.symbol import (ClassOneMask, DiagonalTable, RadialWeight, Scaled,
                              SymbolSum, is_radial_scalar, parse_symbol,
                              scalar_values)
@@ -444,16 +443,6 @@ def test_partial_sums_grid_validation():
         partial_sums(g, RadialWeight(1.0), np.array([]))
 
 
-def test_scale_series():
-    g = Geometry.torus(1)
-    series = partial_sums(g, RadialWeight(1.0), dyadic_grid(100, 2))
-    doubled = scale_series(series, 2.0)
-    np.testing.assert_allclose(doubled.sums, 2.0 * series.sums, rtol=0)
-    np.testing.assert_array_equal(doubled.counts, series.counts)
-    with pytest.raises(ConfigError):
-        scale_series(series, -1.0)
-
-
 def test_csv_round_trip_is_bitwise(tmp_path):
     g = Geometry.torus(1)
     series = partial_sums(g, RadialWeight(1.0), dyadic_grid(5000, 4))
@@ -473,19 +462,6 @@ def test_csv_header_only_for_empty_series(tmp_path):
     empty.to_csv(path)
     lines = Path(path).read_text().splitlines()
     assert lines == ["cutoff,count,sum"]
-
-
-def test_json_round_trip_is_bitwise(tmp_path):
-    g = Geometry.su2()
-    series = partial_sums(g, parse_symbol("bessel:3:2"), dyadic_grid(300, 4))
-    path = str(tmp_path / "series.json")
-    series.to_json(path)
-    back = PartialSumSeries.from_json(path)
-    np.testing.assert_array_equal(series.sums, back.sums)
-    np.testing.assert_array_equal(series.cutoffs, back.cutoffs)
-    assert back.dim == 3 and back.picture == "group"
-    doc = json.loads(Path(path).read_text())
-    assert doc["schema_version"] == 1
 
 
 def test_weyl_fit_recovers_dimension():
