@@ -91,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="manifold dimension for file geometries (default 1)")
         p.add_argument("--nu", type=float,
                        help="Laplacian order for file geometries (default 2.0)")
-        if symbol:
-            p.add_argument("--picture", choices=["manifold", "group", "homogeneous"],
-                           help="block rule, mask and multiplicity (default: the "
-                                "natural one for the geometry)")
 
     def add_boundary(p, default_symbol, ppo=True):
         p.add_argument("--a", type=parse_complex, default=repr(-math.e),
@@ -219,7 +215,7 @@ def _symbol(ns: dict):
 def _build_series(ns: dict) -> tuple:
     geom = _geometry(ns)
     spec = _symbol(ns)
-    series = partial_sums(geom, spec, _grid(ns), picture=ns["picture"])
+    series = partial_sums(geom, spec, _grid(ns))
     return geom, series
 
 
@@ -408,8 +404,7 @@ def _cmd_oracle_check(ns: dict) -> int:
         raise ConfigError("oracle-check needs --cutoff")
     geom = _geometry(ns)
     spec = _symbol(ns)
-    report = compare_symbol_vs_oracle(geom, spec, cutoff, picture=ns["picture"],
-                                      cap=ns["cap"])
+    report = compare_symbol_vs_oracle(geom, spec, cutoff, cap=ns["cap"])
     print("oracle check on %s, %s, cutoff %g: %d singular values"
           % (geom.describe(), ns["symbol"], cutoff, report["total_dim"]))
     print("max abs diff %.3g, relative sum diff %.3g, tolerance %.1g -> %s"

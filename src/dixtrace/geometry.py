@@ -30,9 +30,9 @@ each window extends by the labels its q range admits.
 
 The weight of a point is w = (1+lambda)^(1/nu).  All cutoffs N act through
 the equivalent rule lambda <= N^nu - 1, so that boundary ties are included
-the same way on every code path.  Built-in eigenvalues lie in (1/den)Z, so
-Geometry.lattice_cap reads the rule exactly, from the rational value of N's
-float64; only file spectra evaluate N^nu - 1 in float64.
+the same way on every code path.  Built-in kinds have nu = 2 and their
+eigenvalues in (1/den)Z, so Geometry.lattice_cap reads the rule exactly,
+from N's float64 as a rational; only file spectra evaluate N^nu - 1.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import floordiv, itemgetter, truediv
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -81,8 +81,9 @@ class Geometry:
 
     kind is one of torus / su2 / so3 / su3 / sphere / file; dim is the
     manifold dimension kappa entering every log-normalization; nu is the
-    order of the positive operator whose eigenvalues index the dual (2 for
-    all built-ins); rank is the torus rank or sphere dimension.
+    order of the positive operator whose eigenvalues index the dual (2 on
+    every built-in kind, which refuses any other); rank is the torus rank
+    or sphere dimension.
     """
 
     kind: str
@@ -99,6 +100,8 @@ class Geometry:
         if not 0 < self.nu < math.inf:
             raise ConfigError("laplacian order nu must be positive and finite, got %r"
                               % (self.nu,))
+        if self.kind != "file" and self.nu != 2:
+            raise ConfigError("laplacian order nu is 2 on %s, got %r" % (self.kind, self.nu))
 
     @staticmethod
     def torus(n: int) -> "Geometry":
@@ -157,30 +160,13 @@ class Geometry:
         return r.eigenvalue(float(r.label_max(cap)))
 
     def lattice_cap(self, weight_cutoff: float) -> int:
-        """Largest integer q = den * lambda with lambda <= N^nu - 1, exactly:
+        """Largest integer q = den * lambda with lambda <= N^2 - 1, exactly:
         built-in eigenvalues lie in (1/den)Z, den = 1 on tori, so3 and
         spheres, 4 on su2 and 9 on su3.  N is read as the exact rational
-        value of its float64, in integers."""
+        value of its float64, in integers, and nu = 2."""
         _check_cutoff(weight_cutoff)
-        if float(self.nu).is_integer():  # N^nu = p/r in lowest terms
-            p, r = (x ** int(self.nu) for x in float(weight_cutoff).as_integer_ratio())
-        else:
-            p, r = (float(weight_cutoff) ** self.nu).as_integer_ratio()
-        return _den(self) * (p - r) // r
-
-    def block_rule(self, picture: str) -> bool:
-        """Whether symbol blocks are masked to their top-left k x k corners
-        (k = class_one_dim): in the homogeneous picture, and always on
-        spheres.  Any picture but manifold, group and homogeneous raises
-        ConfigError.
-
-        Every kind holds a point's block D // k times (D = eigenspace_dim):
-        rep_dim on built-ins, where d k = D (the Peter-Weyl lift), and D/d
-        on files, where k = d.  So a masked scalar f weighs D |f| per point.
-        """
-        if picture not in ("manifold", "group", "homogeneous"):
-            raise ConfigError("unknown picture %r" % (picture,))
-        return picture == "homogeneous" or self.kind == "sphere"
+        p, r = float(weight_cutoff).as_integer_ratio()  # N^2 = p^2/r^2 in lowest terms
+        return _den(self) * (p * p - r * r) // (r * r)
 
     def describe(self) -> str:
         if self.kind in ("torus", "sphere"):
@@ -224,7 +210,13 @@ def parse_geometry(text: str, dim: int | None = None, nu: float | None = None) -
 
 class DualPoint(NamedTuple):
     """One point of the dual: label, block size d, counting weight D,
-    class-one dimension k, eigenvalue and weight."""
+    class-one dimension k, eigenvalue and weight.
+
+    The point fixes the block rule: a symbol enters as the top-left k x k
+    corner of its block, held D // k times.  Built-in kinds have d k = D
+    (the Peter-Weyl lift) and k = d but on spheres (k = 1); a file record
+    has k = d.  So a scalar f weighs D |f| per point on every kind.
+    """
 
     label: tuple
     rep_dim: int
@@ -251,11 +243,16 @@ def _points(geom: Geometry, labels, d, dd, k, lam) -> list[DualPoint]:
     return list(map(_new_point, zip(labels, d, dd, k, lam, [(1.0 + x) ** e for x in lam])))
 
 
-def sphere_harmonic_dim(n: int, l: int) -> int:
-    """Dimension of the degree-l spherical harmonics on the n-sphere."""
-    if l == 0:
-        return 1
-    return math.comb(n + l, n) - math.comb(n + l - 2, n)
+def sphere_harmonic_dim(n: int, l):
+    """Dimension of the degree-l spherical harmonics on the n-sphere,
+    C(l+n-2, n-2) (2l+n-1)/(n-1), as a running product of exact quotients:
+    in integers for an int l, and elementwise in float64 for an array of
+    labels, exact there while (n-1) times the dimension stays below 2**53."""
+    div = truediv if isinstance(l, np.ndarray) else floordiv
+    d = 1
+    for j in range(1, n - 1):  # C(l+j, j) = C(l+j-1, j-1) (l+j) / j
+        d = div(d * (l + j), j)
+    return div(d * (2 * l + n - 1), n - 1)
 
 
 @dataclass(frozen=True)
@@ -284,9 +281,6 @@ class _RankOne:
         if not self.sphere:
             d = l * (2 // self.c) + 1  # su2: l + 1, so3: 2l + 1
             return lam, d, d
-        if isinstance(l, np.ndarray):
-            return lam, np.array([float(sphere_harmonic_dim(self.sphere, int(x)))
-                                  for x in l]), 1
         return lam, sphere_harmonic_dim(self.sphere, l), 1
 
     def count(self, big_l: int) -> int:

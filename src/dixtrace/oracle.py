@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, SizeError, count_text
 from .geometry import Geometry, counting_function, enumerate_dual, label_text
-from .summation import default_picture
 from .symbol import (ClassOneMask, SymbolSpec, check_block_size, eval_symbol,
                      singular_values)
 
@@ -28,42 +27,40 @@ ORACLE_TOL = 1e-9  # max abs and relative sum difference that still match
 class TruncatedOperator:
     """Block-diagonal truncation: one (label, block, multiplicity) per point.
 
-    Blocks are as eval_symbol returns them, diagonals 1-d, each held D/k
-    times (Geometry.block_rule).  Masked blocks are their k x k class-one
-    corners, so total_dim, the sum of mult * block size, is the eigenvalue
-    count on every kind.
+    Blocks are the class-one corners eval_symbol returns under ClassOneMask,
+    diagonals 1-d, each held D/k times (DualPoint), so total_dim, the sum
+    of mult * block size, is the eigenvalue count on every kind.
     """
 
     blocks: list
     total_dim: int
     geometry: Geometry
-    picture: str
 
 
 def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
-                      cap: int = DEFAULT_CAP,
-                      picture: str | None = None) -> TruncatedOperator:
+                      cap: int = DEFAULT_CAP) -> TruncatedOperator:
     """Materialize all symbol blocks with weight <= cutoff.
 
-    The eigenvalue count, the total dimension on every kind, is checked
-    against cap first, so an oversized request fails fast with the cap it
-    needs, before any block is built.
+    The points' D are summed first, and once the running total passes cap
+    the request fails naming it, a lower bound of the cap it needs, before
+    any block is built: the enumeration is lazy, so this takes time in the
+    cap, not the cutoff.  Then the total must equal counting_function.
     """
-    if picture is None:
-        picture = default_picture(geom)
-    _check_cap(counting_function(geom, cutoff), cutoff, cap)
-    spec = ClassOneMask(spec) if geom.block_rule(picture) else spec
+    total = 0
+    for p in enumerate_dual(geom, cutoff):
+        total += p.eigenspace_dim
+        if total > cap:
+            n = count_text(total)
+            raise SizeError("truncation at cutoff %g holds at least %s weighted dimensions, "
+                            "more than the cap of %d; pass cap >= %s (a lower bound) or "
+                            "lower the cutoff" % (cutoff, n, cap, n))
+    spec = ClassOneMask(spec)
     blocks = [(label_text(p), eval_symbol(spec, p, geom), p.eigenspace_dim // p.class_one_dim)
               for p in enumerate_dual(geom, cutoff)]
-    return TruncatedOperator(blocks=blocks,
-                             total_dim=sum(mult * len(m) for _, m, mult in blocks),
-                             geometry=geom, picture=picture)
-
-
-def _check_cap(total: int, cutoff: float, cap: int) -> None:
-    if total > cap:
-        raise SizeError("truncation at cutoff %g holds %d weighted dimensions; "
-                        "pass cap >= %d to allow it" % (cutoff, total, total))
+    total = sum(mult * len(m) for _, m, mult in blocks)
+    if total != counting_function(geom, cutoff):
+        raise ConfigError("internal mismatch: %d dimensions against the counting function" % total)
+    return TruncatedOperator(blocks=blocks, total_dim=total, geometry=geom)
 
 
 def _sorted_with_multiplicity(op: TruncatedOperator, svd) -> np.ndarray:
@@ -92,8 +89,7 @@ def operator_singular_values(op: TruncatedOperator) -> np.ndarray:
 
 
 def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
-                             cap: int = DEFAULT_CAP,
-                             picture: str | None = None) -> dict:
+                             cap: int = DEFAULT_CAP) -> dict:
     """Cross-check the symbol-side SVD against the operator-level one.
 
     Both sides decompose the same materialized blocks into the full
@@ -103,7 +99,7 @@ def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
     The two routes share no decomposition code: the symbol side runs the
     one-sided Jacobi / Hermitian paths, the oracle side runs LAPACK.
     """
-    op = truncate_operator(geom, spec, cutoff, cap=cap, picture=picture)
+    op = truncate_operator(geom, spec, cutoff, cap=cap)
     oracle_vals = operator_singular_values(op)
     symbol_vals = _sorted_with_multiplicity(op, singular_values)
     if len(symbol_vals) != len(oracle_vals):

@@ -10,10 +10,10 @@ Two evaluation strategies produce series:
     SymbolSum and ClassOneMask, streaming (eigenvalue, total
     multiplicity) shell chunks from the geometry and evaluating the
     scalar vectorized;
-  * a per-point object path for everything else (tables), wrapping the
-    spec in ClassOneMask where the picture masks blocks and evaluating
-    one symbol block per point, in order, held D/k times on every kind
-    (Geometry.block_rule), so a scalar weighs D |f| on either path.
+  * a per-point object path for everything else (tables), evaluating
+    ClassOneMask(spec) at each point in order: the k x k class-one corner
+    of its block (all of it but on spheres), held D/k times (DualPoint),
+    so a scalar weighs D |f| on either path.
 
 Both share one accumulation contract so results are reproducible bit for
 bit: pairwise sums of chunk prefixes, with one chunk length.  Terms come
@@ -106,8 +106,9 @@ class PartialSumSeries:
 
     dim is the kappa of the log-normalization S(N)/(kappa log N): the
     manifold dimension, or the Weyl kappa of a boundary eigenvalue cutoff.
-    picture records which summation formula produced the sums; a
-    boundary-index series counts labels, so its dim is 1.
+    picture tags where the sums come from: the geometry's default_picture
+    (one block rule on every kind), or boundary-index, whose series counts
+    labels, so its dim is 1.
     """
 
     cutoffs: np.ndarray
@@ -235,35 +236,28 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
 
 
 def default_picture(geom: Geometry) -> str:
-    if geom.kind in ("su2", "so3", "su3"):
-        return "group"
-    if geom.kind == "sphere":
-        return "homogeneous"
-    return "manifold"
+    """The picture tag of a geometry's series; the points fix the blocks
+    (DualPoint), so the tag changes no number."""
+    return {"sphere": "homogeneous", "torus": "manifold",
+            "file": "manifold"}.get(geom.kind, "group")
 
 
-def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray,
-                 picture: str | None = None) -> PartialSumSeries:
+def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialSumSeries:
     """Partial sums of nuclear traces of the symbol over the dual.
 
-    grid is an increasing array of weight cutoffs (see dyadic_grid).  The
-    picture picks the mask (Geometry.block_rule, which refuses any
-    picture but manifold, group and homogeneous); whatever the picture,
-    each block is held D/k times and the series carries geom.dim.
+    grid is an increasing array of weight cutoffs (see dyadic_grid).  Each
+    point contributes the class-one corner of its block, held D/k times
+    (DualPoint), and the series carries geom.dim.
     """
     grid = check_grid(grid)
-    if picture is None:
-        picture = default_picture(geom)
-    masked = geom.block_rule(picture)
     thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
     n_max = float(grid[-1])
     if is_radial_scalar(spec):
         chunks = _radial_chunks(geom, spec, n_max)
     else:
-        spec = ClassOneMask(spec) if masked else spec
-        chunks = _point_chunks(geom, spec, n_max)
+        chunks = _point_chunks(geom, ClassOneMask(spec), n_max)
     sums, counts = _stream_snapshots(chunks, thresholds)
-    return PartialSumSeries(grid.copy(), sums, counts, dim=geom.dim, picture=picture)
+    return PartialSumSeries(grid.copy(), sums, counts, geom.dim, default_picture(geom))
 
 
 def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[tuple]:

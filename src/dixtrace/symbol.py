@@ -17,13 +17,13 @@ Matrix families read per-label tables from text files:
 Each evaluates at a dual point to a plain numpy array: a diagonal block is
 1-d (radial scalars, diag: tables, Scaled or ClassOneMask of either), a
 dense d x d block 2-d (matrix: tables, sums mixing one with a diagonal).
-ClassOneMask(inner), wherever the geometry's block rule masks the picture,
-is the top-left k x k class-one corner, where homogeneous-space symbols
-live; it passes k down, so each leaf builds only its corner.  A block is
-held D/k times on every dual, so a masked scalar weighs D |f| like a bare
-one, and specs built from radial scalars, Scaled, SymbolSum and
-ClassOneMask stream by shell (is_radial_scalar).  No block of more than
-MAX_BLOCK_ENTRIES entries is allocated.
+ClassOneMask(inner) is the top-left k x k class-one corner, where
+homogeneous-space symbols live; it passes k down, so each leaf builds only
+its corner.  Per-point sums and the oracle evaluate every spec under it (k
+= d but on spheres), each block held D/k times, so a masked scalar weighs
+D |f| like a bare one, and specs built from radial scalars, Scaled,
+SymbolSum and ClassOneMask stream by shell (is_radial_scalar).  No block
+of more than MAX_BLOCK_ENTRIES entries is allocated.
 
 Nuclear traces are sums of singular values: the modulus of a diagonal
 (np.hypot of its real and imaginary parts), else a Hermitian eigenvalue

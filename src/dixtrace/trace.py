@@ -140,7 +140,7 @@ def residue_factored(a_integral: float, series: PartialSumSeries) -> TraceEstima
     the multiplier's Dixmier estimate.
 
     With a_integral = 1 this is dixmier_estimate on the same code path, so
-    the residue/trace identification holds exactly, on every picture.  A
+    the residue/trace identification holds exactly, on every geometry.  A
     divergent underlying estimate keeps its verdict; the scaled value is
     still reported.  A non-finite a_integral is refused.
     """

@@ -152,7 +152,7 @@ def test_residue_requires_exactly_one_density_source(tmp_path, capsys):
 
 def test_residue_runs_on_spheres(tmp_path, capsys):
     # Connes' res = Tr_w scaling holds on every closed manifold, the
-    # homogeneous picture of the spheres included
+    # spheres' masked blocks included
     base = ["--geometry", "sphere:3", "--symbol", "radial:3", "--nmax", "40"]
     trace_json = str(tmp_path / "t.json")
     res_json = str(tmp_path / "r.json")
@@ -248,7 +248,7 @@ def test_oracle_check_cap_error(capsys):
     # the whole truncation, within the default cap
     sphere3 = ("oracle-check", "--geometry", "sphere:3", "--symbol", "radial:3",
                "--cutoff", "20")
-    assert run(*sphere3, "--cap", "2000") == 1
+    assert run(*sphere3, "--cap", "2869") == 1
     assert "cap >= 2870" in capsys.readouterr().err
     assert run(*sphere3) == 0
     assert "2870 singular values" in capsys.readouterr().out
@@ -464,9 +464,7 @@ def test_explicit_flag_wins_over_typed_config_entry(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("base, entry, flag", [
-    (["boundary", "--nmax", "64"], {"cutoff_kind": "eigen"}, "--cutoff-kind"),
-    (["trace", "--geometry", "torus:1", "--symbol", "bessel:1:2", "--nmax", "64"],
-     {"picture": "bogus"}, "--picture")])
+    (["boundary", "--nmax", "64"], {"cutoff_kind": "eigen"}, "--cutoff-kind")])
 def test_config_entry_outside_choices_exits_one(tmp_path, capsys, base, entry, flag):
     # a config entry is refused as the flag's text is, before any output
     (value,) = entry.values()
@@ -587,6 +585,21 @@ def test_closed_form_streams_refuse_past_the_label_cap(capsys, argv, stream):
     assert err.startswith("error: %s shell stream at this cutoff has " % stream)
     assert err.endswith(" labels, above the cap of 1073741824; lower the cutoff\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("geometry, cutoff", [
+    ("torus:3", "3000"), ("torus:2", "1e7"), ("su3", "1e7"), ("torus:3", "3e4"),
+    ("su3", "1e8"), ("torus:2", "1e9"), ("torus:3", "1e9"), ("su3", "1e9")])
+def test_oracle_check_refuses_an_oversized_truncation_at_once(capsys, geometry, cutoff):
+    # the D of the lazily enumerated points are summed until they pass the
+    # default cap, or a stream's own guard fires; counting the whole
+    # truncation first took from 7 s to minutes on these
+    start = time.perf_counter()
+    assert run("oracle-check", "--geometry", geometry, "--symbol", "radial:1",
+               "--cutoff", cutoff) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("argv, count", [

@@ -155,19 +155,49 @@ def test_radial_shells_total_matches_count():
         assert total == float(counting_function(geom, cutoff))
 
 
+def test_sphere_harmonic_dim_matches_binomials():
+    # one running product serves int labels, exactly, and float64 label
+    # arrays, exactly while (n - 1) d stays below 2**53 and to rounding past it
+    labels = np.arange(2001, dtype=np.float64)
+    for n in range(2, 13):
+        exact = [math.comb(n + l, n) - math.comb(n + l - 2, n) if l else 1
+                 for l in range(2001)]
+        assert [sphere_harmonic_dim(n, l) for l in range(2001)] == exact
+        got = sphere_harmonic_dim(n, labels)
+        assert got.dtype == np.float64
+        want = np.array(exact, dtype=np.float64)
+        small = np.array([(n - 1) * d < 2 ** 53 for d in exact])
+        np.testing.assert_array_equal(got[small], want[small])
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("kind, dim", [("torus", 1), ("torus", 3), ("su2", 3), ("so3", 3),
+                                       ("su3", 8), ("sphere", 4)])
+def test_built_in_kinds_have_nu_two(tmp_path, kind, dim):
+    # lattice_cap reads lambda <= N^2 - 1 exactly, so no other nu is built
+    for nu in (1.5, 1.0, 3.0, 2.5):
+        with pytest.raises(ConfigError, match="laplacian order nu is 2 on %s" % kind):
+            Geometry(kind, dim=dim, nu=nu, rank=dim)
+    g = Geometry(kind, dim=dim, nu=2, rank=dim)
+    assert g == Geometry(kind, dim=dim, rank=dim)
+    assert g.lattice_cap(2.5) == {"su2": 4, "su3": 9}.get(kind, 1) * 21 // 4
+    path = tmp_path / "spec.txt"
+    path.write_text("a 1 1 1.0\n")
+    assert Geometry.from_file(str(path), nu=1.5).nu == 1.5
+
+
 def test_block_rule_lift_identity(tmp_path):
     # a block is held D // k times on every kind; on built-ins d * k == D,
     # so that is rep_dim, and a file record has k = d
     for geom in ALL_GEOMS:
-        assert geom.block_rule("group") == (geom.kind == "sphere")
-        assert geom.block_rule("homogeneous")
         cutoff = 30.0 if geom.kind != "su3" else 10.0
         for p in enumerate_dual(geom, cutoff):
             assert p.rep_dim * p.class_one_dim == p.eigenspace_dim
+            # the class-one corner is the whole block but on spheres
+            assert p.class_one_dim == (1 if geom.kind == "sphere" else p.rep_dim)
     path = tmp_path / "spec.txt"
     path.write_text("a 2 4 1.0\n")
     fg = Geometry.from_file(str(path))
-    assert fg.block_rule("manifold") is False and fg.block_rule("homogeneous") is True
     (p,) = enumerate_dual(fg, 10.0)
     assert (p.rep_dim, p.class_one_dim, p.eigenspace_dim // p.class_one_dim) == (2, 2, 2)
 

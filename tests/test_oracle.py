@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dixtrace.errors import ConfigError, SizeError
+from dixtrace.errors import SizeError
 from dixtrace.geometry import Geometry, counting_function, parse_geometry
 from dixtrace.oracle import (compare_symbol_vs_oracle, operator_singular_values,
                              truncate_operator)
@@ -40,9 +40,10 @@ def test_truncation_shape_and_dimension():
 
 
 def test_truncation_cap_reports_requirement(monkeypatch):
+    # the message names the running total of D that passed the cap
     with pytest.raises(SizeError) as err:
         truncate_operator(Geometry.torus(1), parse_symbol("radial:1"), 1000.0,
-                          cap=100)
+                          cap=1998)
     assert "1999" in str(err.value)
     # sphere:3 counts 2870 eigenfunctions below 20, and its masked blocks
     # are 1 x 1 corners, so the cap needs exactly that count; no block is
@@ -50,7 +51,7 @@ def test_truncation_cap_reports_requirement(monkeypatch):
     monkeypatch.setattr("dixtrace.oracle.eval_symbol", _no_blocks)
     with pytest.raises(SizeError, match="cap >= 2870"):
         truncate_operator(parse_geometry("sphere:3"), parse_symbol("radial:3"), 20.0,
-                          cap=2000)
+                          cap=2869)
 
 
 def test_file_blocks_are_bounded_by_their_size(tmp_path, monkeypatch):
@@ -67,11 +68,10 @@ def test_file_blocks_are_bounded_by_their_size(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["torus:1", "torus:2", "torus:3", "su2", "so3", "su3",
                                   "sphere:2", "sphere:3", "sphere:4", "file"])
-@pytest.mark.parametrize("picture", [None, "manifold", "group", "homogeneous"])
-def test_total_dim_is_the_eigenvalue_count(tmp_path, name, picture):
-    # with masked blocks cut to their class-one corners, mult x block size
-    # is D on every kind, whatever the picture and spec shape; the file
-    # mixes records held once (D = d) with a group's d copies (D = d^2)
+def test_total_dim_is_the_eigenvalue_count(tmp_path, name):
+    # with blocks cut to their class-one corners, mult x block size is D
+    # on every kind, whatever the spec shape; the file mixes records held
+    # once (D = d) with a group's d copies (D = d^2)
     if name == "file":
         path = tmp_path / "spec.txt"
         path.write_text("a 1 1 0.0\nb 3 3 2.0\nc 2 4 3.0\nd 3 9 3.0\ne 4 8 5.0\n")
@@ -81,7 +81,7 @@ def test_total_dim_is_the_eigenvalue_count(tmp_path, name, picture):
     cutoff = 2.0 if name == "su3" else 6.0  # 2686 and at most 895 eigenvalues
     f = parse_symbol("radial:3")
     for spec in (f, ClassOneMask(f), SymbolSum([ClassOneMask(f), Scaled(2.0, f)])):
-        op = truncate_operator(g, spec, cutoff, picture=picture)
+        op = truncate_operator(g, spec, cutoff)
         assert op.total_dim == counting_function(g, cutoff) > 0
         assert len(operator_singular_values(op)) == op.total_dim
 
@@ -126,9 +126,8 @@ def test_compare_passes_on_diagonal_and_masked_sum(tmp_path):
     for spec in (parse_symbol("diag:%s" % diag),
                  SymbolSum([ClassOneMask(parse_symbol("diag:%s" % diag)), f]),
                  SymbolSum([ClassOneMask(parse_symbol("matrix:%s" % mat)), f])):
-        for picture in ("group", "homogeneous"):
-            rep = compare_symbol_vs_oracle(g, spec, 2.0, picture=picture)
-            assert rep["passed"] and rep["max_abs"] < 1e-12, (spec, picture, rep)
+        rep = compare_symbol_vs_oracle(g, spec, 2.0)
+        assert rep["passed"] and rep["max_abs"] < 1e-12, (spec, rep)
     op = truncate_operator(g, SymbolSum([ClassOneMask(parse_symbol("diag:%s" % diag)), f]),
                            2.0)
     assert [m.shape for _, m, _ in op.blocks] == [(1,), (2,), (3,)]
@@ -161,19 +160,3 @@ def test_truncation_total_matches_partial_sum(name):
     svals = operator_singular_values(truncate_operator(g, spec, 12.0))
     series = partial_sums(g, spec, dyadic_grid(12.0, 2))
     assert math.fsum(svals) == pytest.approx(series.sums[-1], rel=1e-12)
-
-
-def test_boundary_picture_has_no_truncation():
-    with pytest.raises(ConfigError):
-        truncate_operator(Geometry.torus(1), parse_symbol("radial:1"), 10.0,
-                          picture="boundary-index")
-
-
-def test_unknown_picture_is_refused():
-    # a typo such as "homogenous" must not run unmasked under a new tag
-    for bad in ("bogus", "homogenous"):
-        with pytest.raises(ConfigError, match="unknown picture"):
-            truncate_operator(Geometry.su2(), parse_symbol("radial:3"), 3.0, picture=bad)
-        with pytest.raises(ConfigError, match="unknown picture"):
-            partial_sums(Geometry.su2(), parse_symbol("radial:3"), dyadic_grid(16),
-                         picture=bad)

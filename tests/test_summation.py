@@ -13,6 +13,7 @@ from dixtrace.errors import ConfigError, FitError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
                                enumerate_dual, label_text, parse_geometry,
                                radial_shells, save_spectrum_file)
+from dixtrace.oracle import truncate_operator
 from dixtrace.summation import (PartialSumSeries, _stream_snapshots,
                                 counting_series, default_picture, dyadic_grid,
                                 partial_sums, weyl_fit)
@@ -96,23 +97,47 @@ def test_default_pictures():
     assert default_picture(Geometry.sphere(3)) == "homogeneous"
 
 
-def test_group_and_manifold_pictures_agree_on_su2():
-    # the block lift makes the two summation formulas produce the same
-    # numbers; the picture tag is bookkeeping
-    g = Geometry.su2()
-    grid = dyadic_grid(200, 4)
-    spec = parse_symbol("bessel:3:2")
-    a = partial_sums(g, spec, grid, picture="group")
-    b = partial_sums(g, spec, grid, picture="manifold")
-    np.testing.assert_array_equal(a.sums, b.sums)
-    assert a.picture == "group" and b.picture == "manifold"
+def matrix_table(path, geom, cutoff, rng):
+    """A matrix: table of random complex d x d blocks for every label up to
+    the cutoff."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in enumerate_dual(geom, cutoff):
+            m = rng.standard_normal((p.rep_dim, p.rep_dim, 2)).tolist()
+            fh.write("%s\n" % label_text(p))
+            for row in m:
+                fh.write(" ".join("%.17g%+.17gi" % (a, b) for a, b in row) + "\n")
+    return parse_symbol("matrix:%s" % path)
 
 
-def test_boundary_picture_rejected():
-    # Geometry.block_rule refuses any picture it has no block rule for
-    with pytest.raises(ConfigError):
-        partial_sums(Geometry.torus(1), RadialWeight(1.0), dyadic_grid(16),
-                     picture="boundary-index")
+@pytest.mark.parametrize("name", ["torus:1", "torus:2", "torus:3", "su2", "so3", "su3",
+                                  "sphere:2", "sphere:3", "sphere:4", "file"])
+def test_one_block_rule_on_every_kind(tmp_path, name):
+    # the geometry fixes the block: every point contributes the class-one
+    # corner of its block, held D/k times, so a spec and its mask: give the
+    # same sums bit for bit, on the radial and the per-point path, and the
+    # truncated operator holds the eigenvalue count
+    if name == "file":  # records held once (D = d) and a group's d copies (D = d^2)
+        path = tmp_path / "spec.txt"
+        path.write_text("a 1 1 0.0\nb 3 3 2.0\nc 2 4 3.0\nd 3 9 3.0\ne 4 8 5.0\n")
+        g = Geometry.from_file(str(path))
+    else:
+        g = parse_geometry(name)
+    cutoff = 2.0 if name == "su3" else 6.0  # 2686 and at most 895 eigenvalues
+    rng = np.random.default_rng(11)
+    grid = np.unique(np.linspace(2.0, cutoff, 9))
+    specs = (parse_symbol("radial:3"),
+             diag_table(tmp_path / "d.txt", g, cutoff, RadialWeight(3.0)),
+             matrix_table(tmp_path / "m.txt", g, cutoff, rng))
+    for spec in specs:
+        bare = partial_sums(g, spec, grid)
+        masked = partial_sums(g, ClassOneMask(spec), grid)
+        assert bare.sums.tobytes() == masked.sums.tobytes()
+        assert bare.counts.tobytes() == masked.counts.tobytes()
+        assert bare.picture == masked.picture == default_picture(g)
+        op = truncate_operator(g, spec, cutoff)
+        assert op.total_dim == counting_function(g, cutoff) == bare.counts[-1] > 0
+        k = [p.class_one_dim for p in enumerate_dual(g, cutoff)]
+        assert [len(m) for _, m, _ in op.blocks] == k
 
 
 def test_additivity_of_nonnegative_scalars():
@@ -370,8 +395,8 @@ def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
     # same scalars runs per point, each block held D/k times.  The fold
     # sees different terms (one per shell, 2**14 shells or q values per
     # chunk, vs one per point, 2**14 points per chunk), so sums agree to
-    # rounding and counts exactly.  A bare table on a sphere takes the mask
-    # its picture implies.
+    # rounding and counts exactly.  A bare table on a sphere is read through
+    # its class-one corner, as every block is.
     if name == "file":
         path = str(tmp_path / "su2-spec.txt")  # d = n + 1, D = d^2
         save_spectrum_file(enumerate_dual(Geometry.su2(), cutoff), path)
