@@ -7,7 +7,7 @@ from dixtrace.errors import SizeError
 from dixtrace.geometry import Geometry, counting_function, parse_geometry
 from dixtrace.oracle import (compare_symbol_vs_oracle, operator_singular_values,
                              truncate_operator)
-from dixtrace.summation import dyadic_grid, partial_sums
+from dixtrace.summation import PartialSumSeries, default_picture, dyadic_grid, partial_sums
 from dixtrace.symbol import ClassOneMask, Scaled, SymbolSum, parse_symbol
 
 
@@ -68,10 +68,13 @@ def test_file_blocks_are_bounded_by_their_size(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["torus:1", "torus:2", "torus:3", "su2", "so3", "su3",
                                   "sphere:2", "sphere:3", "sphere:4", "file"])
-def test_total_dim_is_the_eigenvalue_count(tmp_path, name):
+@pytest.mark.parametrize("picture", [None, "manifold", "group", "homogeneous"])
+def test_total_dim_is_the_eigenvalue_count(tmp_path, name, picture):
     # with blocks cut to their class-one corners, mult x block size is D
     # on every kind, whatever the spec shape; the file mixes records held
-    # once (D = d) with a group's d copies (D = d^2)
+    # once (D = d) with a group's d copies (D = d^2).  The partial sums
+    # count the same eigenvalues, and a series read back under any picture
+    # tag (None: from_csv's default) keeps its numbers: the tag relabels
     if name == "file":
         path = tmp_path / "spec.txt"
         path.write_text("a 1 1 0.0\nb 3 3 2.0\nc 2 4 3.0\nd 3 9 3.0\ne 4 8 5.0\n")
@@ -80,10 +83,20 @@ def test_total_dim_is_the_eigenvalue_count(tmp_path, name):
         g = parse_geometry(name)
     cutoff = 2.0 if name == "su3" else 6.0  # 2686 and at most 895 eigenvalues
     f = parse_symbol("radial:3")
+    csv_path = tmp_path / "series.csv"
     for spec in (f, ClassOneMask(f), SymbolSum([ClassOneMask(f), Scaled(2.0, f)])):
         op = truncate_operator(g, spec, cutoff)
         assert op.total_dim == counting_function(g, cutoff) > 0
         assert len(operator_singular_values(op)) == op.total_dim
+        series = partial_sums(g, spec, np.array([cutoff]))
+        assert series.picture == default_picture(g)
+        assert series.counts[-1] == op.total_dim
+        series.to_csv(str(csv_path))
+        kw = {} if picture is None else {"picture": picture}
+        back = PartialSumSeries.from_csv(str(csv_path), dim=g.dim, **kw)
+        assert back.picture == (picture or "manifold")
+        assert np.array_equal(back.counts, series.counts)
+        assert np.array_equal(back.sums, series.sums)
 
 
 def test_dense_assembly_matches_block_svd():
