@@ -25,13 +25,11 @@ _EXPORTS = {
                "truncate_operator"),
     "summation": ("PartialSumSeries", "counting_series", "default_picture",
                   "dyadic_grid", "partial_sums", "weyl_fit"),
-    "symbol": ("BesselPotential", "ClassOneMask", "DiagonalTable", "FullMatrixTable",
-               "ModulusWeight", "PowerOfEigenvalue", "RadialWeight", "Scaled",
-               "SymbolSum", "eval_symbol", "nuclear_trace_abs", "parse_symbol",
-               "singular_values"),
-    "trace": ("MeasurabilityProbe", "QuasiNormResult", "TraceEstimate",
-              "density_integral_from_samples", "dixmier_estimate", "log_model_fit",
-              "marcinkiewicz_exponent", "measurability_probe", "quasinorm",
+    "symbol": ("BesselPotential", "DiagonalTable", "FullMatrixTable", "ModulusWeight",
+               "PowerOfEigenvalue", "RadialWeight", "Scaled", "SymbolSum", "eval_symbol",
+               "nuclear_trace_abs", "parse_symbol", "singular_values"),
+    "trace": ("QuasiNormResult", "TraceEstimate", "density_integral_from_samples",
+              "dixmier_estimate", "log_model_fit", "marcinkiewicz_exponent", "quasinorm",
               "residue_factored"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

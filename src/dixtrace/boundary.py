@@ -373,7 +373,7 @@ def boundary_series(sym: BoundarySymbol, grid: np.ndarray) -> PartialSumSeries:
     if len(sym) == 0:
         raise ConfigError("empty boundary symbol")
     sums, counts = _stream_snapshots(_index_chunks(sym, lambda lam, v, out: np.abs(v, out=out)),
-                                     np.floor(grid))
+                                     np.floor(grid), grid)
     return PartialSumSeries(grid.copy(), sums, counts, dim=1, picture="boundary-index")
 
 

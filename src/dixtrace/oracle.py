@@ -4,7 +4,8 @@ Everything here works at the level of actual matrices: materialize the
 block-diagonal truncation of the operator below a weight cutoff and get
 its singular values from LAPACK.  This is deliberately independent of the
 symbol-side streaming path (different SVD, different summation order) so
-the two can be compared as a cross-check.
+the two can be compared as a cross-check.  Each block is the class-one
+corner eval_symbol returns, the same one the per-point partial sums read.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, count_text
 from .geometry import Geometry, counting_function, enumerate_dual, label_text
-from .symbol import (ClassOneMask, SymbolSpec, check_block_size, eval_symbol,
-                     singular_values)
+from .symbol import SymbolSpec, check_block_size, eval_symbol, singular_values
 
 DEFAULT_CAP = 10_000
 ORACLE_TOL = 1e-9  # max abs and relative sum difference that still match
@@ -27,14 +27,13 @@ ORACLE_TOL = 1e-9  # max abs and relative sum difference that still match
 class TruncatedOperator:
     """Block-diagonal truncation: one (label, block, multiplicity) per point.
 
-    Blocks are the class-one corners eval_symbol returns under ClassOneMask,
-    diagonals 1-d, each held D/k times (DualPoint), so total_dim, the sum
-    of mult * block size, is the eigenvalue count on every kind.
+    Blocks are the class-one corners eval_symbol returns, diagonals 1-d,
+    each held D/k times (DualPoint), so total_dim, the sum of mult * block
+    size, is the eigenvalue count on every kind.
     """
 
     blocks: list
     total_dim: int
-    geometry: Geometry
 
 
 def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
@@ -42,25 +41,29 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
     """Materialize all symbol blocks with weight <= cutoff.
 
     The points' D are summed first, and once the running total passes cap
-    the request fails naming it, a lower bound of the cap it needs, before
-    any block is built: the enumeration is lazy, so this takes time in the
-    cap, not the cutoff.  Then the total must equal counting_function.
+    the request fails before any block is built: the enumeration is lazy,
+    so this takes time in the cap, not the cutoff.  The error names the
+    cap needed, counting_function where that is closed form or one column
+    sum, else the running total as a lower bound.  Then the total must
+    equal counting_function.
     """
     total = 0
     for p in enumerate_dual(geom, cutoff):
         total += p.eigenspace_dim
         if total > cap:
-            n = count_text(total)
-            raise SizeError("truncation at cutoff %g holds at least %s weighted dimensions, "
-                            "more than the cap of %d; pass cap >= %s (a lower bound) or "
-                            "lower the cutoff" % (cutoff, n, cap, n))
-    spec = ClassOneMask(spec)
+            # closed form or one column sum but on su3 and higher tori
+            exact = geom.kind != "su3" and not (geom.kind == "torus" and geom.rank > 1)
+            n = count_text(counting_function(geom, cutoff) if exact else total)
+            raise SizeError("truncation at cutoff %g holds %s%s weighted dimensions, more "
+                            "than the cap of %d; pass cap >= %s%s or lower the cutoff"
+                            % (cutoff, "" if exact else "at least ", n, cap, n,
+                               "" if exact else " (a lower bound)"))
     blocks = [(label_text(p), eval_symbol(spec, p, geom), p.eigenspace_dim // p.class_one_dim)
               for p in enumerate_dual(geom, cutoff)]
     total = sum(mult * len(m) for _, m, mult in blocks)
     if total != counting_function(geom, cutoff):
         raise ConfigError("internal mismatch: %d dimensions against the counting function" % total)
-    return TruncatedOperator(blocks=blocks, total_dim=total, geometry=geom)
+    return TruncatedOperator(blocks=blocks, total_dim=total)
 
 
 def _sorted_with_multiplicity(op: TruncatedOperator, svd) -> np.ndarray:

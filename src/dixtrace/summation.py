@@ -6,14 +6,13 @@ weight <= N_k, and the eigenvalue counts at the same cutoffs.
 
 Two evaluation strategies produce series:
 
-  * a radial bulk path for specs built from radial scalars, Scaled,
-    SymbolSum and ClassOneMask, streaming (eigenvalue, total
-    multiplicity) shell chunks from the geometry and evaluating the
-    scalar vectorized;
-  * a per-point object path for everything else (tables), evaluating
-    ClassOneMask(spec) at each point in order: the k x k class-one corner
-    of its block (all of it but on spheres), held D/k times (DualPoint),
-    so a scalar weighs D |f| on either path.
+  * a radial bulk path for specs built from radial scalars, Scaled and
+    SymbolSum, streaming (eigenvalue, total multiplicity) shell chunks
+    from the geometry and evaluating the scalar vectorized;
+  * a per-point object path for everything else (tables), evaluating the
+    spec at each point in order: the k x k class-one corner of its block
+    (all of it but on spheres), held D/k times (DualPoint), so a scalar
+    weighs D |f| on either path.
 
 Both share one accumulation contract so results are reproducible bit for
 bit: pairwise sums of chunk prefixes, with one chunk length.  Terms come
@@ -33,7 +32,8 @@ that chunk plus the pairwise sum (np.sum) of the chunk's prefix the
 threshold admits.  No cumulative sum is formed, so the in-chunk error
 grows like log of the chunk length, not like the length.  Chunk
 boundaries depend only on the geometry, never on the grid, so extending
-the grid reproduces every earlier snapshot exactly.
+the grid reproduces every earlier snapshot exactly.  A series whose sums
+overflow float64 is refused, naming the first cutoff it overflows at.
 
 Cutoffs act through the eigenvalue threshold lambda <= N^nu - 1 (ties
 included), read exactly on every built-in kind (Geometry.lambda_threshold).
@@ -51,10 +51,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, FitError, SpectrumFormatError, count_text
+from .errors import ConfigError, FitError, NumericError, SpectrumFormatError, count_text
 from .geometry import Geometry, _row_chunks, enumerate_dual, label_text, radial_shells
-from .symbol import ClassOneMask, RadialWeight, SymbolSpec, eval_symbol, \
-    is_radial_scalar, nuclear_trace_abs, scalar_values
+from .symbol import RadialWeight, SymbolSpec, eval_symbol, is_radial_scalar, \
+    nuclear_trace_abs, scalar_values
 
 PICTURES = ("manifold", "group", "homogeneous", "boundary-index")
 
@@ -194,7 +194,7 @@ class _Carry:
         return self.total + self.comp
 
 
-def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
+def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray, cutoffs=None):
     """Fold (lam, contrib, dsum) chunks, lam ascending, into snapshot sums/counts.
 
     A chunk's totals are pairwise sums (np.sum) folded into a Neumaier
@@ -205,6 +205,8 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
     the end of the chunk before.  Each prefix depends only on the chunk and
     the prefix length, so values never depend on how far the stream
     continues afterwards, nor on where between two keys the threshold falls.
+    A non-finite sum raises NumericError naming its cutoff (cutoffs, by
+    default the thresholds), checked once on the finished series.
     """
     k_total = len(thresholds)
     sums = np.zeros(k_total)
@@ -232,6 +234,10 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray):
     # thresholds at or past the last key read the end of the stream, as the
     # end of that chunk would on a longer stream
     sums[ptr:], counts[ptr:] = last
+    if not np.isfinite(sums).all():
+        at = (thresholds if cutoffs is None else cutoffs)[np.argmin(np.isfinite(sums))]
+        raise NumericError("the partial sum at cutoff %g is not finite (float64 overflow); "
+                           "scale the symbol down" % at)
     return sums, counts
 
 
@@ -255,8 +261,8 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialS
     if is_radial_scalar(spec):
         chunks = _radial_chunks(geom, spec, n_max)
     else:
-        chunks = _point_chunks(geom, ClassOneMask(spec), n_max)
-    sums, counts = _stream_snapshots(chunks, thresholds)
+        chunks = _point_chunks(geom, spec, n_max)
+    sums, counts = _stream_snapshots(chunks, thresholds, grid)
     return PartialSumSeries(grid.copy(), sums, counts, geom.dim, default_picture(geom))
 
 

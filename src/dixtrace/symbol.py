@@ -14,16 +14,15 @@ Matrix families read per-label tables from text files:
   DiagonalTable(path)    label line + one line of d diagonal entries
   FullMatrixTable(path)  label line + d lines of d entries
 
-Each evaluates at a dual point to a plain numpy array: a diagonal block is
-1-d (radial scalars, diag: tables, Scaled or ClassOneMask of either), a
-dense d x d block 2-d (matrix: tables, sums mixing one with a diagonal).
-ClassOneMask(inner) is the top-left k x k class-one corner, where
-homogeneous-space symbols live; it passes k down, so each leaf builds only
-its corner.  Per-point sums and the oracle evaluate every spec under it (k
-= d but on spheres), each block held D/k times, so a masked scalar weighs
-D |f| like a bare one, and specs built from radial scalars, Scaled,
-SymbolSum and ClassOneMask stream by shell (is_radial_scalar).  No block
-of more than MAX_BLOCK_ENTRIES entries is allocated.
+Each evaluates at a dual point to a plain numpy array, the top-left k x k
+class-one corner of its block (DualPoint; k = d but on spheres, where the
+corner is one entry): a diagonal block is 1-d (radial scalars, diag:
+tables, Scaled of either), a dense one 2-d (matrix: tables, sums mixing
+one with a diagonal).  The spelling mask:INNER parses to INNER itself.
+Each point holds its corner D/k times, so a scalar weighs D |f|, and
+specs built from radial scalars, Scaled and SymbolSum stream by shell
+(is_radial_scalar).  No block of more than MAX_BLOCK_ENTRIES entries is
+allocated.
 
 Nuclear traces are sums of singular values: the modulus of a diagonal
 (np.hypot of its real and imaginary parts), else a Hermitian eigenvalue
@@ -104,11 +103,6 @@ class SymbolSum(SymbolSpec):
 
 
 @dataclass(frozen=True)
-class ClassOneMask(SymbolSpec):
-    inner: SymbolSpec
-
-
-@dataclass(frozen=True)
 class DiagonalTable(SymbolSpec):
     path: str
     entries: dict = field(compare=False, repr=False, default=None)
@@ -132,7 +126,8 @@ def parse_symbol(text: str) -> SymbolSpec:
     """Parse a CLI symbol string.
 
     Forms: radial:s, bessel:s:nu, power:s[:shift], modulus:s, diag:PATH,
-    matrix:PATH, scaled:c:INNER, mask:INNER.
+    matrix:PATH, scaled:c:INNER, and mask:INNER, which is INNER itself:
+    every block is its class-one corner.
     """
     head, _, tail = text.partition(":")
     head = head.strip().lower()
@@ -151,7 +146,7 @@ def parse_symbol(text: str) -> SymbolSpec:
             c_s, _, inner = tail.partition(":")
             return Scaled(float(c_s), parse_symbol(inner))
         if head == "mask":
-            return ClassOneMask(parse_symbol(tail))
+            return parse_symbol(tail)
         if head == "diag":
             return DiagonalTable(tail)
         if head == "matrix":
@@ -162,11 +157,10 @@ def parse_symbol(text: str) -> SymbolSpec:
 
 
 def is_radial_scalar(spec: SymbolSpec) -> bool:
-    """True when the spec is a scalar function of the eigenvalue alone,
-    masks included: a masked scalar f still weighs D |f| per point."""
+    """True when the spec is a scalar function of the eigenvalue alone."""
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
         return True
-    if isinstance(spec, (Scaled, ClassOneMask)):
+    if isinstance(spec, Scaled):
         return is_radial_scalar(spec.inner)
     if isinstance(spec, SymbolSum):
         return all(is_radial_scalar(p) for p in spec.parts)
@@ -191,21 +185,12 @@ def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarr
         return (1.0 + np.sqrt(lam)) ** (-spec.s)
     if isinstance(spec, Scaled):
         return spec.c * scalar_values(spec.inner, lam, geom)
-    if isinstance(spec, ClassOneMask):
-        return scalar_values(spec.inner, lam, geom)
     if isinstance(spec, SymbolSum):
         acc = scalar_values(spec.parts[0], lam, geom)
         for p in spec.parts[1:]:
             acc = acc + scalar_values(p, lam, geom)
         return acc
     raise ConfigError("not a scalar spec: %r" % (spec,))
-
-
-def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarray:
-    """The spec's block at one dual point: rep_dim diagonal entries (1-d) or
-    rep_dim x rep_dim, cut to the class_one_dim corner under a ClassOneMask.
-    A bare table's block is a view of its entry."""
-    return _eval(spec, point, geom, point.rep_dim)
 
 
 def check_block_size(label: str, shape: tuple) -> None:
@@ -216,20 +201,21 @@ def check_block_size(label: str, shape: tuple) -> None:
                             label, " x ".join(map(str, shape)), MAX_BLOCK_ENTRIES))
 
 
-def _eval(spec: SymbolSpec, point: DualPoint, geom: Geometry, k: int) -> np.ndarray:
-    """The spec's block at the point, cut to its top-left k (x k) corner."""
-    if isinstance(spec, ClassOneMask):
-        return _eval(spec.inner, point, geom, point.class_one_dim)
+def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarray:
+    """The spec's block at one dual point, cut to its top-left k (x k)
+    class-one corner, k = point.class_one_dim: k diagonal entries (1-d) or
+    k x k.  A bare table's block is a view of its entry."""
+    k = point.class_one_dim
     if isinstance(spec, Scaled):
-        return spec.c * _eval(spec.inner, point, geom, k)
+        return spec.c * eval_symbol(spec.inner, point, geom)
     if isinstance(spec, SymbolSum):
-        parts = [_eval(p, point, geom, k) for p in spec.parts]
-        shape = (max(map(len, parts)),) * max(b.ndim for b in parts)
+        parts = [eval_symbol(p, point, geom) for p in spec.parts]
+        shape = (k,) * max(b.ndim for b in parts)
         check_block_size(label_text(point), shape)
         acc = np.zeros(shape, dtype=np.complex128)
         for b in parts:  # in order, each entry adding up as it would densely
             into = np.einsum("ii->i", acc) if b.ndim < acc.ndim else acc  # a view
-            into[(slice(len(b)),) * b.ndim] += b
+            into += b
         return acc
     if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
         check_block_size(label_text(point), (k,))

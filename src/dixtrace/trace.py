@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError, FitError, NumericError
 from .summation import SCHEMA_VERSION, PartialSumSeries
 
 DIVERGENCE_THRESHOLD = 0.1  # growth of f over the last three octaves
@@ -142,12 +142,17 @@ def residue_factored(a_integral: float, series: PartialSumSeries) -> TraceEstima
     With a_integral = 1 this is dixmier_estimate on the same code path, so
     the residue/trace identification holds exactly, on every geometry.  A
     divergent underlying estimate keeps its verdict; the scaled value is
-    still reported.  A non-finite a_integral is refused.
+    still reported.  A non-finite a_integral is refused, and so is a
+    product that overflows float64 where the estimate was finite.
     """
     a = float(a_integral)
     if not math.isfinite(a):
         raise ConfigError("density integral must be finite, got %r" % (a,))
     est = dixmier_estimate(series)
+    if any(math.isfinite(x) and not math.isfinite(a * x)
+           for x in (est.value, est.naive_last, *est.fit_coeffs, est.fit_residual)):
+        raise NumericError("density integral %r times the trace estimate is not finite "
+                           "(float64 overflow)" % (a,))
     return replace(est, value=a * est.value, naive_last=a * est.naive_last,
                    fit_coeffs=(a * est.fit_coeffs[0], a * est.fit_coeffs[1]),
                    fit_residual=abs(a) * est.fit_residual)
@@ -163,37 +168,3 @@ def density_integral_from_samples(values: Iterable[float]) -> float:
     if not n:
         raise ConfigError("no density samples given")
     return total / n
-
-
-@dataclass
-class MeasurabilityProbe:
-    """Extrapolations along interleaved subgrids and their spread."""
-
-    tau_even: float
-    tau_odd: float
-    dispersion: float
-
-
-def measurability_probe(series: PartialSumSeries) -> MeasurabilityProbe:
-    """Extrapolate along even- and odd-indexed cutoffs separately.
-
-    A measurable (Dixmier-traceable) symbol gives matching intercepts; a
-    large dispersion flags dependence on the averaging scheme.
-    """
-    if len(series) < 8:
-        raise FitError("measurability probe needs at least 8 grid points")
-    f = series.normalized()
-    taus = []
-    for par in (0, 1):
-        tau, _c1, _c2, _r = log_model_fit(series.cutoffs[par::2], f[par::2])
-        taus.append(tau)
-    return MeasurabilityProbe(tau_even=taus[0], tau_odd=taus[1],
-                              dispersion=abs(taus[0] - taus[1]))
-
-
-__all__ = [
-    "TraceEstimate", "QuasiNormResult", "MeasurabilityProbe",
-    "dixmier_estimate", "quasinorm", "residue_factored",
-    "density_integral_from_samples", "measurability_probe", "log_model_fit",
-    "marcinkiewicz_exponent",
-]

@@ -311,6 +311,24 @@ def test_non_finite_streamed_mask_exits_one(capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--geometry", "su2", "--symbol", "scaled:1e308:radial:3"),
+    ("residue", "--geometry", "torus:1", "--symbol", "radial:1", "--a-integral", "1e308")])
+def test_overflow_exits_one_and_writes_nothing_non_finite(tmp_path, capsys, argv):
+    # the su2 sums overflow float64, and so does the residue's product
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    with np.errstate(over="ignore"):
+        code = run(*argv, "--nmax", "100", "--out-json", str(out_json),
+                   "--out-csv", str(out_csv))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+    for text in (captured.out,) + tuple(p.read_text() for p in (out_json, out_csv)
+                                        if p.exists()):
+        assert "nan" not in text.lower() and "inf" not in text.lower()
+
+
 def test_streamed_scaled_mask_exits_zero(capsys):
     # scaled: around a mask streams by shell on sphere:3; per point the
     # degree-99 label would need a 10000 x 10000 block, above the cap

@@ -8,7 +8,7 @@ from dixtrace.geometry import Geometry, counting_function, parse_geometry
 from dixtrace.oracle import (compare_symbol_vs_oracle, operator_singular_values,
                              truncate_operator)
 from dixtrace.summation import PartialSumSeries, default_picture, dyadic_grid, partial_sums
-from dixtrace.symbol import ClassOneMask, Scaled, SymbolSum, parse_symbol
+from dixtrace.symbol import Scaled, SymbolSum, parse_symbol
 
 
 def _dense_singular_values(op):
@@ -54,6 +54,21 @@ def test_truncation_cap_reports_requirement(monkeypatch):
                           cap=2869)
 
 
+def test_cap_refusal_names_the_exact_count_where_counting_is_cheap(monkeypatch):
+    # the running total passes 2000 at 2109 on sphere:3, but the cap needed
+    # is the whole count, 2870; su3 and torus:2 name their running total
+    monkeypatch.setattr("dixtrace.oracle.eval_symbol", _no_blocks)
+    f = parse_symbol("radial:3")
+    with pytest.raises(SizeError) as err:
+        truncate_operator(parse_geometry("sphere:3"), f, 20.0, cap=2000)
+    assert "holds 2870 weighted dimensions" in str(err.value)
+    assert "pass cap >= 2870 or" in str(err.value)
+    for name, cutoff in (("su3", 3.0), ("torus:2", 40.0)):
+        g = parse_geometry(name)
+        with pytest.raises(SizeError, match=r"at least \d+ weighted .* \(a lower bound\)"):
+            truncate_operator(g, f, cutoff, cap=counting_function(g, cutoff) // 2)
+
+
 def test_file_blocks_are_bounded_by_their_size(tmp_path, monkeypatch):
     # a file block is held D/d times, so the eigenvalue count bounds the
     # sum of d: one eigenspace with a 100000 x 100000 block is refused by
@@ -84,7 +99,8 @@ def test_total_dim_is_the_eigenvalue_count(tmp_path, name, picture):
     cutoff = 2.0 if name == "su3" else 6.0  # 2686 and at most 895 eigenvalues
     f = parse_symbol("radial:3")
     csv_path = tmp_path / "series.csv"
-    for spec in (f, ClassOneMask(f), SymbolSum([ClassOneMask(f), Scaled(2.0, f)])):
+    masked = parse_symbol("mask:radial:3")
+    for spec in (f, masked, SymbolSum([masked, Scaled(2.0, f)])):
         op = truncate_operator(g, spec, cutoff)
         assert op.total_dim == counting_function(g, cutoff) > 0
         assert len(operator_singular_values(op)) == op.total_dim
@@ -128,8 +144,8 @@ def test_compare_passes_on_matrix_table(tmp_path):
 
 
 def test_compare_passes_on_diagonal_and_masked_sum(tmp_path):
-    # 1-d blocks reach LAPACK densified by the oracle itself; the masked
-    # sums put a corner into a diagonal and into a dense block
+    # 1-d blocks reach LAPACK densified by the oracle itself; the sums add
+    # a diagonal into a diagonal and into a dense block
     g = Geometry.su2()
     diag = tmp_path / "diag.txt"
     diag.write_text("0\n0.9\n1\n0.5 -0.25i\n2\n0.2 0.3 -0.1\n")
@@ -137,12 +153,11 @@ def test_compare_passes_on_diagonal_and_masked_sum(tmp_path):
     mat.write_text("0\n0.9\n1\n0.5 0.3i\n0.1 -0.2\n2\n0.2 0 0.1\n0 0.3 0\n0.05 0 0.1\n")
     f = parse_symbol("radial:3")
     for spec in (parse_symbol("diag:%s" % diag),
-                 SymbolSum([ClassOneMask(parse_symbol("diag:%s" % diag)), f]),
-                 SymbolSum([ClassOneMask(parse_symbol("matrix:%s" % mat)), f])):
+                 SymbolSum([parse_symbol("mask:diag:%s" % diag), f]),
+                 SymbolSum([parse_symbol("mask:matrix:%s" % mat), f])):
         rep = compare_symbol_vs_oracle(g, spec, 2.0)
         assert rep["passed"] and rep["max_abs"] < 1e-12, (spec, rep)
-    op = truncate_operator(g, SymbolSum([ClassOneMask(parse_symbol("diag:%s" % diag)), f]),
-                           2.0)
+    op = truncate_operator(g, SymbolSum([parse_symbol("mask:diag:%s" % diag), f]), 2.0)
     assert [m.shape for _, m, _ in op.blocks] == [(1,), (2,), (3,)]
     np.testing.assert_allclose(_dense_singular_values(op),
                                operator_singular_values(op), rtol=1e-14, atol=0)

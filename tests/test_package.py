@@ -3,15 +3,18 @@ checked in a fresh interpreter, since both act at import time."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import dixtrace
 from dixtrace.errors import count_text
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 TIMEOUT_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
 
 
@@ -44,6 +47,21 @@ def test_dir_lists_every_exported_name():
     missing = fresh("import json, dixtrace\n"
                     "print(json.dumps(sorted(set(dixtrace.__all__) - set(dir(dixtrace)))))")
     assert missing == []
+
+
+def test_readme_lists_the_exported_names():
+    # each bullet under "The public names" is `module`: then its names; a
+    # method of a listed class, such as PartialSumSeries.to_csv, may appear
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("The public names are those of", 1)[1].split("\n\n", 2)[1]
+    listed = {}
+    for bullet in section.split("\n- "):
+        module, *names = re.findall(r"`(\w+)`", bullet)
+        classes = [c for c in (getattr(dixtrace, n, None) for n in names) if isinstance(c, type)]
+        for n in names:
+            if not any(hasattr(c, n) for c in classes):
+                listed[n] = module
+    assert listed == dixtrace._MODULE_OF
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -17,9 +17,8 @@ from dixtrace.oracle import truncate_operator
 from dixtrace.summation import (PartialSumSeries, _stream_snapshots,
                                 counting_series, default_picture, dyadic_grid,
                                 partial_sums, weyl_fit)
-from dixtrace.symbol import (ClassOneMask, DiagonalTable, RadialWeight, Scaled,
-                             SymbolSum, is_radial_scalar, parse_symbol,
-                             scalar_values)
+from dixtrace.symbol import (DiagonalTable, RadialWeight, Scaled, SymbolSum,
+                             is_radial_scalar, parse_symbol, scalar_values)
 
 
 def diag_table(path, geom, cutoff, inner):
@@ -125,12 +124,13 @@ def test_one_block_rule_on_every_kind(tmp_path, name):
     cutoff = 2.0 if name == "su3" else 6.0  # 2686 and at most 895 eigenvalues
     rng = np.random.default_rng(11)
     grid = np.unique(np.linspace(2.0, cutoff, 9))
-    specs = (parse_symbol("radial:3"),
-             diag_table(tmp_path / "d.txt", g, cutoff, RadialWeight(3.0)),
-             matrix_table(tmp_path / "m.txt", g, cutoff, rng))
-    for spec in specs:
+    texts = ("radial:3",
+             "diag:%s" % diag_table(tmp_path / "d.txt", g, cutoff, RadialWeight(3.0)).path,
+             "matrix:%s" % matrix_table(tmp_path / "m.txt", g, cutoff, rng).path)
+    for text in texts:
+        spec = parse_symbol(text)
         bare = partial_sums(g, spec, grid)
-        masked = partial_sums(g, ClassOneMask(spec), grid)
+        masked = partial_sums(g, parse_symbol("mask:" + text), grid)
         assert bare.sums.tobytes() == masked.sums.tobytes()
         assert bare.counts.tobytes() == masked.counts.tobytes()
         assert bare.picture == masked.picture == default_picture(g)
@@ -390,8 +390,8 @@ def test_block_path_agrees_with_radial_path(tmp_path):
     ("su2", 150.0), ("so3", 80.0), ("su3", 4.0), ("sphere:3", 40.0),
     ("sphere:4", 30.0), ("torus:1", 1e4), ("torus:2", 60.0), ("file", 30.0)])
 def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
-    # specs built from radial scalars, scaled:, sums and mask: stream by
-    # shell on every kind; the same spec over diag: tables holding the
+    # specs built from radial scalars, scaled: and sums stream by shell on
+    # every kind; the same spec over diag: tables holding the
     # same scalars runs per point, each block held D/k times.  The fold
     # sees different terms (one per shell, 2**14 shells or q values per
     # chunk, vs one per point, 2**14 points per chunk), so sums agree to
@@ -407,9 +407,8 @@ def test_streamed_mask_matches_per_point_path(tmp_path, name, cutoff):
     tables = (diag_table(tmp_path / "f.txt", g, cutoff, f),
               diag_table(tmp_path / "h.txt", g, cutoff, h))
     grid = dyadic_grid(cutoff, 4)
-    shapes = [lambda f, h: ClassOneMask(f),
-              lambda f, h: Scaled(2.0, ClassOneMask(f)),
-              lambda f, h: SymbolSum([ClassOneMask(f), h]),
+    shapes = [lambda f, h: Scaled(2.0, f),
+              lambda f, h: SymbolSum([f, h]),
               lambda f, h: f]
     for build in shapes:
         spec = build(f, h)

@@ -11,10 +11,9 @@ from dixtrace import geometry
 from dixtrace.errors import (ConfigError, DomainError, NumericError, SizeError,
                              SpectrumFormatError, TableLookupError)
 from dixtrace.geometry import DualPoint, Geometry, enumerate_dual
-from dixtrace.symbol import (BesselPotential, ClassOneMask, DiagonalTable,
-                             FullMatrixTable, ModulusWeight, PowerOfEigenvalue,
-                             RadialWeight, Scaled, SymbolSum,
-                             _jacobi_singular_values, eval_symbol,
+from dixtrace.symbol import (BesselPotential, DiagonalTable, FullMatrixTable,
+                             ModulusWeight, PowerOfEigenvalue, RadialWeight,
+                             Scaled, SymbolSum, _jacobi_singular_values, eval_symbol,
                              is_radial_scalar, nuclear_trace_abs,
                              parse_complex, parse_symbol, scalar_values,
                              singular_values)
@@ -167,34 +166,33 @@ def test_eval_radial_on_group_point():
 def test_mask_is_the_class_one_corner(tmp_path):
     g = Geometry.sphere(2)
     p = point_of(g, (2,))  # d = 5, k = 1
-    m = eval_symbol(ClassOneMask(RadialWeight(2.0)), p, g)
+    m = eval_symbol(RadialWeight(2.0), p, g)
     assert m.shape == (1,)
     assert m[0] != 0
-    # in a sum the corner is zero-padded into the full diagonal
-    s = eval_symbol(SymbolSum([ClassOneMask(RadialWeight(2.0)), RadialWeight(1.0)]), p, g)
-    assert s.shape == (5,)
-    assert s[0] == m[0] + s[1]
-    assert np.all(s[1:] == s[1])
+    assert np.array_equal(eval_symbol(Scaled(2.0, RadialWeight(2.0)), p, g), 2.0 * m)
+    # a sum adds the corners
+    s = eval_symbol(SymbolSum([RadialWeight(2.0), RadialWeight(1.0)]), p, g)
+    assert s.shape == (1,)
+    assert s[0] == m[0] + eval_symbol(RadialWeight(1.0), p, g)[0]
     # same for a diag: table holding the radial values on all five entries
     path = tmp_path / "diag.txt"
     path.write_text("2\n%s\n" % " ".join([repr(float(m[0].real))] * 5))
-    m2 = eval_symbol(ClassOneMask(DiagonalTable(str(path))), p, g)
-    assert np.array_equal(m, m2)
-    assert eval_symbol(DiagonalTable(str(path)), p, g).shape == (5,)
+    assert np.array_equal(eval_symbol(DiagonalTable(str(path)), p, g), m)
     # a matrix: table's corner stays dense; a sum with a diagonal adds the
-    # diagonal onto the dense block's diagonal
+    # diagonal onto the dense corner's diagonal
     dense = tmp_path / "dense.txt"
     rows = [" ".join("%d" % (1 + i + 5 * j) for i in range(5)) for j in range(5)]
-    dense.write_text("2\n%s\n" % "\n".join(rows))
-    c = eval_symbol(ClassOneMask(FullMatrixTable(str(dense))), p, g)
+    dense.write_text("2\n%s\n4\n%s\n" % ("\n".join(rows), "\n".join(rows)))
+    c = eval_symbol(FullMatrixTable(str(dense)), p, g)
     assert c.shape == (1, 1) and c[0, 0] == 1
     t = eval_symbol(SymbolSum([FullMatrixTable(str(dense)), RadialWeight(1.0)]), p, g)
-    assert t.shape == (5, 5)
-    full = np.arange(1, 26).reshape(5, 5) + np.diag(s[1:2].repeat(5))
-    assert np.array_equal(t, full)
-    u = eval_symbol(SymbolSum([RadialWeight(1.0), ClassOneMask(FullMatrixTable(str(dense)))]),
-                    p, g)
-    assert np.array_equal(u, np.diag(s[1:2].repeat(5)) + np.pad(c, (0, 4)))
+    assert t.shape == (1, 1) and t[0, 0] == 1 + s[0] - m[0]
+    u = eval_symbol(SymbolSum([RadialWeight(1.0), FullMatrixTable(str(dense))]), p, g)
+    assert np.array_equal(u, t)
+    # where k = d the corner is the whole block
+    q = point_of(Geometry.su2(), (4,))  # d = k = 5
+    assert np.array_equal(eval_symbol(FullMatrixTable(str(dense)), q, Geometry.su2()),
+                          np.arange(1, 26).reshape(5, 5))
 
 
 def _traced(fn):
@@ -209,40 +207,44 @@ def _traced(fn):
 
 
 def test_block_size_guard_before_allocation(tmp_path):
-    # d = 10**6: a scalar is a 1-d diagonal of 10**6 entries (16 MB) and a
-    # mask its one-entry corner, so both evaluate
+    # k = d = 10**6: a scalar is a 1-d diagonal of 10**6 entries (16 MB),
+    # bare or scaled; with k = 1 it is a one-entry corner
     g = Geometry.sphere(3)
-    big = DualPoint(label=(7,), rep_dim=10 ** 6, eigenspace_dim=10 ** 6,
-                    class_one_dim=1, eigenvalue=63.0, weight=8.0)
+    big = DualPoint(label=(7,), rep_dim=10 ** 6, eigenspace_dim=10 ** 12,
+                    class_one_dim=10 ** 6, eigenvalue=63.0, weight=8.0)
+    corner = big._replace(eigenspace_dim=10 ** 6, class_one_dim=1)
     f = RadialWeight(2.0)
-    for spec, size in ((f, 10 ** 6), (ClassOneMask(f), 1),
-                       (Scaled(2.0, ClassOneMask(f)), 1)):
-        m, peak = _traced(lambda: eval_symbol(spec, big, g))
+    for spec, point, size in ((f, big, 10 ** 6), (Scaled(2.0, f), big, 10 ** 6),
+                              (f, corner, 1), (Scaled(2.0, f), corner, 1)):
+        m, peak = _traced(lambda: eval_symbol(spec, point, g))
         assert m.shape == (size,) and peak < 20 * 2 ** 20
-    # a diagonal of d = 10**8 (1.6 GB) in a sum with its own corner, on a
-    # file record, where the corner is the whole block: refused before it
-    # is allocated
+    # a diagonal of d = 10**8 (1.6 GB) on a file record, where the corner is
+    # the whole block, alone or in a sum: refused before it is allocated
     path = tmp_path / "spec.txt"
     path.write_text("huge 100000000 100000000 2.0\n")
     fg = Geometry.from_file(str(path))
     (huge,) = enumerate_dual(fg, 10.0)
-    err, peak = _traced(lambda: eval_symbol(SymbolSum([ClassOneMask(f), f]), huge, fg))
-    assert isinstance(err, SizeError)
-    assert "label huge needs a 100000000 symbol block" in str(err)
-    assert peak < 2 ** 20
-    # a 1 x 1 dense corner of a d = 3000 table evaluates alone, but a sum
-    # with a diagonal promotes it to 3000 x 3000 (144 MB): refused before
-    # that block is allocated (the table entry is a broadcast view)
+    for spec in (f, SymbolSum([f, f])):
+        err, peak = _traced(lambda: eval_symbol(spec, huge, fg))
+        assert isinstance(err, SizeError)
+        assert "label huge needs a 100000000 symbol block" in str(err)
+        assert peak < 2 ** 20
+    # a 1 x 1 dense corner of a d = 3000 table evaluates, alone and in a
+    # sum with a diagonal; where k = d the 3000 x 3000 block (144 MB) is
+    # refused before it is allocated (the table entry is a broadcast view)
     p3000 = DualPoint(label=(9,), rep_dim=3000, eigenspace_dim=3000,
                       class_one_dim=1, eigenvalue=80.0, weight=9.0)
     entry = np.broadcast_to(np.complex128(0.5), (3000, 3000))
     table = FullMatrixTable("t", entries={"9": entry})
-    corner, peak = _traced(lambda: eval_symbol(ClassOneMask(table), p3000, g))
-    assert corner.shape == (1, 1) and peak < 2 ** 20
-    err, peak = _traced(lambda: eval_symbol(SymbolSum([ClassOneMask(table), f]), p3000, g))
-    assert isinstance(err, SizeError)
-    assert "label 9 needs a 3000 x 3000 symbol block" in str(err)
-    assert peak < 2 ** 20
+    for spec in (table, SymbolSum([table, f])):
+        m, peak = _traced(lambda: eval_symbol(spec, p3000, g))
+        assert m.shape == (1, 1) and peak < 2 ** 20
+    whole = p3000._replace(eigenspace_dim=3000 ** 2, class_one_dim=3000)
+    for spec in (table, SymbolSum([table, f])):
+        err, peak = _traced(lambda: eval_symbol(spec, whole, g))
+        assert isinstance(err, SizeError)
+        assert "label 9 needs a 3000 x 3000 symbol block" in str(err)
+        assert peak < 2 ** 20
 
 
 def test_scalar_values_semantics():
@@ -267,8 +269,8 @@ def test_scalar_values_are_fresh_arrays():
     lam = np.array([1.0, 3.0, 99.0])
     base = RadialWeight(0.0)
     for spec in (base, BesselPotential(1.0, 1.0), PowerOfEigenvalue(-1.0),
-                 ModulusWeight(0.0), Scaled(1.0, base), ClassOneMask(base),
-                 SymbolSum([base]), SymbolSum([base, base])):
+                 ModulusWeight(0.0), Scaled(1.0, base), SymbolSum([base]),
+                 SymbolSum([base, base])):
         f = scalar_values(spec, lam, g)
         assert f.dtype == np.float64 and f.flags.writeable
         assert not np.shares_memory(f, lam)
@@ -283,11 +285,12 @@ def test_sum_and_scale_compose():
     want = 2.0 * (1 + lam) ** -0.5 + (1 + lam) ** -1.5
     np.testing.assert_allclose(got, want, rtol=1e-15)
     assert is_radial_scalar(spec)
-    assert is_radial_scalar(ClassOneMask(spec))
-    # a mask streams on every kind, and its scalar looks through it
-    assert is_radial_scalar(SymbolSum([Scaled(2.0, ClassOneMask(spec)), spec]))
-    assert not is_radial_scalar(ClassOneMask(DiagonalTable("t", entries={})))
-    np.testing.assert_array_equal(scalar_values(ClassOneMask(spec), lam, g), got)
+    # mask: spells the spec itself, so it streams on every kind
+    masked = parse_symbol("scaled:2:mask:radial:1")
+    assert is_radial_scalar(SymbolSum([masked, spec]))
+    assert not is_radial_scalar(Scaled(2.0, DiagonalTable("t", entries={})))
+    np.testing.assert_array_equal(scalar_values(masked, lam, g),
+                                  scalar_values(Scaled(2.0, RadialWeight(1.0)), lam, g))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +304,26 @@ def test_parse_symbol_forms():
     assert parse_symbol("power:1.5:0.25") == PowerOfEigenvalue(1.5, 0.25)
     assert parse_symbol("modulus:0.75") == ModulusWeight(0.75)
     assert parse_symbol("scaled:2:radial:1") == Scaled(2.0, RadialWeight(1.0))
-    assert parse_symbol("mask:radial:1") == ClassOneMask(RadialWeight(1.0))
+    assert parse_symbol("mask:radial:1") == RadialWeight(1.0)
     with pytest.raises(ConfigError):
         parse_symbol("radial:abc")
     with pytest.raises(ConfigError):
         parse_symbol("spherical:1")
+
+
+def test_mask_spells_the_spec_itself(tmp_path):
+    diag = tmp_path / "diag.txt"
+    diag.write_text("2\n1 2 3 4 5\n")
+    mat = tmp_path / "mat.txt"
+    mat.write_text("0\n0.5\n")
+    for text in ("radial:3", "scaled:2:radial:3", "scaled:2:mask:radial:3",
+                 "diag:%s" % diag, "matrix:%s" % mat):
+        assert parse_symbol("mask:" + text) == parse_symbol(text)
+    # every block is its class-one corner, bare or not: one entry on a sphere
+    g = Geometry.sphere(2)
+    p = point_of(g, (2,))  # d = 5, k = 1
+    assert eval_symbol(parse_symbol("radial:3"), p, g).shape == (1,)
+    assert eval_symbol(parse_symbol("diag:%s" % diag), p, g).shape == (1,)
 
 
 def test_parse_complex_accepts_i_and_j():

@@ -11,8 +11,7 @@ from dixtrace.summation import PartialSumSeries, dyadic_grid, partial_sums
 from dixtrace.symbol import RadialWeight, SymbolSum, parse_symbol
 from dixtrace.trace import (TraceEstimate, density_integral_from_samples,
                             dixmier_estimate, log_model_fit,
-                            marcinkiewicz_exponent, measurability_probe,
-                            quasinorm, residue_factored)
+                            marcinkiewicz_exponent, quasinorm, residue_factored)
 
 
 def torus_series(symbol, nmax=1e5, ppo=4):
@@ -173,9 +172,3 @@ def test_density_integral_from_samples_is_mean():
     vals = [0.5, 1.5, 2.0]
     assert density_integral_from_samples(vals) == pytest.approx(4.0 / 3.0,
                                                                 rel=1e-15)
-
-
-def test_measurability_probe_tight_for_convergent_series():
-    probe = measurability_probe(torus_series("bessel:1:2", nmax=1e6))
-    assert probe.dispersion < 0.01
-    assert probe.tau_even == pytest.approx(probe.tau_odd, rel=0.01)
