@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
                      SpectrumFormatError, count_text)
-from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _MAX_STREAMED_LABELS, _records
+from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _MAX_STREAMED_LABELS, _records, \
+    _reused
 from .summation import PartialSumSeries, _stream_snapshots, check_grid
 from .trace import TraceEstimate, _estimate
 
@@ -149,14 +150,6 @@ def _label_js(l0: int, l1: int, out: np.ndarray | None = None) -> np.ndarray:
     js[0::2] = np.arange(-half, -half - n_even, -1)
     js[1::2] = np.arange(half + 1, half + 1 + (len(js) - n_even))
     return js
-
-
-def _reused(held: list, n: int, *dtypes) -> list:
-    """n-element views of one array per dtype, kept in held and allocated
-    again only when a chunk longer than every earlier one asks for them."""
-    if not held or len(held[0]) < n:
-        held[:] = [np.empty(n, dtype=t) for t in dtypes]
-    return [a[:n] for a in held]
 
 
 def _alpha_values(bc: IntervalBC, js: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, islice, repeat
-from operator import floordiv, itemgetter, truediv
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -247,12 +247,26 @@ def sphere_harmonic_dim(n: int, l):
     """Dimension of the degree-l spherical harmonics on the n-sphere,
     C(l+n-2, n-2) (2l+n-1)/(n-1), as a running product of exact quotients:
     in integers for an int l, and elementwise in float64 for an array of
-    labels, exact there while (n-1) times the dimension stays below 2**53."""
-    div = truediv if isinstance(l, np.ndarray) else floordiv
+    labels (_sphere_dims), exact there while (n-1) times the dimension
+    stays below 2**53."""
+    if isinstance(l, np.ndarray):
+        return _sphere_dims(n, l, np.empty_like(l), np.empty_like(l))
     d = 1
     for j in range(1, n - 1):  # C(l+j, j) = C(l+j-1, j-1) (l+j) / j
-        d = div(d * (l + j), j)
-    return div(d * (2 * l + n - 1), n - 1)
+        d = d * (l + j) // j
+    return d * (2 * l + n - 1) // (n - 1)
+
+
+def _sphere_dims(n: int, l: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sphere_harmonic_dim of a float64 array of labels, computed into out,
+    each factor formed in scratch (both as long as l)."""
+    out.fill(1.0)
+    for j in range(1, n - 1):
+        out *= np.add(l, j, out=scratch)
+        out /= j
+    out *= np.add(np.multiply(l, 2, out=scratch), n - 1, out=scratch)
+    out /= n - 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,16 +286,30 @@ class _RankOne:
         return (math.isqrt(4 * cap + self.c ** 2) - self.c) // 2
 
     def eigenvalue(self, l):
-        """lambda of label l, an int, a float or a float64 array of labels."""
+        """lambda of label l, an int or a float (shells computes it in place)."""
         return l * (l + self.c) / self.den
 
-    def point(self, l):
-        """(lambda, d, k) of label l, an int or a float64 array of labels."""
+    def point(self, l: int):
+        """(lambda, d, k) of label l."""
         lam = self.eigenvalue(l)
         if not self.sphere:
             d = l * (2 // self.c) + 1  # su2: l + 1, so3: 2l + 1
             return lam, d, d
         return lam, sphere_harmonic_dim(self.sphere, l), 1
+
+    def shells(self, l: np.ndarray, lam: np.ndarray, dsum: np.ndarray) -> None:
+        """point's lambda and D = d*k for a float64 array of labels, the same
+        floats, computed into lam and dsum (lam is scratch until its last
+        step)."""
+        if self.sphere:
+            _sphere_dims(self.sphere, l, dsum, lam)  # k = 1
+        else:
+            np.multiply(l, 2 // self.c, out=dsum)
+            dsum += 1
+            dsum *= dsum  # k = d
+        np.add(l, self.c, out=lam)
+        lam *= l
+        lam /= self.den
 
     def count(self, big_l: int) -> int:
         """Sum of D = d*k over the labels l <= big_l."""
@@ -565,7 +593,8 @@ def _count_torus(n: int, cap: int) -> int:
 # Radial shell streams: (lambda ascending, summed D per shell) in float64.
 # This is the bulk interface the summation engine consumes for scalar radial
 # symbols.  torus:1 and the rank-one kinds hand out _CHUNK shells per chunk
-# from the first one on, up to _MAX_STREAMED_LABELS labels; torus:2 and su3
+# from the first one on, up to _MAX_STREAMED_LABELS labels, each chunk
+# computed into the same arrays (_reused); torus:2 and su3
 # the occupied shells of one window of about _CHUNK labels (a, b) per chunk
 # (_windows); higher tori _CHUNK enumerated points per chunk and file
 # spectra _CHUNK rows of their sorted columns, one entry per point, so an
@@ -581,15 +610,19 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
     their D), but a single point on higher tori and file spectra, where
     eigenvalues repeat.  dsum is exact in float64 up to 2**53 (su3 rounds
     each D = d^2 above that, and the fold's counts past 2**53 stay within a
-    few ulp of counting_function).
+    few ulp of counting_function).  A chunk is valid until the next one is
+    drawn: the stream may compute the next chunk into the same arrays, so a
+    caller that keeps chunks copies them.
     """
     rows = _ROWS.get(geom.describe())
+    held = []
     if geom.kind == "torus" and geom.rank == 1:
         for r in _label_chunks(geom, math.isqrt(geom.lattice_cap(weight_cutoff)) + 1):
-            dsum = np.full(r.size, 2.0)
+            lam, dsum = _reused(held, r.size, np.float64, np.float64)
+            dsum.fill(2.0)
             if r[0] == 0:
                 dsum[0] = 1.0
-            yield r * r, dsum
+            yield np.multiply(r, r, out=lam), dsum
     elif rows is not None:  # the occupied shells of each window
         for lo, a, b in _lattice_windows(rows, geom.lattice_cap(weight_cutoff)):
             hist = np.bincount(rows.q(a, b) - lo, weights=rows.weight(a, b))
@@ -608,19 +641,32 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
     else:  # rank one: su2, so3, sphere
         r = _rank_one(geom)
         for l in _label_chunks(geom, r.label_max(geom.lattice_cap(weight_cutoff)) + 1):
-            lam, d, k = r.point(l)
-            yield lam, d * k
+            lam, dsum = _reused(held, l.size, np.float64, np.float64)
+            r.shells(l, lam, dsum)
+            yield lam, dsum
 
 
 def _label_chunks(geom: Geometry, n: int) -> Iterator[np.ndarray]:
     """The labels 0 .. n - 1 of a closed-form stream as float64 arrays,
-    _CHUNK at a time; SizeError above _MAX_STREAMED_LABELS first."""
+    _CHUNK at a time, each one array advanced in place, so valid until the
+    next; SizeError above _MAX_STREAMED_LABELS first."""
     if n > _MAX_STREAMED_LABELS:
         raise SizeError("%s shell stream at this cutoff has %s labels, above the cap "
                         "of %d; lower the cutoff" % (geom.describe(), count_text(n),
                                                      _MAX_STREAMED_LABELS))
+    labels = np.arange(min(n, _CHUNK), dtype=np.float64)
     for a in range(0, n, _CHUNK):
-        yield np.arange(a, min(a + _CHUNK, n), dtype=np.float64)
+        if a:
+            labels += _CHUNK  # exact: integers below 2**53
+        yield labels[:n - a]
+
+
+def _reused(held: list, n: int, *dtypes) -> list:
+    """n-element views of one array per dtype, kept in held and allocated
+    again only when a chunk longer than every earlier one asks for them."""
+    if not held or len(held[0]) < n:
+        held[:] = [np.empty(n, dtype=t) for t in dtypes]
+    return [a[:n] for a in held]
 
 
 def _row_chunks(rows: Iterable[tuple], width: int) -> Iterator[np.ndarray]:

@@ -99,8 +99,10 @@ def compare_symbol_vs_oracle(geom: Geometry, spec: SymbolSpec, cutoff: float,
     weighted singular-value list below the cutoff; the lists are sorted and
     compared elementwise, and their total sums compared in relative terms,
     both to ORACLE_TOL.
-    The two routes share no decomposition code: the symbol side runs the
-    one-sided Jacobi / Hermitian paths, the oracle side runs LAPACK.
+    The symbol side runs the one-sided Jacobi / Hermitian paths, the
+    oracle side LAPACK's SVD.  The symbol side calls LAPACK (eigh) only for
+    the Jacobi iteration's unitary start, and its values are the column
+    norms that iteration certifies orthogonal, so the two stay independent.
     """
     op = truncate_operator(geom, spec, cutoff, cap=cap)
     oracle_vals = operator_singular_values(op)

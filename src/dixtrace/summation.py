@@ -52,7 +52,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, FitError, NumericError, SpectrumFormatError, count_text
-from .geometry import Geometry, _row_chunks, enumerate_dual, label_text, radial_shells
+from .geometry import Geometry, _reused, _row_chunks, enumerate_dual, label_text, \
+    radial_shells
 from .symbol import RadialWeight, SymbolSpec, eval_symbol, is_radial_scalar, \
     nuclear_trace_abs, scalar_values
 
@@ -160,9 +161,15 @@ class PartialSumSeries:
             for row in reader:
                 if not row:
                     continue
-                cutoffs.append(float(row[0]))
-                counts.append(float(row[1]))
-                sums.append(float(row[2]))
+                try:
+                    cutoff, count, total = map(float, row[:3])
+                except ValueError:
+                    raise SpectrumFormatError(
+                        "%s:%d: expected numbers cutoff,count,sum, got %r"
+                        % (path, reader.line_num, ",".join(row))) from None
+                cutoffs.append(cutoff)
+                counts.append(count)
+                sums.append(total)
         return PartialSumSeries(np.array(cutoffs), np.array(sums),
                                 np.array(counts), dim=dim, picture=picture)
 
@@ -267,8 +274,11 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialS
 
 
 def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[tuple]:
+    """(lambda, D |f|, D) per shell chunk, D |f| computed into one array
+    for every chunk, so valid until the next, as the shells are."""
+    held = []
     for lam, dsum in radial_shells(geom, n_max):
-        f = scalar_values(spec, lam, geom)  # a fresh array, so D |f| forms in place
+        f = scalar_values(spec, lam, geom, out=_reused(held, lam.size, np.float64)[0])
         if not np.all(np.isfinite(f)):
             raise ConfigError("symbol produced non-finite values on %s" % geom.describe())
         np.abs(f, out=f)
@@ -315,7 +325,14 @@ def weyl_fit(series: PartialSumSeries) -> WeylFit:
     y = np.log(c)
     a = np.vstack([np.ones_like(x), x]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
     return WeylFit(kappa_hat=float(coef[1]), c0_hat=float(math.exp(coef[0])),
-                   residual=rms, points_used=len(n))
+                   residual=_rms(y - a @ coef), points_used=len(n))
+
+
+def _rms(resid: np.ndarray) -> float:
+    """Root mean square of fit residuals, squared as resid / 2**e with the
+    largest |resid| in [0.5, 1), so a finite residual stays finite; where
+    no square overflows or underflows, the same float as without the
+    scaling."""
+    e = math.frexp(float(np.max(np.abs(resid))))[1]
+    return math.ldexp(float(np.sqrt(np.mean(np.ldexp(resid, -e) ** 2))), e)

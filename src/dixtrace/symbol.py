@@ -26,8 +26,10 @@ allocated.
 
 Nuclear traces are sums of singular values: the modulus of a diagonal
 (np.hypot of its real and imaginary parts), else a Hermitian eigenvalue
-path or a one-sided Jacobi iteration of our own, so the LAPACK SVD used
-by the brute-force oracle remains an independent check.
+path or a one-sided Jacobi iteration of our own.  LAPACK (eigh) only
+gives the Jacobi iteration a unitary start; its values are the column
+norms the iteration certifies orthogonal, so the LAPACK SVD used by the
+brute-force oracle remains an independent check.
 """
 
 from __future__ import annotations
@@ -167,28 +169,41 @@ def is_radial_scalar(spec: SymbolSpec) -> bool:
     return False
 
 
-def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry) -> np.ndarray:
+def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized scalar evaluation on an eigenvalue array.
 
-    The result is always a fresh float64 array that callers may overwrite.
+    The result is computed into out where given (float64, lam's shape; a
+    sum's later parts still take fresh arrays), else into a fresh float64
+    array; either way callers may overwrite it.
     """
     if isinstance(spec, RadialWeight):
-        return (1.0 + lam) ** (-spec.s / geom.nu)
+        base = np.add(1.0, lam, out=out)
+        base **= -spec.s / geom.nu
+        return base
     if isinstance(spec, BesselPotential):
-        return (1.0 + lam) ** (-spec.s / spec.nu)
+        base = np.add(1.0, lam, out=out)
+        base **= -spec.s / spec.nu
+        return base
     if isinstance(spec, PowerOfEigenvalue):
-        base = spec.shift + lam
+        base = np.add(spec.shift, lam, out=out)
         if spec.s > 0 and np.any(base == 0.0):
             raise DomainError("PowerOfEigenvalue with shift 0 hit eigenvalue 0")
-        return base ** (-spec.s)
+        base **= -spec.s
+        return base
     if isinstance(spec, ModulusWeight):
-        return (1.0 + np.sqrt(lam)) ** (-spec.s)
+        base = np.sqrt(lam, out=out)
+        base += 1.0
+        base **= -spec.s
+        return base
     if isinstance(spec, Scaled):
-        return spec.c * scalar_values(spec.inner, lam, geom)
+        values = scalar_values(spec.inner, lam, geom, out)
+        values *= spec.c
+        return values
     if isinstance(spec, SymbolSum):
-        acc = scalar_values(spec.parts[0], lam, geom)
+        acc = scalar_values(spec.parts[0], lam, geom, out)
         for p in spec.parts[1:]:
-            acc = acc + scalar_values(p, lam, geom)
+            acc += scalar_values(p, lam, geom)
         return acc
     raise ConfigError("not a scalar spec: %r" % (spec,))
 
@@ -257,16 +272,26 @@ def _block(m) -> np.ndarray:
 def singular_values(m: np.ndarray, label: str | None = None) -> np.ndarray:
     """Singular values of a symbol block, descending: the modulus (np.hypot)
     of a diagonal (1-d, or square with no nonzero off-diagonal entry), else
-    the Hermitian eigenvalue path within HERMITIAN_TOL, else one-sided
-    Jacobi to relative tolerance JACOBI_REL_TOL (NumericError naming the
-    label if it stalls)."""
+    the Hermitian eigenvalue path within HERMITIAN_TOL of the largest entry,
+    else one-sided Jacobi to relative tolerance JACOBI_REL_TOL (NumericError
+    naming the label if it stalls, or if the block is not finite).  A dense
+    block is tested and decomposed as m / 2**e, its largest real or
+    imaginary part in [0.5, 1), so no square overflows or underflows:
+    Jacobi's values are exactly 2**e times those of the scaled block."""
     m = _block(m)
     if m.ndim == 1:
         return np.sort(np.hypot(m.real, m.imag))[::-1]
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * scale:
+    a = m.copy()
+    parts = a.view(np.float64)
+    top = float(np.max(np.abs(parts)))
+    if not math.isfinite(top):  # a scaled or summed block overflowed
+        raise NumericError("symbol block%s is not finite (float64 overflow); scale the "
+                           "symbol down" % (" at label %s" % label if label else ""))
+    e = math.frexp(top)[1]
+    np.ldexp(parts, -e, out=parts)
+    if np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(a)):
         return np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
-    return _jacobi_singular_values(m, label)
+    return np.ldexp(_jacobi_singular_values(a, label), e)
 
 
 @functools.lru_cache(maxsize=64)
@@ -295,10 +320,17 @@ def _round_robin(d: int) -> tuple:
 def _jacobi_singular_values(m: np.ndarray, label: str | None) -> np.ndarray:
     """One-sided Jacobi: rotate column pairs until they are all orthogonal.
 
-    Each sweep visits every pair once in round-robin order; the pairs of one
-    round are disjoint, so a round rotates all of them as array operations.
+    The block is first multiplied by the unitary eigenvector matrix V of its
+    Gram matrix m^H m (Drmac-Veselic preconditioning), so the columns of mV
+    start nearly orthogonal and a sweep or two usually certifies them.  V
+    only has to be unitary: the values are still the column norms this
+    iteration certifies orthogonal.  Each sweep visits every pair once in
+    round-robin order; the pairs of one round are disjoint, so a round
+    rotates all of them as array operations.  m should be scaled to entries
+    of order one (singular_values does), so m^H m neither overflows nor
+    underflows.
     """
-    a = m.astype(np.complex128, copy=True)
+    a = m @ np.linalg.eigh(m.conj().T @ m)[1]
     tol = JACOBI_REL_TOL
     rounds = _round_robin(a.shape[0])
     for _ in range(JACOBI_MAX_SWEEPS):

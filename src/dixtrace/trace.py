@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, FitError, NumericError
-from .summation import SCHEMA_VERSION, PartialSumSeries
+from .summation import SCHEMA_VERSION, PartialSumSeries, _rms
 
 DIVERGENCE_THRESHOLD = 0.1  # growth of f over the last three octaves
 VANISHING_REL = 1e-3  # |tau| against max |f|
@@ -78,9 +78,7 @@ def log_model_fit(cutoffs: np.ndarray, f: np.ndarray):
     y = f[half:]
     a = np.vstack([np.ones_like(el), 1.0 / el, 1.0 / el ** 2]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    return float(coef[0]), float(coef[1]), float(coef[2]), rms
+    return float(coef[0]), float(coef[1]), float(coef[2]), _rms(y - a @ coef)
 
 
 def _estimate(cutoffs: np.ndarray, f: np.ndarray) -> TraceEstimate:

@@ -311,6 +311,44 @@ def test_non_finite_streamed_mask_exits_one(capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _trace_json(tmp_path, capsys, symbol, nmax):
+    out_json = tmp_path / "r.json"
+    assert run("trace", "--geometry", "su2", "--symbol", symbol, "--nmax", nmax,
+               "--out-json", str(out_json)) == 0
+    capsys.readouterr()
+    return json.loads(out_json.read_text())["estimate"]
+
+
+@pytest.mark.parametrize("c", [1e100, 1e-100])
+def test_scaled_matrix_symbol_keeps_its_trace(tmp_path, capsys, c):
+    # blocks U diag(s) V^H, s_i = (2i+1)/d (1+lambda)^-1.5, take the Jacobi
+    # path; scaled by 1e100 their squared column norms overflowed and went
+    # unrotated, scaled by 1e-100 they were taken for Hermitian
+    rng = np.random.default_rng(11)
+    path = tmp_path / "t.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in range(39):  # the su2 labels to N = 20
+            d = n + 1
+            u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                    for _ in range(2))
+            s = (2 * np.arange(d) + 1) / d * (1 + n * (n + 2) / 4) ** -1.5
+            fh.write("%d\n" % n)
+            for row in ((u * s) @ v.conj().T).tolist():
+                fh.write(" ".join("%.17g%+.17gi" % (z.real, z.imag) for z in row) + "\n")
+    want = _trace_json(tmp_path, capsys, "matrix:%s" % path, "20")["value"]
+    got = _trace_json(tmp_path, capsys, "scaled:%r:matrix:%s" % (c, path), "20")["value"]
+    assert got == pytest.approx(c * want, rel=1e-12)
+
+
+def test_fit_residual_of_a_huge_series_is_finite(tmp_path, capsys):
+    # the residuals are squared scaled to order one, so near 1e300 they
+    # neither overflow (pytest turns numpy's warning into an error) nor
+    # lose their digits
+    want = _trace_json(tmp_path, capsys, "radial:3", "100")["fit_residual"]
+    got = _trace_json(tmp_path, capsys, "scaled:1e300:radial:3", "100")["fit_residual"]
+    assert got == pytest.approx(1e300 * want, rel=1e-6)
+
+
 @pytest.mark.parametrize("argv", [
     ("trace", "--geometry", "su2", "--symbol", "scaled:1e308:radial:3"),
     ("residue", "--geometry", "torus:1", "--symbol", "radial:1", "--a-integral", "1e308")])

@@ -50,7 +50,7 @@ def test_radial_shells_group_the_enumeration(kind, tmp_path):
         kind = "file:" + path
     geom = parse_geometry(kind)
     cutoff = SMALL_CUTOFF.get(kind, 20.0)
-    chunks = list(radial_shells(geom, cutoff))
+    chunks = [(lam.copy(), dsum.copy()) for lam, dsum in radial_shells(geom, cutoff)]
     lam = np.concatenate([c[0] for c in chunks])
     dsum = np.concatenate([c[1] for c in chunks])
     assert np.all(np.diff(lam) >= 0)
@@ -460,7 +460,8 @@ def test_su3_shell_weights_past_2_53_match_exact_sums():
             exact[q] = exact.get(q, 0) + ((a + 1) * (b + 1) * (a + b + 2) // 2) ** 2
             b += 1
         a += 1
-    lam, dsum = (np.concatenate(x) for x in zip(*radial_shells(g, 300.0)))
+    chunks = [(lam.copy(), dsum.copy()) for lam, dsum in radial_shells(g, 300.0)]
+    lam, dsum = (np.concatenate(x) for x in zip(*chunks))
     assert lam.tolist() == [q / 9 for q in sorted(exact)]
     assert max(exact.values()) > 2 ** 53
     for q, x in zip(sorted(exact), dsum.tolist()):

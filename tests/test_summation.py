@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dixtrace import geometry, summation
 from dixtrace.boundary import BoundarySymbol, IntervalBC, boundary_series
-from dixtrace.errors import ConfigError, FitError
+from dixtrace.errors import ConfigError, FitError, SpectrumFormatError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
                                enumerate_dual, label_text, parse_geometry,
                                radial_shells, save_spectrum_file)
@@ -295,7 +295,8 @@ def test_su2_stream_sums_match_fsum():
     spec = parse_symbol("bessel:3:2")
     grid = dyadic_grid(1e6, 4)
     series = partial_sums(g, spec, grid)
-    lam, dsum = (np.concatenate(x) for x in zip(*radial_shells(g, grid[-1])))
+    chunks = [(lam.copy(), dsum.copy()) for lam, dsum in radial_shells(g, grid[-1])]
+    lam, dsum = (np.concatenate(x) for x in zip(*chunks))
     assert len(lam) > 100 * _CHUNK
     terms = (dsum * np.abs(scalar_values(spec, lam, g))).tolist()
     for n, s in zip(grid, series.sums):
@@ -477,6 +478,15 @@ def test_csv_round_trip_is_bitwise(tmp_path):
     np.testing.assert_array_equal(series.cutoffs, back.cutoffs)
     np.testing.assert_array_equal(series.sums, back.sums)
     np.testing.assert_array_equal(series.counts, back.counts)
+
+
+@pytest.mark.parametrize("row", ["4,x,2", "4,3"])
+def test_from_csv_names_the_bad_line(tmp_path, row):
+    # a non-numeric field and a short row raised bare ValueError/IndexError
+    path = tmp_path / "s.csv"
+    path.write_text("cutoff,count,sum\n2,1,1\n%s\n" % row)
+    with pytest.raises(SpectrumFormatError, match="s.csv:3: .*%r" % row):
+        PartialSumSeries.from_csv(str(path))
 
 
 def test_csv_header_only_for_empty_series(tmp_path):

@@ -64,12 +64,53 @@ def test_jacobi_round_robin_schedule():
         assert sorted(seen) == [(i, j) for i in range(d) for j in range(i + 1, d)]
 
 
+def graded_matrix(seed, d, smallest):
+    """U diag(s) V^H with s from 1 down to smallest, geometrically, and
+    unitaries from QR of complex Gaussian matrices."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            for _ in range(2))
+    return (u * np.geomspace(1.0, smallest, d)) @ v.conj().T
+
+
 def test_jacobi_non_convergence_names_label(monkeypatch):
     monkeypatch.setattr(symbol, "JACOBI_MAX_SWEEPS", 1)
-    m = random_matrix(3, 8)  # non-normal: one sweep cannot finish
-    assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1.0
+    # the eigenvectors of m^H m resolve a graded spectrum's small values
+    # only roughly, so one sweep cannot finish
+    m = graded_matrix(3, 8, 1e-8)
     with pytest.raises(NumericError, match="1 sweeps at label 7,3"):
         _jacobi_singular_values(m, "7,3")
+
+
+@given(st.integers(0, 10_000), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_jacobi_on_graded_spectrum(seed, d):
+    m = graded_matrix(seed, d, 1e-12)
+    ours = singular_values(m)
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert np.max(np.abs(ours - ref)) <= 1e-13 * ref[0]
+
+
+@pytest.mark.parametrize("k", [-1000, -300, 300, 1000])
+def test_singular_values_scale_exactly_by_powers_of_two(k):
+    # a dense block is decomposed as m / 2**e, so no square overflows or
+    # underflows; tiny blocks are not taken for Hermitian either
+    m = random_matrix(5, 12)
+    scaled = m * 2.0 ** k
+    assert np.array_equal(scaled / 2.0 ** k, m)
+    want = singular_values(m) * 2.0 ** k
+    assert np.array_equal(singular_values(scaled), want)
+    assert nuclear_trace_abs(scaled) == float(np.sum(want))
+
+
+def test_non_finite_block_names_its_label():
+    # a scaled block that overflowed reached eigh as a raw LinAlgError
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = random_matrix(5, 3) * 1e308 * 1e10
+        blocks = (m, m + m.conj().T)
+    for block in blocks:
+        with pytest.raises(NumericError, match="at label 7,3 is not finite"):
+            singular_values(block, "7,3")
 
 
 @given(st.integers(0, 10_000), st.integers(1, 8))
@@ -275,6 +316,9 @@ def test_scalar_values_are_fresh_arrays():
         assert f.dtype == np.float64 and f.flags.writeable
         assert not np.shares_memory(f, lam)
         assert not np.shares_memory(f, scalar_values(spec, lam, g))
+        out = np.full(3, np.nan)  # computed into out, the same floats
+        assert scalar_values(spec, lam, g, out=out) is out
+        np.testing.assert_array_equal(out, f)
 
 
 def test_sum_and_scale_compose():
