@@ -17,20 +17,18 @@ _EXPORTS = {
                "FitError", "NumericError", "SizeError", "SpectrumFormatError",
                "TableLookupError"),
     "geometry": ("DualPoint", "Geometry", "counting_function", "enumerate_dual",
-                 "parse_geometry", "radial_shells", "save_spectrum_file",
-                 "sphere_harmonic_dim"),
+                 "parse_geometry", "radial_shells", "save_spectrum_file"),
     "golden": ("su2_bessel_count_ratio", "su2_bessel_terms", "su2_count_cubic",
                "su2_square_sum", "su3_dim_sum", "su3_dim_sum_direct"),
     "oracle": ("TruncatedOperator", "compare_symbol_vs_oracle", "operator_singular_values",
                "truncate_operator"),
-    "summation": ("PartialSumSeries", "counting_series", "default_picture",
-                  "dyadic_grid", "partial_sums", "weyl_fit"),
-    "symbol": ("BesselPotential", "DiagonalTable", "FullMatrixTable", "ModulusWeight",
-               "PowerOfEigenvalue", "RadialWeight", "Scaled", "SymbolSum", "eval_symbol",
-               "nuclear_trace_abs", "parse_symbol", "singular_values"),
+    "summation": ("PartialSumSeries", "counting_series", "dyadic_grid", "partial_sums",
+                  "weyl_fit"),
+    "symbol": ("DiagonalTable", "FullMatrixTable", "ModulusWeight", "PowerOfEigenvalue",
+               "RadialWeight", "Scaled", "SymbolSum", "eval_symbol", "nuclear_trace_abs",
+               "parse_symbol", "singular_values"),
     "trace": ("QuasiNormResult", "TraceEstimate", "density_integral_from_samples",
-              "dixmier_estimate", "log_model_fit", "marcinkiewicz_exponent", "quasinorm",
-              "residue_factored"),
+              "dixmier_estimate", "log_model_fit", "quasinorm", "residue_factored"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -243,14 +243,10 @@ def _points(geom: Geometry, labels, d, dd, k, lam) -> list[DualPoint]:
     return list(map(_new_point, zip(labels, d, dd, k, lam, [(1.0 + x) ** e for x in lam])))
 
 
-def sphere_harmonic_dim(n: int, l):
+def sphere_harmonic_dim(n: int, l: int) -> int:
     """Dimension of the degree-l spherical harmonics on the n-sphere,
-    C(l+n-2, n-2) (2l+n-1)/(n-1), as a running product of exact quotients:
-    in integers for an int l, and elementwise in float64 for an array of
-    labels (_sphere_dims), exact there while (n-1) times the dimension
-    stays below 2**53."""
-    if isinstance(l, np.ndarray):
-        return _sphere_dims(n, l, np.empty_like(l), np.empty_like(l))
+    C(l+n-2, n-2) (2l+n-1)/(n-1), as a running product of exact integer
+    quotients."""
     d = 1
     for j in range(1, n - 1):  # C(l+j, j) = C(l+j-1, j-1) (l+j) / j
         d = d * (l + j) // j
@@ -258,8 +254,10 @@ def sphere_harmonic_dim(n: int, l):
 
 
 def _sphere_dims(n: int, l: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """sphere_harmonic_dim of a float64 array of labels, computed into out,
-    each factor formed in scratch (both as long as l)."""
+    """sphere_harmonic_dim of a float64 array of labels, the same running
+    product elementwise, computed into out, each factor formed in scratch
+    (both as long as l): exact while (n-1) times the dimension stays below
+    2**53."""
     out.fill(1.0)
     for j in range(1, n - 1):
         out *= np.add(l, j, out=scratch)

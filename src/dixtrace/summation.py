@@ -107,9 +107,9 @@ class PartialSumSeries:
 
     dim is the kappa of the log-normalization S(N)/(kappa log N): the
     manifold dimension, or the Weyl kappa of a boundary eigenvalue cutoff.
-    picture tags where the sums come from: the geometry's default_picture
-    (one block rule on every kind), or boundary-index, whose series counts
-    labels, so its dim is 1.
+    picture tags where the sums come from: the geometry's kind, as
+    partial_sums sets it (one block rule on every kind), or boundary-index,
+    whose series counts labels, so its dim is 1.
     """
 
     cutoffs: np.ndarray
@@ -248,19 +248,13 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray, cutoffs=N
     return sums, counts
 
 
-def default_picture(geom: Geometry) -> str:
-    """The picture tag of a geometry's series; the points fix the blocks
-    (DualPoint), so the tag changes no number."""
-    return {"sphere": "homogeneous", "torus": "manifold",
-            "file": "manifold"}.get(geom.kind, "group")
-
-
 def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialSumSeries:
     """Partial sums of nuclear traces of the symbol over the dual.
 
     grid is an increasing array of weight cutoffs (see dyadic_grid).  Each
     point contributes the class-one corner of its block, held D/k times
-    (DualPoint), and the series carries geom.dim.
+    (DualPoint), and the series carries geom.dim and its kind's picture
+    tag, which changes no number.
     """
     grid = check_grid(grid)
     thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
@@ -270,7 +264,9 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialS
     else:
         chunks = _point_chunks(geom, spec, n_max)
     sums, counts = _stream_snapshots(chunks, thresholds, grid)
-    return PartialSumSeries(grid.copy(), sums, counts, geom.dim, default_picture(geom))
+    picture = {"sphere": "homogeneous", "torus": "manifold",
+               "file": "manifold"}.get(geom.kind, "group")
+    return PartialSumSeries(grid.copy(), sums, counts, geom.dim, picture)
 
 
 def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[tuple]:

@@ -4,8 +4,9 @@ A symbol spec is a small declarative object describing a matrix-valued
 function on the dual.  Scalar families cover the weights used throughout:
 
   RadialWeight(s)        <xi>^{-s} = (1+lambda)^{-s/nu}, nu from the geometry
-  BesselPotential(s, nu) (1+lambda)^{-s/nu} with its own fixed nu
-  PowerOfEigenvalue(s, shift) (shift+lambda)^{-s}
+  PowerOfEigenvalue(s, shift) (shift+lambda)^{-s}; the Bessel potential
+                         (1+lambda)^{-s/nu} with its own fixed nu is
+                         PowerOfEigenvalue(s/nu, 1)
   ModulusWeight(s)       (1+sqrt(lambda))^{-s}, the lattice modulus on tori
   Scaled(c, inner), SymbolSum(parts) linear combinators
 
@@ -64,16 +65,6 @@ class RadialWeight(SymbolSpec):
 
 
 @dataclass(frozen=True)
-class BesselPotential(SymbolSpec):
-    s: float
-    nu: float = 2.0
-
-    def __post_init__(self):
-        if not (self.nu > 0):
-            raise ConfigError("BesselPotential nu must be positive")
-
-
-@dataclass(frozen=True)
 class PowerOfEigenvalue(SymbolSpec):
     s: float
     shift: float = 0.0
@@ -127,9 +118,10 @@ class FullMatrixTable(SymbolSpec):
 def parse_symbol(text: str) -> SymbolSpec:
     """Parse a CLI symbol string.
 
-    Forms: radial:s, bessel:s:nu, power:s[:shift], modulus:s, diag:PATH,
+    Forms: radial:s, bessel:s[:nu], power:s[:shift], modulus:s, diag:PATH,
     matrix:PATH, scaled:c:INNER, and mask:INNER, which is INNER itself:
-    every block is its class-one corner.
+    every block is its class-one corner.  bessel:s:nu is power:s/nu:1, the
+    same floats, since -(s/nu) = (-s)/nu exactly.
     """
     head, _, tail = text.partition(":")
     head = head.strip().lower()
@@ -138,7 +130,10 @@ def parse_symbol(text: str) -> SymbolSpec:
             return RadialWeight(float(tail))
         if head == "bessel":
             s_s, _, nu_s = tail.partition(":")
-            return BesselPotential(float(s_s), float(nu_s) if nu_s else 2.0)
+            s, nu = float(s_s), float(nu_s) if nu_s else 2.0
+            if not (nu > 0):
+                raise ConfigError("bessel nu must be positive, got %r in %r" % (nu, text))
+            return PowerOfEigenvalue(s / nu, 1.0)
         if head == "power":
             s_s, _, shift_s = tail.partition(":")
             return PowerOfEigenvalue(float(s_s), float(shift_s) if shift_s else 0.0)
@@ -160,7 +155,7 @@ def parse_symbol(text: str) -> SymbolSpec:
 
 def is_radial_scalar(spec: SymbolSpec) -> bool:
     """True when the spec is a scalar function of the eigenvalue alone."""
-    if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
+    if isinstance(spec, (RadialWeight, PowerOfEigenvalue, ModulusWeight)):
         return True
     if isinstance(spec, Scaled):
         return is_radial_scalar(spec.inner)
@@ -181,13 +176,10 @@ def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry,
         base = np.add(1.0, lam, out=out)
         base **= -spec.s / geom.nu
         return base
-    if isinstance(spec, BesselPotential):
-        base = np.add(1.0, lam, out=out)
-        base **= -spec.s / spec.nu
-        return base
     if isinstance(spec, PowerOfEigenvalue):
         base = np.add(spec.shift, lam, out=out)
-        if spec.s > 0 and np.any(base == 0.0):
+        # lambda >= 0, so only shift 0 can put a zero under a negative power
+        if spec.shift == 0 and spec.s > 0 and np.any(base == 0.0):
             raise DomainError("PowerOfEigenvalue with shift 0 hit eigenvalue 0")
         base **= -spec.s
         return base
@@ -232,7 +224,7 @@ def eval_symbol(spec: SymbolSpec, point: DualPoint, geom: Geometry) -> np.ndarra
             into = np.einsum("ii->i", acc) if b.ndim < acc.ndim else acc  # a view
             into += b
         return acc
-    if isinstance(spec, (RadialWeight, BesselPotential, PowerOfEigenvalue, ModulusWeight)):
+    if isinstance(spec, (RadialWeight, PowerOfEigenvalue, ModulusWeight)):
         check_block_size(label_text(point), (k,))
         value = float(scalar_values(spec, np.array([point.eigenvalue]), geom)[0])
         if not math.isfinite(value):

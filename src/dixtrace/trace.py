@@ -109,10 +109,13 @@ def dixmier_estimate(series: PartialSumSeries) -> TraceEstimate:
 def quasinorm(series: PartialSumSeries, p: float) -> QuasiNormResult:
     """Marcinkiewicz L^(p,infty) quasi-norm proxy sup_N N^e S(N).
 
-    e = marcinkiewicz_exponent(p, series.dim).  Stability compares the sup
-    over the whole grid with the sup over cutoffs <= N_max/10.
+    The grid exponent e = kappa (1/p - 1), kappa = series.dim, needs
+    1 < p < infinity; it decreases in p.  Stability compares the sup over
+    the whole grid with the sup over cutoffs <= N_max/10.
     """
-    e = marcinkiewicz_exponent(p, series.dim)
+    if not (p > 1) or math.isinf(p):
+        raise ValueError("exponent needs 1 < p < infinity, got %r" % (p,))
+    e = series.dim * (1.0 / p - 1.0)
     g = series.cutoffs ** e * series.sums
     i = int(np.argmax(g))
     gamma = float(g[i])
@@ -124,13 +127,6 @@ def quasinorm(series: PartialSumSeries, p: float) -> QuasiNormResult:
         stable = False
     return QuasiNormResult(p=p, gamma=gamma, argmax_cutoff=float(series.cutoffs[i]),
                            stable=stable)
-
-
-def marcinkiewicz_exponent(p: float, kappa: int) -> float:
-    """The grid exponent e(p) = kappa (1/p - 1); decreasing in p."""
-    if not (p > 1) or math.isinf(p):
-        raise ValueError("exponent needs 1 < p < infinity, got %r" % (p,))
-    return kappa * (1.0 / p - 1.0)
 
 
 def residue_factored(a_integral: float, series: PartialSumSeries) -> TraceEstimate:

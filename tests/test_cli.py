@@ -239,6 +239,16 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert doc["report"]["max_abs"] < 1e-10
 
 
+@pytest.mark.parametrize("nu", ["0", "-1", "nan"])
+def test_bessel_with_a_non_positive_nu_exits_one(capsys, nu):
+    code = run("trace", "--geometry", "su2", "--symbol", "bessel:3:%s" % nu, "--nmax", "100")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: bessel nu must be positive, got %s" % float(nu))
+
+
 def test_oracle_check_cap_error(capsys):
     code = run("oracle-check", "--geometry", "torus:1", "--symbol", "radial:1",
                "--cutoff", "100000")

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from dixtrace import geometry, summation
 from dixtrace.errors import ConfigError, SizeError, SpectrumFormatError
-from dixtrace.geometry import (_CHUNK, DualPoint, Geometry, counting_function,
-                               enumerate_dual, label_text, parse_geometry,
-                               radial_shells, save_spectrum_file, sphere_harmonic_dim)
+from dixtrace.geometry import (_CHUNK, DualPoint, Geometry, _sphere_dims,
+                               counting_function, enumerate_dual, label_text,
+                               parse_geometry, radial_shells, save_spectrum_file,
+                               sphere_harmonic_dim)
 from dixtrace.summation import counting_series, dyadic_grid, partial_sums
 from dixtrace.symbol import parse_symbol
 
@@ -157,13 +158,14 @@ def test_radial_shells_total_matches_count():
 
 def test_sphere_harmonic_dim_matches_binomials():
     # one running product serves int labels, exactly, and float64 label
-    # arrays, exactly while (n - 1) d stays below 2**53 and to rounding past it
+    # arrays (_sphere_dims, the shell stream's form), exactly while (n - 1) d
+    # stays below 2**53 and to rounding past it
     labels = np.arange(2001, dtype=np.float64)
     for n in range(2, 13):
         exact = [math.comb(n + l, n) - math.comb(n + l - 2, n) if l else 1
                  for l in range(2001)]
         assert [sphere_harmonic_dim(n, l) for l in range(2001)] == exact
-        got = sphere_harmonic_dim(n, labels)
+        got = _sphere_dims(n, labels, np.empty_like(labels), np.empty_like(labels))
         assert got.dtype == np.float64
         want = np.array(exact, dtype=np.float64)
         small = np.array([(n - 1) * d < 2 ** 53 for d in exact])

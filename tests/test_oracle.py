@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from dixtrace import oracle
+from dixtrace.cli import main
 from dixtrace.errors import SizeError
-from dixtrace.geometry import Geometry, counting_function, parse_geometry
-from dixtrace.oracle import (compare_symbol_vs_oracle, operator_singular_values,
+from dixtrace.geometry import (Geometry, counting_function, enumerate_dual, label_text,
+                               parse_geometry)
+from dixtrace.oracle import (ORACLE_TOL, compare_symbol_vs_oracle, operator_singular_values,
                              truncate_operator)
-from dixtrace.summation import PartialSumSeries, default_picture, dyadic_grid, partial_sums
-from dixtrace.symbol import Scaled, SymbolSum, parse_symbol
+from dixtrace.summation import PartialSumSeries, dyadic_grid, partial_sums
+from dixtrace.symbol import Scaled, SymbolSum, parse_symbol, singular_values
 
 
 def _dense_singular_values(op):
@@ -105,7 +108,6 @@ def test_total_dim_is_the_eigenvalue_count(tmp_path, name, picture):
         assert op.total_dim == counting_function(g, cutoff) > 0
         assert len(operator_singular_values(op)) == op.total_dim
         series = partial_sums(g, spec, np.array([cutoff]))
-        assert series.picture == default_picture(g)
         assert series.counts[-1] == op.total_dim
         series.to_csv(str(csv_path))
         kw = {} if picture is None else {"picture": picture}
@@ -188,3 +190,64 @@ def test_truncation_total_matches_partial_sum(name):
     svals = operator_singular_values(truncate_operator(g, spec, 12.0))
     series = partial_sums(g, spec, dyadic_grid(12.0, 2))
     assert math.fsum(svals) == pytest.approx(series.sums[-1], rel=1e-12)
+
+
+def test_truncation_walks_the_dual_once(monkeypatch):
+    # the points of the walk that sums D against the cap are the ones
+    # whose blocks are built, refused or not
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_dual(*args)
+
+    monkeypatch.setattr(oracle, "enumerate_dual", counting)
+    f = parse_symbol("radial:3")
+    for name, cutoff in (("su2", 5.1), ("sphere:3", 6.0), ("torus:2", 6.0), ("su3", 2.0)):
+        g = parse_geometry(name)
+        op = truncate_operator(g, f, cutoff)
+        assert len(calls) == 1
+        assert [label for label, _, _ in op.blocks] == [
+            label_text(p) for p in enumerate_dual(g, cutoff)]
+        calls.clear()
+    with pytest.raises(SizeError):
+        truncate_operator(Geometry.su2(), f, 5.1, cap=384)
+    assert len(calls) == 1
+
+
+def _random_table(path, geom, cutoff):
+    """A matrix: table of seeded complex Gaussian d x d blocks, not normal,
+    so the symbol side runs the Jacobi route."""
+    rng = np.random.default_rng(11)
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in enumerate_dual(geom, cutoff):
+            m = rng.normal(size=(p.rep_dim, p.rep_dim)) + 1j * rng.normal(size=(p.rep_dim,) * 2)
+            fh.write("%s\n" % label_text(p))
+            for row in m.tolist():
+                fh.write(" ".join("%.17g%+.17gi" % (z.real, z.imag) for z in row) + "\n")
+    return path
+
+
+def _nudged(m, label):
+    """The symbol side's values with the two largest of each block moved
+    1e-6 of the largest apart, the sum kept to rounding."""
+    v = singular_values(m, label).copy()
+    if len(v) > 1:
+        v[0], v[1] = v[0] + 1e-6 * v[0], v[1] - 1e-6 * v[0]
+    return v
+
+
+@pytest.mark.parametrize("c", [1.0, 1e80, 1e-80])
+def test_compare_is_relative_to_the_largest_value(tmp_path, monkeypatch, c):
+    # the elementwise bound scales with the largest oracle value, so a
+    # correct symbol passes at 1e80 and a nudged one fails at 1e-80
+    g = Geometry.su2()
+    text = "scaled:%r:matrix:%s" % (c, _random_table(tmp_path / "t.txt", g, 5.0))
+    rep = compare_symbol_vs_oracle(g, parse_symbol(text), 5.0)
+    assert rep["passed"] and rep["first_mismatch_rank"] == -1, rep
+    assert main(["oracle-check", "--geometry", "su2", "--symbol", text, "--cutoff", "5"]) == 0
+    assert rep["tolerance"] == ORACLE_TOL and rep["total_dim"] == 285
+    monkeypatch.setattr(oracle, "singular_values", _nudged)
+    rep = compare_symbol_vs_oracle(g, parse_symbol(text), 5.0)
+    assert rep["sum_rel_diff"] < ORACLE_TOL
+    assert not rep["passed"] and rep["first_mismatch_rank"] >= 0, rep

@@ -64,6 +64,19 @@ def test_readme_lists_the_exported_names():
     assert listed == dixtrace._MODULE_OF
 
 
+def test_every_exported_function_has_a_caller_outside_the_unit_tests():
+    # a function the package exports is called by the command line, the
+    # benchmark or the acceptance tests; classes (errors among them) and the
+    # golden reference formulas are exempt
+    callers = [ROOT / "src" / "dixtrace" / "cli.py", ROOT / "tests" / "test_acceptance.py",
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in callers)
+    functions = [n for n in dixtrace.__all__ if dixtrace._MODULE_OF[n] != "golden"
+                 and not isinstance(getattr(dixtrace, n), type)]
+    assert functions
+    assert [n for n in functions if not re.search(r"\b%s\b" % n, text)] == []
+
+
 def test_unknown_attribute_raises_attribute_error():
     result = fresh("import json, dixtrace\n"
                    "try:\n"

@@ -15,8 +15,7 @@ from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
                                radial_shells, save_spectrum_file)
 from dixtrace.oracle import truncate_operator
 from dixtrace.summation import (PartialSumSeries, _stream_snapshots,
-                                counting_series, default_picture, dyadic_grid,
-                                partial_sums, weyl_fit)
+                                counting_series, dyadic_grid, partial_sums, weyl_fit)
 from dixtrace.symbol import (DiagonalTable, RadialWeight, Scaled, SymbolSum,
                              is_radial_scalar, parse_symbol, scalar_values)
 
@@ -90,10 +89,15 @@ def test_counting_series_matches_counting_function():
         np.testing.assert_array_equal(series.sums, series.counts)
 
 
-def test_default_pictures():
-    assert default_picture(Geometry.torus(2)) == "manifold"
-    assert default_picture(Geometry.su2()) == "group"
-    assert default_picture(Geometry.sphere(3)) == "homogeneous"
+def test_default_pictures(tmp_path):
+    # partial_sums tags its series with the kind's picture
+    path = tmp_path / "spec.txt"
+    path.write_text("a 1 1 0.0\nb 3 3 2.0\n")
+    grid = np.array([4.0])
+    for geom, picture in ((Geometry.torus(2), "manifold"), (Geometry.su2(), "group"),
+                          (Geometry.sphere(3), "homogeneous"),
+                          (Geometry.from_file(str(path)), "manifold")):
+        assert partial_sums(geom, RadialWeight(1.0), grid).picture == picture
 
 
 def matrix_table(path, geom, cutoff, rng):
@@ -133,7 +137,7 @@ def test_one_block_rule_on_every_kind(tmp_path, name):
         masked = partial_sums(g, parse_symbol("mask:" + text), grid)
         assert bare.sums.tobytes() == masked.sums.tobytes()
         assert bare.counts.tobytes() == masked.counts.tobytes()
-        assert bare.picture == masked.picture == default_picture(g)
+        assert bare.picture == masked.picture
         op = truncate_operator(g, spec, cutoff)
         assert op.total_dim == counting_function(g, cutoff) == bare.counts[-1] > 0
         k = [p.class_one_dim for p in enumerate_dual(g, cutoff)]

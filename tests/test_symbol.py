@@ -11,8 +11,8 @@ from dixtrace import geometry
 from dixtrace.errors import (ConfigError, DomainError, NumericError, SizeError,
                              SpectrumFormatError, TableLookupError)
 from dixtrace.geometry import DualPoint, Geometry, enumerate_dual
-from dixtrace.symbol import (BesselPotential, DiagonalTable, FullMatrixTable,
-                             ModulusWeight, PowerOfEigenvalue, RadialWeight,
+from dixtrace.symbol import (DiagonalTable, FullMatrixTable, ModulusWeight,
+                             PowerOfEigenvalue, RadialWeight,
                              Scaled, SymbolSum, _jacobi_singular_values, eval_symbol,
                              is_radial_scalar, nuclear_trace_abs,
                              parse_complex, parse_symbol, scalar_values,
@@ -293,15 +293,35 @@ def test_scalar_values_semantics():
     lam = np.array([0.0, 3.0, 99.0])
     np.testing.assert_allclose(scalar_values(RadialWeight(1.0), lam, g),
                                (1.0 + lam) ** -0.5)
-    np.testing.assert_allclose(scalar_values(BesselPotential(3.0, 2.0), lam, g),
+    np.testing.assert_allclose(scalar_values(parse_symbol("bessel:3:2"), lam, g),
                                (1.0 + lam) ** -1.5)
     np.testing.assert_allclose(scalar_values(ModulusWeight(0.5), lam, g),
                                (1.0 + np.sqrt(lam)) ** -0.5)
     np.testing.assert_allclose(
         scalar_values(PowerOfEigenvalue(1.0, shift=1.0), lam, g),
         (1.0 + lam) ** -1.0)
-    with pytest.raises(DomainError):
-        scalar_values(PowerOfEigenvalue(1.0), lam, g)  # hits 1/0 at lam = 0
+    with pytest.raises(DomainError):  # the one scanned case: shift 0
+        scalar_values(parse_symbol("power:1"), lam, g)  # hits 1/0 at lam = 0
+
+
+@pytest.mark.parametrize("s, nu", [(3.0, 2.0), (1.0, 3.0), (0.7, 0.3), (-2.5, 7.0),
+                                   (1e-300, 1e300), (5.0, 1e-3)])
+def test_bessel_is_the_shifted_power_bit_for_bit(s, nu):
+    # bessel:s:nu parses to power:s/nu:1; -(s/nu) = (-s)/nu exactly, so
+    # the values are those of (1 + lambda)^((-s)/nu), bare, scaled and summed
+    g = Geometry.torus(1)
+    rng = np.random.default_rng(29)
+    lam = np.concatenate([[0.0, 1.0, 2.0 ** 53], rng.uniform(0, 1e6, 1000)])
+    want = np.add(1.0, lam) ** ((-s) / nu)
+    bessel, power = "bessel:%r:%r" % (s, nu), "power:%r:1" % (s / nu)
+    assert parse_symbol(bessel) == parse_symbol(power) == PowerOfEigenvalue(s / nu, 1.0)
+    for wrap in ("%s", "scaled:-3:%s"):
+        assert (scalar_values(parse_symbol(wrap % bessel), lam, g).tobytes()
+                == scalar_values(parse_symbol(wrap % power), lam, g).tobytes())
+    assert scalar_values(parse_symbol(bessel), lam, g).tobytes() == want.tobytes()
+    summed = [scalar_values(SymbolSum([parse_symbol(t), RadialWeight(1.0)]), lam, g)
+              for t in (bessel, power)]
+    assert summed[0].tobytes() == summed[1].tobytes()
 
 
 def test_scalar_values_are_fresh_arrays():
@@ -309,7 +329,7 @@ def test_scalar_values_are_fresh_arrays():
     g = Geometry.torus(1)
     lam = np.array([1.0, 3.0, 99.0])
     base = RadialWeight(0.0)
-    for spec in (base, BesselPotential(1.0, 1.0), PowerOfEigenvalue(-1.0),
+    for spec in (base, PowerOfEigenvalue(1.0, 1.0), PowerOfEigenvalue(-1.0),
                  ModulusWeight(0.0), Scaled(1.0, base), SymbolSum([base]),
                  SymbolSum([base, base])):
         f = scalar_values(spec, lam, g)
@@ -343,8 +363,8 @@ def test_sum_and_scale_compose():
 
 def test_parse_symbol_forms():
     assert parse_symbol("radial:2") == RadialWeight(2.0)
-    assert parse_symbol("bessel:3:2") == BesselPotential(3.0, 2.0)
-    assert parse_symbol("bessel:3") == BesselPotential(3.0, 2.0)
+    assert parse_symbol("bessel:3:2") == PowerOfEigenvalue(1.5, 1.0)
+    assert parse_symbol("bessel:3") == PowerOfEigenvalue(1.5, 1.0)
     assert parse_symbol("power:1.5:0.25") == PowerOfEigenvalue(1.5, 0.25)
     assert parse_symbol("modulus:0.75") == ModulusWeight(0.75)
     assert parse_symbol("scaled:2:radial:1") == Scaled(2.0, RadialWeight(1.0))

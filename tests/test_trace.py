@@ -10,8 +10,8 @@ from dixtrace.geometry import Geometry
 from dixtrace.summation import PartialSumSeries, dyadic_grid, partial_sums
 from dixtrace.symbol import RadialWeight, SymbolSum, parse_symbol
 from dixtrace.trace import (TraceEstimate, density_integral_from_samples,
-                            dixmier_estimate, log_model_fit,
-                            marcinkiewicz_exponent, quasinorm, residue_factored)
+                            dixmier_estimate, log_model_fit, quasinorm,
+                            residue_factored)
 
 
 def torus_series(symbol, nmax=1e5, ppo=4):
@@ -113,9 +113,10 @@ def test_quasinorm_unstable_for_constant_symbol():
 
 
 def test_exponent_decreasing_and_domination():
-    assert marcinkiewicz_exponent(1.5, 2) > marcinkiewicz_exponent(2.0, 2)
-    assert marcinkiewicz_exponent(2.0, 2) > marcinkiewicz_exponent(4.0, 2)
     series = torus_series("modulus:0.75", nmax=1e5)
+    for p in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="exponent needs 1 < p < infinity"):
+            quasinorm(series, p)
     # cutoffs >= 2 make N^e(p) pointwise decreasing in p, so gamma follows
     g_small = quasinorm(series, 4.0 / 3.0).gamma
     g_large = quasinorm(series, 4.0).gamma
