@@ -22,12 +22,16 @@ which is why parametrix_trace(P = L) and boundary_dixmier on sigma =
 
 A BoundarySymbol is n labels, an order and one function chunk(l0, l1)
 giving (js, lam, values) for the labels l0 <= l < l1; chunks() calls it on
-fixed slices of geometry._CHUNK labels.  Symbols built from the spectrum
-compute each chunk from its labels, so their index sums run in flat memory
-up to _MAX_STREAMED_LABELS (2^30) labels; file, array and callable symbols
-slice their arrays.  Both trace forms sum through the compensated fold of
-the closed geometries (summation._stream_snapshots).  Index sums key it by l
-with a unit count per label.  The Weyl form keys it by |lambda|^(1/m): it
+fixed slices of geometry._CHUNK labels, up to _MAX_STREAMED_LABELS (2^30)
+labels.  Symbols built from the spectrum compute each chunk from its
+labels, so they run in flat memory; file, array and callable symbols slice
+their arrays.  Both trace forms sum through the compensated fold of the
+closed geometries (summation._stream_snapshots).  Index sums key it by l
+with a unit count per label.  The generated `inverse`, `spectrum` and
+`one` symbols, with no alpha or a PowerDecay, also hold |sigma| at real
+labels j: their index sums fold the first summation._HEAD labels and add
+an Euler-Maclaurin tail for each sign of j past them (summation._tail_sums),
+so they reach any cutoff.  The Weyl form keys it by |lambda|^(1/m): it
 gathers those keys and |sigma| into two float64 arrays under the 5e7-point
 cap, sorts them once and folds fixed slices of _CHUNK sorted labels; the
 fold counts a run of equal keys whole where it straddles two slices.
@@ -37,20 +41,26 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, EllipticityError, SizeError,
+from .errors import (ConfigError, DomainError, EllipticityError, NumericError, SizeError,
                      SpectrumFormatError, count_text)
 from .geometry import _CHUNK, _MAX_MATERIALIZED_POINTS, _MAX_STREAMED_LABELS, _records, \
     _reused
-from .summation import PartialSumSeries, _stream_snapshots, check_grid
+from .summation import _HEAD, _STEP, PartialSumSeries, _check_overflow, _stream_snapshots, \
+    _tail_sums, check_grid
 from .trace import TraceEstimate, _estimate
 
 ZERO_EIGENVALUE_TOL = 1e-12
+
+# Largest |lambda_j| an index sum's tail reads (2^1022): past it 1/lambda_j
+# is subnormal, so the tail's |sigma| would lose its digits.
+_LAMBDA_MAX = 1.0 / sys.float_info.min
 
 # s0_summability_check: a last-octave increment ratio at or above this diverges
 S0_RATIO_THRESHOLD = 0.9
@@ -196,7 +206,9 @@ class BoundarySymbol:
     returning (js, lam, values) for the enumeration indices l0 <= l < l1.
     chunks() calls it on fixed slices, so equal values give equal sums bit
     for bit whether a symbol is generated from the spectrum or read from
-    arrays.
+    arrays, at every index cutoff below summation._HEAD; past it, a
+    generated symbol's sums come from its tail (terms, |sigma| at real
+    labels j), within about 1e-15 relative of the fold.
 
     A chunk's arrays are valid only until the symbol computes another one:
     generated symbols and reciprocals compute every chunk into arrays they
@@ -205,22 +217,30 @@ class BoundarySymbol:
     the next, and never walks one symbol twice at once.
     """
 
-    def __init__(self, n: int, order: int, chunk: Callable[[int, int], tuple]):
-        self._n = n
+    def __init__(self, n: int, order: int, chunk: Callable[[int, int], tuple],
+                 terms: Callable[[np.ndarray], np.ndarray] | None = None):
+        self.size = n  # an int past sys.maxsize too, where len() fails
         self.order = order
         self.chunk = chunk
+        self.terms = terms
 
     def __len__(self) -> int:
-        return self._n
+        return self.size
 
     def chunks(self) -> Iterator[tuple]:
         """(l0, js, lam, values) for enumeration indices l0 <= l < l0 + C.
 
         C is geometry._CHUNK.  Chunk boundaries depend on the label index
-        alone, never on the grid or on how the symbol is held.
+        alone, never on the grid or on how the symbol is held.  A symbol of
+        more than _MAX_STREAMED_LABELS labels raises SizeError here, before
+        the first chunk.
         """
-        for l0 in range(0, self._n, _CHUNK):
-            yield (l0, *self.chunk(l0, min(l0 + _CHUNK, self._n)))
+        return self._chunks(_capped(self.size, _MAX_STREAMED_LABELS))
+
+    def _chunks(self, n: int) -> Iterator[tuple]:
+        """chunks() of the first n labels."""
+        for l0 in range(0, n, _CHUNK):
+            yield (l0, *self.chunk(l0, min(l0 + _CHUNK, n)))
 
     def reciprocal(self) -> "BoundarySymbol":
         """The symbol 1/sigma on the same labels, chunk by chunk.
@@ -241,7 +261,7 @@ class BoundarySymbol:
             inverse = np.divide(1.0, values, out=_reused(held, len(values), np.complex128)[0])
             _check_finite(inverse)
             return js, lam, inverse
-        return BoundarySymbol(self._n, self.order, chunk)
+        return BoundarySymbol(self.size, self.order, chunk)
 
     @staticmethod
     def from_arrays(js, lam, values, order: int = 1) -> "BoundarySymbol":
@@ -315,9 +335,10 @@ class BoundarySymbol:
         return BoundarySymbol(n, order, chunk)
 
     def to_file(self, path: str) -> None:
+        chunks = self.chunks()  # the label cap, before the file is opened
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# j re(lambda) im(lambda) re(sigma) im(sigma)\n")
-            for _l0, js, lam, values in self.chunks():
+            for _l0, js, lam, values in chunks:
                 for j, l, v in zip(js, lam, values):
                     fh.write("%d %s %s %s %s\n" % (
                         j, format(l.real, ".17g"), format(l.imag, ".17g"),
@@ -326,10 +347,11 @@ class BoundarySymbol:
 
 def _generated(bc: IntervalBC, j_max: int,
                values_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> BoundarySymbol:
-    """The labels |j| <= j_max, up to _MAX_STREAMED_LABELS of them, each
-    chunk computed from its labels as lambda_j and then as the values
-    values_fn(lam, out) returns, out being free for them.  Every chunk is
-    computed into the same arrays (_reused)."""
+    """The labels |j| <= j_max, each chunk computed from its labels as
+    lambda_j and then as the values values_fn(lam, out) returns, out being
+    free for them.  Every chunk is computed into the same arrays (_reused).
+    Unless alpha is a table, the symbol's terms give |sigma| the same way
+    at any real labels j, for the index sums' tail."""
     held = []
 
     def chunk(l0, l1):
@@ -340,17 +362,25 @@ def _generated(bc: IntervalBC, j_max: int,
         values = values_fn(lam, values)
         _check_finite(values)
         return js, lam, values
-    return BoundarySymbol(_label_count(j_max, _MAX_STREAMED_LABELS), bc.order, chunk)
+
+    def terms(js):
+        lam = _eigenvalues(bc, js)
+        values = values_fn(lam, np.empty_like(lam))
+        _check_finite(values)
+        return np.abs(values)
+    return BoundarySymbol(_label_count(j_max, math.inf), bc.order, chunk,
+                          None if isinstance(bc.alpha, AlphaTable) else terms)
 
 
-def _index_chunks(sym: BoundarySymbol, terms: Callable) -> Iterator[tuple]:
+def _index_chunks(chunks: Iterator[tuple], terms: Callable) -> Iterator[tuple]:
     """(l, terms(lam, values, out), 1) per symbol chunk, for
     _stream_snapshots; the keys l and out are arrays allocated once, valid
     until the next chunk, as the symbol's own are."""
-    size = min(len(sym), _CHUNK)
-    keys, out, unit = np.arange(size, dtype=np.float64), np.empty(size), np.ones(size)
-    for _l0, _js, lam, values in sym.chunks():
+    keys = None
+    for _l0, _js, lam, values in chunks:
         n = len(values)
+        if keys is None:  # the first chunk is the longest
+            keys, out, unit = np.arange(n, dtype=np.float64), np.empty(n), np.ones(n)
         yield keys[:n], terms(lam, values, out[:n]), unit[:n]
         keys += _CHUNK  # the next chunk starts _CHUNK labels on
 
@@ -360,13 +390,36 @@ def boundary_series(sym: BoundarySymbol, grid: np.ndarray) -> PartialSumSeries:
 
     |sigma| streams through the shared compensated fold in the symbol's
     fixed chunks, keyed by the enumeration index l with a unit count per
-    label, so S(L) is the snapshot at l = floor(L).
+    label, so S(L) is the snapshot at l = floor(L), or at the last label.
+    A symbol with terms folds its first summation._HEAD labels only, and a
+    cutoff past them adds to that head one Euler-Maclaurin tail for each
+    sign of j, with a count of floor(L) + 1.  The tail is refused first
+    where 2 pi |j| passes _LAMBDA_MAX.
     """
     grid = check_grid(grid)
-    if len(sym) == 0:
+    if sym.size == 0:
         raise ConfigError("empty boundary symbol")
-    sums, counts = _stream_snapshots(_index_chunks(sym, lambda lam, v, out: np.abs(v, out=out)),
+    labels = [min(int(c), sym.size - 1) for c in np.floor(grid)]
+    if sym.terms is None:
+        chunks, tail = sym.chunks(), len(labels)
+    else:
+        chunks = sym._chunks(min(sym.size, _HEAD))
+        tail = next((k for k, l in enumerate(labels) if l >= _HEAD), len(labels))
+        if 2.0 * math.pi * float(labels[-1] // 2 + 1) * (1.0 + _STEP) >= _LAMBDA_MAX:
+            raise NumericError("boundary symbol at cutoff %g has %s labels, and |lambda_j| "
+                               "there passes %.2g, where 1/lambda_j leaves float64's normal "
+                               "range; lower the cutoff" % (grid[-1], count_text(labels[-1] + 1),
+                                                            _LAMBDA_MAX))
+    sums, counts = _stream_snapshots(_index_chunks(chunks, lambda lam, v, out: np.abs(v, out=out)),
                                      np.floor(grid), grid)
+    if tail < len(labels):
+        # the head holds j = 1 .. _HEAD/2 and j = -1 .. -(_HEAD/2 - 1)
+        head, ends = float(sums[tail]), labels[tail:]
+        up = _tail_sums(sym.terms, _HEAD // 2 + 1, [(l + 1) // 2 for l in ends])
+        down = _tail_sums(lambda x: sym.terms(-x), _HEAD // 2, [l // 2 for l in ends])
+        sums[tail:] = [math.fsum((head, a, b)) for a, b in zip(up, down)]
+        counts[tail:] = [float(l + 1) for l in ends]
+        _check_overflow(sums, grid)
     return PartialSumSeries(grid.copy(), sums, counts, dim=1, picture="boundary-index")
 
 
@@ -389,7 +442,7 @@ def boundary_weyl_series(sym: BoundarySymbol, kappa: int,
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
     grid = check_grid(grid)
-    n = _capped(len(sym), _MAX_MATERIALIZED_POINTS)
+    n = _capped(sym.size, _MAX_MATERIALIZED_POINTS)
     x, terms = np.empty(n), np.empty(n)
     for l0, _js, lam, values in sym.chunks():
         l1 = l0 + len(values)
@@ -444,7 +497,7 @@ def s0_summability_check(sym: BoundarySymbol, s_grid: Sequence[float]) -> S0Repo
     ratio at or above S0_RATIO_THRESHOLD flags divergence.  The s grid must
     be nonempty, finite, nonnegative and strictly increasing.
     """
-    if len(sym) < 16:
+    if sym.size < 16:
         raise ConfigError("s0 check needs at least 16 enumerated points")
     s_values = [float(s) for s in s_grid]
     if not s_values:
@@ -455,15 +508,16 @@ def s0_summability_check(sym: BoundarySymbol, s_grid: Sequence[float]) -> S0Repo
         raise ConfigError("s grid must be nonnegative")
     if any(b <= a for a, b in zip(s_values, s_values[1:])):
         raise ConfigError("s grid must be strictly increasing")
-    n_oct = int(math.floor(math.log2(len(sym))))
+    n_oct = int(math.floor(math.log2(sym.size)))
     # snapshots at l = 2^k - 1 (k = 0..n_oct), then at the last label
-    marks = np.array([2.0 ** k - 1.0 for k in range(n_oct + 1)] + [len(sym) - 1.0])
+    marks = np.array([2.0 ** k - 1.0 for k in range(n_oct + 1)] + [sym.size - 1.0])
     inv_2m = 1.0 / (2.0 * sym.order)
     rows = []
     s0 = None
     for s in s_values:
         snaps, _ = _stream_snapshots(
-            _index_chunks(sym, lambda lam, v, out: ((1.0 + np.abs(lam) ** 2) ** inv_2m) ** (-s)),
+            _index_chunks(sym.chunks(),
+                          lambda lam, v, out: ((1.0 + np.abs(lam) ** 2) ** inv_2m) ** (-s)),
             marks)
         # increments over index octaves [2^k, 2^{k+1})
         incs = np.diff(snaps[:n_oct + 1])

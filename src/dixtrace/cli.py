@@ -36,7 +36,7 @@ from .boundary import (AlphaTable, BoundarySymbol, IntervalBC, PowerDecay,
                        boundary_dixmier, boundary_dixmier_weyl, boundary_series,
                        boundary_weyl_series, parametrix_trace,
                        s0_summability_check)
-from .errors import ConfigError, DixtraceError, SizeError
+from .errors import ConfigError, DixtraceError, SizeError, count_text
 from .geometry import Geometry, parse_geometry
 from .oracle import DEFAULT_CAP, compare_symbol_vs_oracle
 from .summation import (SCHEMA_VERSION, PartialSumSeries, counting_series,
@@ -376,12 +376,12 @@ def _cmd_boundary(ns: dict) -> int:
         series = boundary_series(sym, grid)
         est = boundary_dixmier(sym, grid)
         cut_desc = "enumeration index"
-    print("boundary model, %d spectral points, cutoffs on %s"
-          % (len(sym), cut_desc))
+    print("boundary model, %s spectral points, cutoffs on %s"
+          % (count_text(sym.size), cut_desc))
     _print_estimate(est)
     _write_csv(ns, series)
     _write_json(ns, {"command": "boundary", "cutoff_kind": ns["cutoff_kind"],
-                     "points": len(sym), "estimate": est.to_json_dict()})
+                     "points": sym.size, "estimate": est.to_json_dict()})
     return _verdict_exit(est.verdict)
 
 
@@ -390,10 +390,10 @@ def _cmd_parametrix(ns: dict) -> int:
     grid = _grid(ns)
     series = boundary_series(sym.reciprocal(), grid)  # parametrix_trace's one fold
     est = dixmier_estimate(series)
-    print("parametrix of a %d-point boundary symbol, index cutoffs" % len(sym))
+    print("parametrix of a %s-point boundary symbol, index cutoffs" % count_text(sym.size))
     _print_estimate(est)
     _write_csv(ns, series)
-    _write_json(ns, {"command": "parametrix", "points": len(sym),
+    _write_json(ns, {"command": "parametrix", "points": sym.size,
                      "estimate": est.to_json_dict()})
     return _verdict_exit(est.verdict)
 
@@ -425,7 +425,7 @@ def _cmd_s0_check(ns: dict) -> int:
         raise ConfigError("bad --s-grid %r" % ns["s_grid"]) from None
     sym = _build_boundary_symbol(ns)
     report = s0_summability_check(sym, s_values)
-    print("summability of sum <xi>^-s over %d boundary points:" % len(sym))
+    print("summability of sum <xi>^-s over %s boundary points:" % count_text(sym.size))
     for row in report.rows:
         print("  s = %-8g partial sum %.6g   octave ratio %.4f   %s"
               % (row.s, row.partial_sum, row.octave_ratio,

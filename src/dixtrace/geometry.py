@@ -22,11 +22,12 @@ Built-in kinds:
              block is held D/d times and a mask leaves it whole.
 
 enumerate_dual, counting_function and radial_shells read each kind's
-formulas from one place (_RankOne, and the row rules _Torus2 and _SU3 for
-the rank-two lattices).  Every lattice stream (torus:2 and su3 shells, su3
-points, per-point tori) walks q = den * lambda in windows of about 2^14
-labels by one row rule (_windows): rows sorted by their least q, which
-each window extends by the labels its q range admits.
+formulas from one place (_RankOne and _Torus1, the closed-form shells,
+and the row rules _Torus2 and _SU3 for the rank-two lattices).  Every
+lattice stream (torus:2 and su3 shells, su3 points, per-point tori) walks
+q = den * lambda in windows of about 2^14 labels by one row rule
+(_windows): rows sorted by their least q, which each window extends by the
+labels its q range admits.
 
 The weight of a point is w = (1+lambda)^(1/nu).  All cutoffs N act through
 the equivalent rule lambda <= N^nu - 1, so that boundary ties are included
@@ -65,9 +66,13 @@ _MAX_LATTICE_LABELS = 1 << 27
 # values (128 kB) stay in cache, and longer chunks spill out of it.
 _CHUNK = 1 << 14
 # Labels of a closed-form stream (torus:1 and rank-one shells, generated
-# boundary symbols), refused before the first chunk: they run in flat
-# memory, so this bounds their run time (on 2 vCPUs, su2 `radial:3` sums
-# about 1e8 labels a second, and `dixtrace boundary` 1e9 labels a minute).
+# boundary symbols) folded label by label, refused before the first chunk:
+# they run in flat memory, so this bounds their run time (on 2 vCPUs, su2
+# `radial:3` sums about 1e8 labels a second).  Sums that take the
+# Euler-Maclaurin tail (summation._tail_sums) fold only their head, so the
+# cap binds only where every label is folded: mixed-sign symbol sums, terms
+# steeper than m^16, reciprocal and --alpha table: boundary symbols, and the
+# boundary consumers that walk every label (s0-check, to_file).
 _MAX_STREAMED_LABELS = 1 << 30
 # Dual points built per batch by enumerate_dual: a batch's objects, about
 # 250 bytes a point, stay near 256 kB, and numpy's per-call cost is spread
@@ -140,7 +145,7 @@ class Geometry:
         cap q of lattice_cap as the streams compute eigenvalues: q / den on
         higher tori and su3, and the last admitted label's eigenvalue on
         torus:1 and rank one, as past 2**53 q may round onto the next one's;
-        inf on tori and su3 where that value passes float64.
+        inf where that value passes float64.
         """
         if self.kind == "file":
             _check_cutoff(weight_cutoff)
@@ -149,15 +154,13 @@ class Geometry:
             except OverflowError:  # past float64, so every row is admitted
                 return math.inf
         cap = self.lattice_cap(weight_cutoff)
+        r = _closed_form(self)
         try:
-            if self.kind == "torus" and self.rank == 1:
-                return float(math.isqrt(cap) ** 2)
-            if self.kind in ("torus", "su3"):
-                return float(cap) / _den(self)
+            if r is not None:
+                return r.eigenvalue(float(r.label_max(cap)))
+            return float(cap) / _den(self)
         except OverflowError:  # past float64, so every eigenvalue is admitted
             return math.inf
-        r = _rank_one(self)
-        return r.eigenvalue(float(r.label_max(cap)))
 
     def lattice_cap(self, weight_cutoff: float) -> int:
         """Largest integer q = den * lambda with lambda <= N^2 - 1, exactly:
@@ -324,6 +327,39 @@ _GROUPS = {"su2": _RankOne(2, 4), "so3": _RankOne(1, 1)}  # su2: l = twice the w
 
 def _rank_one(geom: Geometry) -> _RankOne:
     return _GROUPS.get(geom.kind) or _RankOne(geom.rank - 1, 1, sphere=geom.rank)
+
+
+class _Torus1:
+    """torus:1 as shells: label m >= 0 is the shell |k| = m, with
+    eigenvalue m^2 and D = 2 (1 at m = 0); _RankOne's interface."""
+
+    @staticmethod
+    def label_max(cap: int) -> int:
+        return math.isqrt(cap)
+
+    @staticmethod
+    def eigenvalue(m):
+        return m * m
+
+    @staticmethod
+    def shells(m: np.ndarray, lam: np.ndarray, dsum: np.ndarray) -> None:
+        dsum.fill(2.0)
+        if m[0] == 0:
+            dsum[0] = 1.0
+        np.multiply(m, m, out=lam)
+
+    @staticmethod
+    def count(big_m: int) -> int:
+        return 2 * big_m + 1
+
+
+def _closed_form(geom: Geometry) -> "_RankOne | _Torus1 | None":
+    """The shell rule of a kind whose label m has lambda and D in closed
+    form, on integer and on float labels alike: torus:1 and the rank-one
+    kinds; None on lattices and file spectra."""
+    if geom.kind == "torus":
+        return _Torus1 if geom.rank == 1 else None
+    return None if geom.kind in ("su3", "file") else _rank_one(geom)
 
 
 def _den(geom: Geometry) -> int:
@@ -590,9 +626,9 @@ def _count_torus(n: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # Radial shell streams: (lambda ascending, summed D per shell) in float64.
 # This is the bulk interface the summation engine consumes for scalar radial
-# symbols.  torus:1 and the rank-one kinds hand out _CHUNK shells per chunk
-# from the first one on, up to _MAX_STREAMED_LABELS labels, each chunk
-# computed into the same arrays (_reused); torus:2 and su3
+# symbols.  torus:1 and the rank-one kinds (_closed_form) hand out _CHUNK
+# shells per chunk from the first one on, up to _MAX_STREAMED_LABELS labels,
+# each chunk computed into the same arrays (_reused); torus:2 and su3
 # the occupied shells of one window of about _CHUNK labels (a, b) per chunk
 # (_windows); higher tori _CHUNK enumerated points per chunk and file
 # spectra _CHUNK rows of their sorted columns, one entry per point, so an
@@ -613,14 +649,13 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
     caller that keeps chunks copies them.
     """
     rows = _ROWS.get(geom.describe())
-    held = []
-    if geom.kind == "torus" and geom.rank == 1:
-        for r in _label_chunks(geom, math.isqrt(geom.lattice_cap(weight_cutoff)) + 1):
-            lam, dsum = _reused(held, r.size, np.float64, np.float64)
-            dsum.fill(2.0)
-            if r[0] == 0:
-                dsum[0] = 1.0
-            yield np.multiply(r, r, out=lam), dsum
+    rule = _closed_form(geom)
+    if rule is not None:  # torus:1 and rank one: su2, so3, sphere
+        held = []
+        for l in _label_chunks(geom, rule.label_max(geom.lattice_cap(weight_cutoff)) + 1):
+            lam, dsum = _reused(held, l.size, np.float64, np.float64)
+            rule.shells(l, lam, dsum)
+            yield lam, dsum
     elif rows is not None:  # the occupied shells of each window
         for lo, a, b in _lattice_windows(rows, geom.lattice_cap(weight_cutoff)):
             hist = np.bincount(rows.q(a, b) - lo, weights=rows.weight(a, b))
@@ -633,15 +668,9 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
         for a in range(0, n, _CHUNK):
             b = min(a + _CHUNK, n)
             yield spec.eigenvalue[a:b], spec.eigenspace_dim[a:b].astype(np.float64)
-    elif geom.kind == "torus":  # rank >= 3: the enumerated points
+    else:  # tori of rank >= 3: the enumerated points
         points = enumerate_dual(geom, weight_cutoff)
         yield from _row_chunks(map(itemgetter(4, 2), points), 2)  # (lambda, D)
-    else:  # rank one: su2, so3, sphere
-        r = _rank_one(geom)
-        for l in _label_chunks(geom, r.label_max(geom.lattice_cap(weight_cutoff)) + 1):
-            lam, dsum = _reused(held, l.size, np.float64, np.float64)
-            r.shells(l, lam, dsum)
-            yield lam, dsum
 
 
 def _label_chunks(geom: Geometry, n: int) -> Iterator[np.ndarray]:

@@ -35,6 +35,17 @@ boundaries depend only on the geometry, never on the grid, so extending
 the grid reproduces every earlier snapshot exactly.  A series whose sums
 overflow float64 is refused, naming the first cutoff it overflows at.
 
+The closed-form streams fold only a head.  On torus:1 and the rank-one
+kinds with a radial scalar whose nonzero leaves share one sign, and on the
+generated boundary symbols, the fold stops after the first _HEAD = 2^20
+labels, and every cutoff whose label M lies past it is that head plus an
+Euler-Maclaurin tail over the labels up to M (_tail_sums), each sign of j
+on its own on the boundary.  So the sums are bit for bit the fold's below
+the head, and past it within about 1e-15 relative of the fold (3e-16
+(p + 1) for terms growing like m^p; terms steeper than m^16 are folded).
+A tail value depends on M alone, so grid extension stays bit for bit there
+too.  Those counts are the exact counts, rounded once to float64.
+
 Cutoffs act through the eigenvalue threshold lambda <= N^nu - 1 (ties
 included), read exactly on every built-in kind (Geometry.lambda_threshold).
 Counts are kept in float64 and fold the same way; they are exact integers
@@ -52,9 +63,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, FitError, NumericError, SpectrumFormatError, count_text
-from .geometry import Geometry, _reused, _row_chunks, enumerate_dual, label_text, \
-    radial_shells
-from .symbol import RadialWeight, SymbolSpec, eval_symbol, is_radial_scalar, \
+from .geometry import _CHUNK, Geometry, _closed_form, _reused, _row_chunks, enumerate_dual, \
+    label_text, radial_shells
+from .symbol import RadialWeight, SymbolSpec, _leaf_signs, eval_symbol, is_radial_scalar, \
     nuclear_trace_abs, scalar_values
 
 PICTURES = ("manifold", "group", "homogeneous", "boundary-index")
@@ -82,8 +93,8 @@ def dyadic_grid(n_max: float, points_per_octave: int = 4) -> np.ndarray:
     vals = []
     k = 0
     while True:
-        v = 2.0 ** (1.0 + k / points_per_octave)
-        if v >= n_max:
+        e = 1.0 + k / points_per_octave
+        if e >= 1024 or (v := 2.0 ** e) >= n_max:  # 2^1024 is past float64
             break
         vals.append(v)
         k += 1
@@ -175,7 +186,7 @@ class PartialSumSeries:
 
 
 def _format_count(c: float) -> str:
-    if c == math.floor(c) and abs(c) < 2.0 ** 53:
+    if float(c).is_integer() and abs(c) < 2.0 ** 53:
         return str(int(c))
     return format(c, ".17g")
 
@@ -241,11 +252,80 @@ def _stream_snapshots(chunks: Iterable[tuple], thresholds: np.ndarray, cutoffs=N
     # thresholds at or past the last key read the end of the stream, as the
     # end of that chunk would on a longer stream
     sums[ptr:], counts[ptr:] = last
-    if not np.isfinite(sums).all():
-        at = (thresholds if cutoffs is None else cutoffs)[np.argmin(np.isfinite(sums))]
-        raise NumericError("the partial sum at cutoff %g is not finite (float64 overflow); "
-                           "scale the symbol down" % at)
+    _check_overflow(sums, thresholds if cutoffs is None else cutoffs)
     return sums, counts
+
+
+def _check_overflow(sums: np.ndarray, cutoffs) -> None:
+    """NumericError naming the first cutoff whose sum is not finite."""
+    if not np.isfinite(sums).all():
+        raise NumericError("the partial sum at cutoff %g is not finite (float64 overflow); "
+                           "scale the symbol down" % cutoffs[np.argmin(np.isfinite(sums))])
+
+
+# Labels the closed-form streams fold exactly before their Euler-Maclaurin
+# tail (_tail_sums): 64 chunks, about 10 ms of fold.  Every cutoff whose
+# label lies below it keeps the fold's bits.
+_HEAD = 64 * _CHUNK
+# Gauss-Legendre nodes per panel of the tail's integral, and the relative
+# step of the central differences that give g' at its two ends.
+_NODES = 24
+_STEP = 2.0 ** -16
+# Steepest growth m^p of the terms partial_sums hands to the tail.  A
+# quadrature node carries about an ulp of rounding, which terms like m^p
+# amplify p times, so the tail is within about 3e-16 (p + 1) of the sum;
+# steeper terms are folded.
+_MAX_GROWTH = 16.0
+
+
+def _tail_sums(g, start: int, ends) -> list:
+    """sum_{m=start}^{M} g(m) for each integer M of ends (0.0 where M < start).
+
+    g maps a float64 array of labels to the terms there, and is smooth and
+    of one sign past start.  Each sum is the Euler-Maclaurin form
+
+        T(M) = int_start^M g + (g(start) + g(M))/2 + (g'(M) - g'(start))/12.
+
+    The integral runs over fixed panels [start 2^i, start 2^(i+1)], with
+    _NODES Gauss-Legendre nodes in log m on each.  Whole panels fold into a
+    Neumaier carry, and each M adds its one partial panel, so T(M) depends
+    on M alone and extending a grid repeats it bit for bit.  g' is a
+    central difference.  For start >= 2^19 and terms like m^p, |p| < 50,
+    the first term left out, B4/4! times the difference of the third
+    derivatives, is below 1e-18 of the sum.  A ConfigError of g propagates.
+    """
+    from numpy.polynomial.legendre import leggauss  # the tail's alone, off every start
+    xi, w = leggauss(_NODES)
+    out = [0.0] * len(ends)
+    live = [(k, m) for k, m in enumerate(ends) if m >= start]
+    if not live:
+        return out
+    panel = [(m // start).bit_length() - 1 for _, m in live]  # start 2^i <= M < start 2^(i+1)
+    whole = max(panel)
+    lo = np.ldexp(float(start), list(range(whole)) + panel)
+    hi = np.concatenate([2.0 * lo[:whole], [float(m) for _, m in live]])
+    span = np.log(hi / lo)
+    x = lo[:, None] * np.exp(np.multiply.outer(0.5 * span, 1.0 + xi))
+    ends_f = np.array([float(start)] + [float(m) for _, m in live])
+    probes = np.concatenate([x.ravel(), ends_f, ends_f * (1.0 + _STEP), ends_f * (1.0 - _STEP)])
+    values = g(probes)
+    terms = values[:x.size].reshape(x.shape) * x
+    integral = terms[:, 0] * w[0]  # column by column, so a row's value is its own
+    for k in range(1, _NODES):
+        integral += terms[:, k] * w[k]
+    integral *= 0.5 * span
+    at, up, down = np.split(values[x.size:], 3)
+    _, x_up, x_down = np.split(probes[x.size:], 3)
+    slope = (up - down) / (x_up - x_down)  # x_up - x_down is exact (Sterbenz)
+    carry = _Carry()
+    prefix = [(0.0, 0.0)]
+    for v in integral[:whole].tolist():
+        carry.add(v)
+        prefix.append((carry.total, carry.comp))
+    for j, ((k, _m), i) in enumerate(zip(live, panel)):
+        out[k] = math.fsum((*prefix[i], float(integral[whole + j]), 0.5 * float(at[0]),
+                            0.5 * float(at[j + 1]), float(slope[j + 1] - slope[0]) / 12.0))
+    return out
 
 
 def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialSumSeries:
@@ -255,18 +335,82 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialS
     point contributes the class-one corner of its block, held D/k times
     (DualPoint), and the series carries geom.dim and its kind's picture
     tag, which changes no number.
+
+    On torus:1 and the rank-one kinds (geometry._closed_form), a radial
+    scalar whose nonzero leaves share one sign folds its first _HEAD
+    labels, and a cutoff of label M >= _HEAD adds the Euler-Maclaurin tail
+    over labels _HEAD .. M to that head, with the exact count of the labels
+    up to M.  A count or an eigenvalue past float64 is refused first.
+    Terms that grow faster than m^_MAX_GROWTH at the last label are folded.
     """
     grid = check_grid(grid)
-    thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
     n_max = float(grid[-1])
+    rule = None
+    if is_radial_scalar(spec) and len(_leaf_signs(spec)) <= 1:
+        rule = _closed_form(geom)
+    labels = [rule.label_max(geom.lattice_cap(float(n))) for n in grid] if rule else []
+    tail = next((k for k, m in enumerate(labels) if m >= _HEAD), len(labels))
+
+    def g(x):
+        lam, dsum = np.empty_like(x), np.empty_like(x)
+        rule.shells(x, lam, dsum)
+        return _radial_terms(geom, spec, lam, dsum)
+    if tail < len(labels):
+        _check_reach(geom, rule, n_max, labels[-1])
+        if _steep(g, labels[-1]):
+            tail = len(labels)  # every label is folded, under the label cap
+        else:
+            n_max = math.sqrt(1.0 + rule.eigenvalue(_HEAD - 0.5))  # its stream ends at _HEAD - 1
+    thresholds = np.array([geom.lambda_threshold(float(n)) for n in grid])
     if is_radial_scalar(spec):
         chunks = _radial_chunks(geom, spec, n_max)
     else:
         chunks = _point_chunks(geom, spec, n_max)
     sums, counts = _stream_snapshots(chunks, thresholds, grid)
+    if tail < len(labels):
+        head = float(sums[tail])  # the end of the head's stream
+        sums[tail:] = [head + t for t in _tail_sums(g, _HEAD, labels[tail:])]
+        counts[tail:] = [float(rule.count(m)) for m in labels[tail:]]
+        _check_overflow(sums, grid)
     picture = {"sphere": "homogeneous", "torus": "manifold",
                "file": "manifold"}.get(geom.kind, "group")
     return PartialSumSeries(grid.copy(), sums, counts, geom.dim, picture)
+
+
+def _steep(g, m: int) -> bool:
+    """True where m g'(m) > _MAX_GROWTH g(m), g' by the tail's central
+    difference."""
+    x = float(m) * np.array([1.0 - _STEP, 1.0, 1.0 + _STEP])
+    down, at, up = g(x).tolist()
+    return not x[1] * (up - down) <= _MAX_GROWTH * at * (x[2] - x[0])
+
+
+def _check_reach(geom: Geometry, rule, cutoff: float, m: int) -> None:
+    """NumericError, before any work, where the count of the labels up to m
+    or the largest eigenvalue the tail reads passes float64."""
+    count = rule.count(m)
+    try:
+        float(count)
+    except OverflowError:
+        past = "count of %s eigenvalues" % count_text(count)
+    else:
+        if math.isfinite(rule.eigenvalue(float(m) * (1.0 + _STEP))):
+            return
+        past = "last eigenvalue"
+    raise NumericError("%s at cutoff %g has %s labels, and their %s passes float64; "
+                       "lower the cutoff" % (geom.describe(), cutoff, count_text(m + 1), past))
+
+
+def _radial_terms(geom: Geometry, spec: SymbolSpec, lam: np.ndarray, dsum: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """D |f| on shells (lam, dsum), computed into out where given;
+    ConfigError where f is not finite."""
+    f = scalar_values(spec, lam, geom, out=out)
+    if not np.all(np.isfinite(f)):
+        raise ConfigError("symbol produced non-finite values on %s" % geom.describe())
+    np.abs(f, out=f)
+    f *= dsum
+    return f
 
 
 def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[tuple]:
@@ -274,12 +418,8 @@ def _radial_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[t
     for every chunk, so valid until the next, as the shells are."""
     held = []
     for lam, dsum in radial_shells(geom, n_max):
-        f = scalar_values(spec, lam, geom, out=_reused(held, lam.size, np.float64)[0])
-        if not np.all(np.isfinite(f)):
-            raise ConfigError("symbol produced non-finite values on %s" % geom.describe())
-        np.abs(f, out=f)
-        f *= dsum
-        yield lam, f, dsum
+        yield lam, _radial_terms(geom, spec, lam, dsum,
+                                 out=_reused(held, lam.size, np.float64)[0]), dsum
 
 
 def _point_chunks(geom: Geometry, spec: SymbolSpec, n_max: float) -> Iterator[np.ndarray]:

@@ -164,6 +164,17 @@ def is_radial_scalar(spec: SymbolSpec) -> bool:
     return False
 
 
+def _leaf_signs(spec: SymbolSpec, c: float = 1.0) -> set:
+    """The signs (True for positive) of the nonzero leaves of a radial
+    scalar spec: each leaf is positive in lambda, times the Scaled factors
+    above it."""
+    if isinstance(spec, Scaled):
+        return _leaf_signs(spec.inner, c * spec.c)
+    if isinstance(spec, SymbolSum):
+        return set().union(*(_leaf_signs(p, c) for p in spec.parts))
+    return {c > 0} if c != 0 else set()
+
+
 def scalar_values(spec: SymbolSpec, lam: np.ndarray, geom: Geometry,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized scalar evaluation on an eigenvalue array.

@@ -69,13 +69,21 @@ def test_enumeration_order():
     assert lam[0] == pytest.approx(-1j)
 
 
-def test_enumeration_size_guard():
+def test_enumeration_size_guard(tmp_path):
     # far above the point cap, so the guard must fire before allocating
     with pytest.raises(SizeError, match="above the cap"):
         BoundarySymbol.from_callable(BC, 10 ** 12, lambda j, lam: 1.0)
-    # generated symbols stream, under their own label cap
-    with pytest.raises(SizeError, match="above the cap"):
-        BoundarySymbol.inverse_spectrum(BC, 10 ** 12)
+    # a generated symbol of any size is built, and its index sums take the
+    # tail; the consumers that walk every label refuse it past the label cap
+    huge = BoundarySymbol.inverse_spectrum(BC, 10 ** 12)
+    assert huge.size == 2 * 10 ** 12 + 1
+    for walk in (lambda: boundary_weyl_series(huge, 1, dyadic_grid(64, 2)),
+                 lambda: s0_summability_check(huge, [1.0]),
+                 lambda: boundary_series(huge.reciprocal(), dyadic_grid(64, 2)),
+                 lambda: huge.to_file(str(tmp_path / "sym.txt"))):
+        with pytest.raises(SizeError, match="above the cap"):
+            walk()
+    assert not (tmp_path / "sym.txt").exists()
     big = BoundarySymbol.spectrum_symbol(BC, 30_000_000)
     assert len(big) == 60_000_001
     # gathering its labels is refused before allocating
@@ -247,6 +255,58 @@ def test_grid_extension_reproduces_snapshots():
     assert k > 30 and len(long_) > k
     np.testing.assert_array_equal(short.sums, long_.sums[:k])
     np.testing.assert_array_equal(short.counts, long_.counts[:k])
+
+
+def test_index_sums_match_mpmath_at_1e12():
+    # a = -e, b = 1: lambda_j = 2 pi j - i, so |sigma_j| = (4 pi^2 j^2 + 1)^(-1/2);
+    # each sign of j summed in 30 digits, the first 1024 labels by fsum and
+    # the rest by mpmath.sumem given the exact integral
+    mpmath = pytest.importorskip("mpmath")
+    grid = dyadic_grid(1e12, 4)
+    series = boundary_series(BoundarySymbol.inverse_spectrum(BC, 10 ** 12 // 2 + 1), grid)
+    with mpmath.workdps(30):
+        def term(j):
+            return 1 / mpmath.sqrt(4 * mpmath.pi ** 2 * j * j + 1)
+
+        def side(big_j):  # sum_{j=1}^{J} |sigma_j|
+            head = mpmath.fsum(term(mpmath.mpf(j)) for j in range(1, 1024))
+            integral = [mpmath.asinh(2 * mpmath.pi * x) / (2 * mpmath.pi) for x in (1024, big_j)]
+            return head + mpmath.sumem(term, [1024, big_j], integral=integral[1] - integral[0])
+        first = int(np.argmax(grid >= 2 ** 20))
+        for k in (first - 1, first, len(grid) - 1):  # the last fold, the first tail, 1e12
+            l = int(grid[k])
+            ref = 1 + side((l + 1) // 2) + side(l // 2)
+            assert abs(series.sums[k] - ref) <= 1e-14 * ref
+            assert series.counts[k] == l + 1
+
+
+def test_grid_extension_past_the_head_is_bit_for_bit():
+    # past the head a cutoff's value depends on its label alone
+    bc = IntervalBC(a=-math.e, b=1.0, alpha=PowerDecay(c=0.5 + 0.5j, eps=0.5))
+    grid = dyadic_grid(1e12, 4)
+    long_ = boundary_series(BoundarySymbol.spectrum_symbol(bc, 10 ** 12 // 2 + 1), grid)
+    for part in (slice(0, len(grid) - 40), slice(1, None, 3)):
+        sym = BoundarySymbol.spectrum_symbol(bc, int(grid[part][-1]) // 2 + 1)
+        short = boundary_series(sym, grid[part])
+        assert short.cutoffs[-1] > 2 ** 21
+        np.testing.assert_array_equal(short.sums, long_.sums[part])
+        np.testing.assert_array_equal(short.counts, long_.counts[part])
+
+
+def test_reciprocal_and_table_symbols_keep_the_fold(tmp_path):
+    # no tail for 1/sigma or a tabulated alpha: every label is folded, past
+    # the head too, as for any symbol built from the same chunks
+    path = tmp_path / "alpha.txt"
+    path.write_text("0 0.25 0\n3 0 -0.5\n")
+    grid = dyadic_grid(3e6, 4)
+    for sym in (BoundarySymbol.spectrum_symbol(BC, 1_500_001).reciprocal(),
+                BoundarySymbol.inverse_spectrum(IntervalBC(a=-math.e, b=1.0,
+                                                           alpha=AlphaTable(str(path))),
+                                                1_500_001)):
+        assert sym.terms is None
+        folded = BoundarySymbol(sym.size, sym.order, sym.chunk)
+        np.testing.assert_array_equal(boundary_series(sym, grid).sums,
+                                      boundary_series(folded, grid).sums)
 
 
 def test_boundary_series_counts():

@@ -396,8 +396,9 @@ def test_non_finite_nmax_exits_one(capsys, argv):
 
 
 def test_oversized_boundary_exits_one(capsys):
-    # 1e12 points: the size guard fires before any array is allocated
-    assert run("boundary", "--nmax", "1e12") == 1
+    # 1e12 points: the parametrix folds every label, and the size guard
+    # fires before any array is allocated
+    assert run("parametrix", "--nmax", "1e12") == 1
     assert "above the cap" in capsys.readouterr().err
     # N^m itself overflows a float
     assert run("boundary", "--cutoff-kind", "eigenvalue", "--order", "2",
@@ -636,21 +637,62 @@ def test_fixed_verdict_rules_are_not_flags(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("argv, stream", [
-    (["trace", "--geometry", "su2", "--symbol", "radial:3", "--nmax", "1e12"], "su2"),
+    (["trace", "--geometry", "su2", "--symbol", "radial:3", "--nmax", "1e103"], "su2"),
     (["trace", "--geometry", "su2", "--symbol", "radial:3", "--nmax", "1e300"], "su2"),
-    (["trace", "--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "1e13"], "torus:1"),
-    (["trace", "--geometry", "sphere:3", "--symbol", "radial:3", "--nmax", "1e12"], "sphere:3"),
-    (["weyl", "--geometry", "so3", "--nmax", "1e12"], "so3"),
+    (["trace", "--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "1e160"], "torus:1"),
+    (["trace", "--geometry", "sphere:3", "--symbol", "radial:3", "--nmax", "1e104"], "sphere:3"),
+    (["weyl", "--geometry", "so3", "--nmax", "1e104"], "so3"),
 ])
-def test_closed_form_streams_refuse_past_the_label_cap(capsys, argv, stream):
-    # streamed to the end, su2 at 1e12 would take hours (0.27 s per 2e7 labels)
+def test_closed_form_streams_refuse_past_float64(tmp_path, capsys, argv, stream):
+    # the count (su2, sphere:3, so3) or the last eigenvalue (torus:1 past
+    # N = 1.3e154) leaves float64: refused before any work, nothing written
+    out = [str(tmp_path / "r.json"), str(tmp_path / "r.csv")]
     start = time.perf_counter()
-    assert run(*argv) == 1
+    assert run(*argv, "--out-json", out[0], "--out-csv", out[1]) == 1
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
-    assert err.startswith("error: %s shell stream at this cutoff has " % stream)
-    assert err.endswith(" labels, above the cap of 1073741824; lower the cutoff\n")
+    assert err.startswith("error: %s at cutoff " % stream)
+    assert err.endswith(" passes float64; lower the cutoff\n")
     assert err.count("\n") == 1
+    assert not any(Path(p).exists() for p in out)
+
+
+def test_boundary_tail_refuses_past_the_normal_range(capsys):
+    # past 2 pi |j| = 2^1022, 1/lambda_j is subnormal: refused before any work
+    assert run("boundary", "--nmax", "1.7e308") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary symbol at cutoff 1.7e+308 has 1.7e+308 labels")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, tau", [
+    (["trace", "--geometry", "su2", "--symbol", "radial:3", "--nmax", "1e100"], 8.0 / 3.0),
+    (["trace", "--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "1e150"], 2.0),
+    (["boundary", "--boundary-symbol", "inverse", "--nmax", "1e100"], 1.0 / math.pi),
+])
+def test_closed_form_streams_reach_far_cutoffs(tmp_path, capsys, argv, tau):
+    # past a head of 2^20 labels the sums are an Euler-Maclaurin tail, so
+    # their cost grows with the grid, not with the labels
+    out = str(tmp_path / "r.json")
+    start = time.perf_counter()
+    assert run(*argv, "--out-json", out) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == ""
+    assert abs(json.loads(Path(out).read_text())["estimate"]["value"] - tau) <= 1e-12 * tau
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--geometry", "su2", "--symbol", "radial:3", "--nmax", "1e12"],
+    ["trace", "--geometry", "torus:1", "--symbol", "radial:1", "--nmax", "1e13"],
+    ["trace", "--geometry", "sphere:3", "--symbol", "radial:3", "--nmax", "1e12"],
+    ["weyl", "--geometry", "so3", "--nmax", "1e12"],
+])
+def test_closed_form_streams_run_past_the_label_cap(capsys, argv):
+    # 2e12 labels and more, refused by the 2^30 label cap before the tail
+    start = time.perf_counter()
+    assert run(*argv) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("geometry, cutoff", [
@@ -671,7 +713,7 @@ def test_oracle_check_refuses_an_oversized_truncation_at_once(capsys, geometry, 
 @pytest.mark.parametrize("argv, count", [
     (["trace", "--geometry", "su2", "--symbol", "radial:3"], "2.0e+300 labels"),
     (["trace", "--geometry", "torus:1", "--symbol", "radial:1"], "1.0e+300 labels"),
-    (["boundary", "--boundary-symbol", "inverse"], "1.0e+300 labels"),
+    (["parametrix"], "1.0e+300 labels"),
     (["trace", "--geometry", "torus:3", "--symbol", "radial:3"], "~8.0e+900 points"),
     (["trace", "--geometry", "torus:1", "--symbol", "radial:1",
       "--points-per-octave", "10000000000000000000000000"], "1.0e+28 cutoffs"),

@@ -35,6 +35,16 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert loaded == []
 
 
+def test_cli_import_loads_no_quadrature_or_reference_package():
+    # the Euler-Maclaurin tail imports numpy.polynomial when it runs, so no
+    # start (`--help` included) pays for it, nor for the packages tests use
+    loaded = fresh("import json, sys, dixtrace.cli\n"
+                   "print(json.dumps(sorted(m for m in sys.modules\n"
+                   "    if m.split('.')[0] in ('mpmath', 'scipy', 'sympy')\n"
+                   "    or m.startswith('numpy.polynomial'))))")
+    assert loaded == []
+
+
 def test_exported_names_resolve_to_their_defining_objects():
     bad = fresh("import importlib, json, dixtrace\n"
                 "print(json.dumps([n for n in dixtrace.__all__\n"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 
 from dixtrace import geometry, summation
 from dixtrace.boundary import BoundarySymbol, IntervalBC, boundary_series
-from dixtrace.errors import ConfigError, FitError, SpectrumFormatError
+from dixtrace.errors import ConfigError, FitError, NumericError, SizeError, SpectrumFormatError
 from dixtrace.geometry import (_CHUNK, Geometry, counting_function,
                                enumerate_dual, label_text, parse_geometry,
                                radial_shells, save_spectrum_file)
 from dixtrace.oracle import truncate_operator
 from dixtrace.summation import (PartialSumSeries, _stream_snapshots,
                                 counting_series, dyadic_grid, partial_sums, weyl_fit)
-from dixtrace.symbol import (DiagonalTable, RadialWeight, Scaled, SymbolSum,
+from dixtrace.symbol import (DiagonalTable, PowerOfEigenvalue, RadialWeight, Scaled, SymbolSum,
                              is_radial_scalar, parse_symbol, scalar_values)
 
 
@@ -33,6 +34,12 @@ def diag_table(path, geom, cutoff, inner):
 
 def test_dyadic_grid_one_point_per_octave():
     np.testing.assert_array_equal(dyadic_grid(16, 1), [2.0, 4.0, 8.0, 16.0])
+
+
+def test_dyadic_grid_reaches_the_top_of_float64():
+    # its last power of two below n_max is 2^1023; 2^1024 overflowed
+    grid = dyadic_grid(1.7e308, 4)
+    assert grid[-1] == 1.7e308 and grid[-2] == 2.0 ** 1023.75
 
 
 def test_dyadic_grid_rejects_non_finite_cutoff():
@@ -364,6 +371,132 @@ def test_streamed_sums_run_in_flat_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
+
+
+def _digest(series):
+    return hashlib.sha256(series.sums.tobytes() + series.counts.tobytes()).hexdigest()[:16]
+
+
+# sums and counts of the fold before the Euler-Maclaurin tail existed,
+# hashed: the point-blocks benchmark's radial specs, all below the head
+@pytest.mark.parametrize("name, symbol, cutoff, digest", [
+    ("torus:1", "radial:1", 1e4, "edd407c5c1ad6108"),
+    ("su2", "radial:3", 300.0, "a13a41c95e7e4a96"),
+    ("sphere:3", "radial:3", 40.0, "cd2361b36f389476")])
+def test_sums_below_the_head_keep_the_fold_bits(name, symbol, cutoff, digest):
+    series = partial_sums(parse_geometry(name), parse_symbol(symbol), dyadic_grid(cutoff, 4))
+    assert _digest(series) == digest
+
+
+def test_mixed_sign_and_steep_terms_keep_the_fold():
+    # |f| is not smooth where a sum of leaves of both signs crosses zero, and
+    # terms steeper than m^16 would carry the tail's rounding past 5e-15, so
+    # both fold every label, past the head too, with the fold's bits and
+    # under the label cap
+    g = Geometry.su2()
+    mixed = SymbolSum([RadialWeight(3.0), Scaled(-0.5, RadialWeight(4.0))])
+    assert _digest(partial_sums(g, mixed, dyadic_grid(2e6, 4))) == "367435c7d6491173"
+    with pytest.raises(SizeError, match="above the cap"):
+        partial_sums(g, mixed, dyadic_grid(1e9, 4))
+    steep = partial_sums(Geometry.torus(1), parse_symbol("power:-10"), dyadic_grid(4e6, 4))
+    assert _digest(steep) == "41e093f6e320db2a"  # 2 m^20
+
+
+def test_one_signed_sum_takes_the_tail():
+    # leaves of one sign: the tail of the sum is the sum of the tails
+    g = Geometry.sphere(3)
+    grid = dyadic_grid(1e12, 4)
+    parts = [Scaled(-1.0, RadialWeight(3.0)), Scaled(-2.0, PowerOfEigenvalue(2.0, 1.0))]
+    whole = partial_sums(g, SymbolSum(parts), grid)
+    split = [partial_sums(g, p, grid) for p in parts]
+    np.testing.assert_allclose(whole.sums, split[0].sums + split[1].sums, rtol=1e-15)
+    np.testing.assert_array_equal(whole.counts, split[0].counts)
+
+
+def _mp_sum(g, big_m, integral, head=1024):
+    """sum_{m=0}^{big_m} g(m) in 30 digits: the first head terms by fsum,
+    the rest by mpmath.sumem given the exact integral."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        first = mpmath.fsum(g(mpmath.mpf(m)) for m in range(head))
+        return first + mpmath.sumem(g, [head, big_m], integral=integral(big_m) - integral(head))
+
+
+def _su2_bessel(mpmath):
+    # bessel:3:2 on su2: D = (l+1)^2, (1 + l(l+2)/4)^(-3/2) = 8 ((l+1)^2 + 3)^(-3/2)
+    def g(l):
+        return 8 * (l + 1) ** 2 / ((l + 1) ** 2 + 3) ** 1.5
+
+    def integral(x):
+        u = mpmath.mpf(x) + 1
+        return 8 * (mpmath.asinh(u / mpmath.sqrt(3)) - u / mpmath.sqrt(u * u + 3))
+    return lambda m: _mp_sum(g, m, integral)
+
+
+def _torus1_radial(mpmath):
+    # radial:1 on torus:1: 1 + 2 sum_{m=1}^{M} (1 + m^2)^(-1/2)
+    return lambda m: _mp_sum(lambda x: 2 / mpmath.sqrt(1 + x * x), m,
+                             lambda x: 2 * mpmath.asinh(x)) - 1
+
+
+def _sphere3_radial(mpmath):
+    # radial:3 on sphere:3: D = (l+1)^2 and 1 + lambda = (l+1)^2, so the sum
+    # is a harmonic number
+    return lambda m: mpmath.harmonic(m + 1)
+
+
+@pytest.mark.parametrize("name, symbol, reference", [
+    ("su2", "bessel:3:2", _su2_bessel), ("torus:1", "radial:1", _torus1_radial),
+    ("sphere:3", "radial:3", _sphere3_radial)])
+def test_tail_sums_match_mpmath_at_1e12(name, symbol, reference):
+    mpmath = pytest.importorskip("mpmath")
+    g = parse_geometry(name)
+    grid = dyadic_grid(1e12, 4)
+    series = partial_sums(g, parse_symbol(symbol), grid)
+    rule = geometry._closed_form(g)
+    labels = [rule.label_max(g.lattice_cap(n)) for n in grid]
+    first = next(k for k, m in enumerate(labels) if m >= summation._HEAD)
+    for k in (first - 1, first, len(grid) - 1):  # the last fold, the first tail, 1e12
+        with mpmath.workdps(30):
+            ref = reference(mpmath)(labels[k])
+            assert abs(series.sums[k] - ref) <= 1e-14 * ref
+        assert series.counts[k] == float(rule.count(labels[k]))
+
+
+@pytest.mark.parametrize("name, symbol", [("torus:1", "modulus:0.5"), ("su2", "bessel:3:2"),
+                                          ("so3", "power:-3")])
+def test_grid_extension_past_the_head_is_bit_for_bit(name, symbol):
+    # a cutoff's tail depends on its label alone: a prefix or a thinned copy
+    # of the grid repeats the long grid's sums and counts
+    g, spec = parse_geometry(name), parse_symbol(symbol)
+    grid = dyadic_grid(1e12, 4)
+    long_ = partial_sums(g, spec, grid)
+    for part in (slice(0, len(grid) - 40), slice(1, None, 3)):
+        short = partial_sums(g, spec, grid[part])
+        assert short.cutoffs[-1] > 2 * summation._HEAD
+        np.testing.assert_array_equal(short.sums, long_.sums[part])
+        np.testing.assert_array_equal(short.counts, long_.counts[part])
+
+
+def test_tail_refuses_non_finite_values():
+    # su2 power:-6.5: f = (l(l+2)/4)^6.5 and D f about l^15 / 8192
+    g, spec = Geometry.su2(), PowerOfEigenvalue(-6.5)
+    with np.errstate(over="ignore"):
+        # f is finite on the head (l < 2^20) and not at l = 2e24: the tail
+        # raises the fold's error
+        with pytest.raises(ConfigError, match="non-finite values on su2"):
+            partial_sums(g, spec, dyadic_grid(1e24))
+        # the terms stay finite (4e300 at l = 2e20), and their sum overflows
+        with pytest.raises(NumericError, match="not finite"):
+            partial_sums(g, spec, dyadic_grid(1e20))
+
+
+def test_csv_writes_a_count_past_float64(tmp_path):
+    series = PartialSumSeries(np.array([2.0, 4.0]), np.array([1.0, 2.0]),
+                              np.array([3.0, math.inf]), dim=1, picture="manifold")
+    path = tmp_path / "s.csv"
+    series.to_csv(str(path))
+    assert path.read_text().splitlines()[1:] == ["2,3,1", "4,inf,2"]
 
 
 def test_grid_extension_on_object_path(tmp_path):
