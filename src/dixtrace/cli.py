@@ -458,7 +458,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         ns = _parse(argv)
-        return _COMMANDS[ns["command"]](ns)
+        # every value a command keeps is checked finite, so numpy's overflow
+        # warnings would only print ahead of the one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[ns["command"]](ns)
     except (DixtraceError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -21,13 +21,15 @@ Built-in kinds:
              record per line; D is a multiple of d and k = d, so the
              block is held D/d times and a mask leaves it whole.
 
-enumerate_dual, counting_function and radial_shells read each kind's
-formulas from one place (_RankOne and _Torus1, the closed-form shells,
-and the row rules _Torus2 and _SU3 for the rank-two lattices).  Every
-lattice stream (torus:2 and su3 shells, su3 points, per-point tori) walks
-q = den * lambda in windows of about 2^14 labels by one row rule
-(_windows): rows sorted by their least q, which each window extends by the
-labels its q range admits.
+Every rule a kind decides lives on one kind object, Geometry.dual, built
+once per geometry by the kind table (_KINDS), which checks the dim and rank
+the kind can have: _RankOne for su2, so3, sphere:n and torus:1 (the circle:
+sphere:1 on its shells, lambda = l^2 and D = 2 but 1 at l = 0), the row
+rules _Torus2 and _SU3, _Torus for higher tori and _File for file spectra.
+No other module tells kinds apart.  Every lattice stream (torus:2 and su3
+shells, su3 points, the points of every torus) walks q = den * lambda in
+windows of about 2^14 labels by one row rule (_windows): rows sorted by
+their least q, which each window extends by the labels its q range admits.
 
 The weight of a point is w = (1+lambda)^(1/nu).  All cutoffs N act through
 the equivalent rule lambda <= N^nu - 1, so that boundary ties are included
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -49,8 +51,6 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, SizeError, SpectrumFormatError, count_text
-
-_BUILTIN_KINDS = ("torus", "su2", "so3", "su3", "sphere", "file")
 
 # Guard for paths that must materialize every dual point at once, and on
 # the cube count of the per-point tori, which stream theirs.
@@ -88,7 +88,9 @@ class Geometry:
     manifold dimension kappa entering every log-normalization; nu is the
     order of the positive operator whose eigenvalues index the dual (2 on
     every built-in kind, which refuses any other); rank is the torus rank
-    or sphere dimension.
+    or sphere dimension, which is their dim, and the groups do not read it.
+    dual is the kind object (_KINDS) that answers every rule the kind
+    decides; it takes no part in equality, hashing or repr.
     """
 
     kind: str
@@ -96,22 +98,22 @@ class Geometry:
     nu: float = 2.0
     rank: int = 1
     path: str | None = None
+    dual: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _BUILTIN_KINDS:
+        if self.kind not in _KINDS:
             raise ConfigError("unsupported geometry kind: %r" % (self.kind,))
+        object.__setattr__(self, "dual", _KINDS[self.kind](self))
         if self.dim < 1:
             raise ConfigError("geometry dim must be >= 1, got %r" % (self.dim,))
         if not 0 < self.nu < math.inf:
             raise ConfigError("laplacian order nu must be positive and finite, got %r"
                               % (self.nu,))
-        if self.kind != "file" and self.nu != 2:
+        if self.dual.den is not None and self.nu != 2:  # lattice_cap reads nu = 2
             raise ConfigError("laplacian order nu is 2 on %s, got %r" % (self.kind, self.nu))
 
     @staticmethod
     def torus(n: int) -> "Geometry":
-        if n < 1:
-            raise ConfigError("torus rank must be >= 1")
         return Geometry("torus", dim=n, rank=n)
 
     @staticmethod
@@ -128,8 +130,6 @@ class Geometry:
 
     @staticmethod
     def sphere(n: int) -> "Geometry":
-        if n < 2:
-            raise ConfigError("sphere dimension must be >= 2")
         return Geometry("sphere", dim=n, rank=n)
 
     @staticmethod
@@ -147,18 +147,18 @@ class Geometry:
         torus:1 and rank one, as past 2**53 q may round onto the next one's;
         inf where that value passes float64.
         """
-        if self.kind == "file":
+        if self.dual.den is None:  # a file spectrum
             _check_cutoff(weight_cutoff)
             try:
                 return float(weight_cutoff) ** self.nu - 1.0
             except OverflowError:  # past float64, so every row is admitted
                 return math.inf
         cap = self.lattice_cap(weight_cutoff)
-        r = _closed_form(self)
+        r = self.dual.tail
         try:
             if r is not None:
                 return r.eigenvalue(float(r.label_max(cap)))
-            return float(cap) / _den(self)
+            return float(cap) / self.dual.den
         except OverflowError:  # past float64, so every eigenvalue is admitted
             return math.inf
 
@@ -168,8 +168,10 @@ class Geometry:
         spheres, 4 on su2 and 9 on su3.  N is read as the exact rational
         value of its float64, in integers, and nu = 2."""
         _check_cutoff(weight_cutoff)
+        if self.dual.den is None:
+            raise ConfigError("a file spectrum has no exact eigenvalue lattice")
         p, r = float(weight_cutoff).as_integer_ratio()  # N^2 = p^2/r^2 in lowest terms
-        return _den(self) * (p * p - r * r) // (r * r)
+        return self.dual.den * (p * p - r * r) // (r * r)
 
     def describe(self) -> str:
         if self.kind in ("torus", "sphere"):
@@ -197,7 +199,7 @@ def parse_geometry(text: str, dim: int | None = None, nu: float | None = None) -
             raise ConfigError("file geometry needs a path: file:PATH")
         return Geometry.from_file(tail, dim=1 if dim is None else dim,
                                   nu=2.0 if nu is None else nu)
-    if head not in _BUILTIN_KINDS:
+    if head not in _KINDS:
         raise ConfigError("unsupported geometry kind: %r" % (text,))
     for flag, value in (("--dim", dim), ("--nu", nu)):
         if value is not None:
@@ -260,7 +262,9 @@ def _sphere_dims(n: int, l: np.ndarray, out: np.ndarray, scratch: np.ndarray) ->
     """sphere_harmonic_dim of a float64 array of labels, the same running
     product elementwise, computed into out, each factor formed in scratch
     (both as long as l): exact while (n-1) times the dimension stays below
-    2**53."""
+    2**53.  On the circle (n = 1) it is 2, but 1 at l = 0."""
+    if n == 1:  # the shell |k| = l holds k = l and k = -l
+        return np.add(np.minimum(l, 1.0, out=out), 1.0, out=out)
     out.fill(1.0)
     for j in range(1, n - 1):
         out *= np.add(l, j, out=scratch)
@@ -270,24 +274,37 @@ def _sphere_dims(n: int, l: np.ndarray, out: np.ndarray, scratch: np.ndarray) ->
     return out
 
 
+# ---------------------------------------------------------------------------
+# Kind objects: den (eigenvalues lie in (1/den)Z; None on file spectra),
+# picture (the series' tag), cheap_count (the oracle's refusal names a count
+# that is closed form or one column sum), tail (the closed-form label rule
+# of summation's tail, or None), and shells, batches and count, which
+# radial_shells, enumerate_dual and counting_function hand on to.
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class _RankOne:
     """A rank-one dual: labels l >= 0 with eigenvalue l(l+c)/den.
 
     sphere is the sphere dimension n, where d is the degree-l harmonic
     dimension and k = 1; on the groups (sphere = 0) d = (2l+c)/c and k = d.
+    The circle, torus:1, is sphere:1 on its shells, the label l standing
+    for k = l and k = -l, and the torus windows give its points.
     """
 
     c: int
     den: int
     sphere: int = 0
+    picture: str = "group"
+    cheap_count = True
+    tail = property(lambda self: self)  # its labels have closed forms
 
     def label_max(self, cap: int) -> int:
         # l(l+c) <= cap (Geometry.lattice_cap)  <=>  (2l+c)^2 <= 4 cap + c^2
         return (math.isqrt(4 * cap + self.c ** 2) - self.c) // 2
 
     def eigenvalue(self, l):
-        """lambda of label l, an int or a float (shells computes it in place)."""
+        """lambda of label l, an int or a float (fill computes it in place)."""
         return l * (l + self.c) / self.den
 
     def point(self, l: int):
@@ -298,7 +315,7 @@ class _RankOne:
             return lam, d, d
         return lam, sphere_harmonic_dim(self.sphere, l), 1
 
-    def shells(self, l: np.ndarray, lam: np.ndarray, dsum: np.ndarray) -> None:
+    def fill(self, l: np.ndarray, lam: np.ndarray, dsum: np.ndarray) -> None:
         """point's lambda and D = d*k for a float64 array of labels, the same
         floats, computed into lam and dsum (lam is scratch until its last
         step)."""
@@ -312,7 +329,7 @@ class _RankOne:
         lam *= l
         lam /= self.den
 
-    def count(self, big_l: int) -> int:
+    def count_to(self, big_l: int) -> int:
         """Sum of D = d*k over the labels l <= big_l."""
         n, c = self.sphere, self.c
         if n:  # the harmonic dimensions telescope
@@ -321,52 +338,26 @@ class _RankOne:
         return ((big_l + 1) * (2 * big_l * (2 * big_l + 1) + 6 * c * big_l + 3 * c * c)
                 // (3 * c * c))
 
+    def shells(self, geom: Geometry, weight_cutoff: float):
+        """_CHUNK shells a chunk, computed into the same arrays (_reused)."""
+        held = []
+        for l in _label_chunks(geom, self.label_max(geom.lattice_cap(weight_cutoff)) + 1):
+            lam, dsum = _reused(held, l.size, np.float64, np.float64)
+            self.fill(l, lam, dsum)
+            yield lam, dsum
 
-_GROUPS = {"su2": _RankOne(2, 4), "so3": _RankOne(1, 1)}  # su2: l = twice the weight
+    def batches(self, geom: Geometry, weight_cutoff: float):
+        if self.sphere == 1:  # the circle's points are those of Z
+            yield from _TORUS.batches(geom, weight_cutoff)
+            return
+        lmax = self.label_max(geom.lattice_cap(weight_cutoff))
+        for s in range(0, lmax + 1, _BATCH):
+            ls = range(s, min(s + _BATCH, lmax + 1))
+            lam, d, k = zip(*map(self.point, ls))
+            yield _points(geom, [(l,) for l in ls], d, [x * y for x, y in zip(d, k)], k, lam)
 
-
-def _rank_one(geom: Geometry) -> _RankOne:
-    return _GROUPS.get(geom.kind) or _RankOne(geom.rank - 1, 1, sphere=geom.rank)
-
-
-class _Torus1:
-    """torus:1 as shells: label m >= 0 is the shell |k| = m, with
-    eigenvalue m^2 and D = 2 (1 at m = 0); _RankOne's interface."""
-
-    @staticmethod
-    def label_max(cap: int) -> int:
-        return math.isqrt(cap)
-
-    @staticmethod
-    def eigenvalue(m):
-        return m * m
-
-    @staticmethod
-    def shells(m: np.ndarray, lam: np.ndarray, dsum: np.ndarray) -> None:
-        dsum.fill(2.0)
-        if m[0] == 0:
-            dsum[0] = 1.0
-        np.multiply(m, m, out=lam)
-
-    @staticmethod
-    def count(big_m: int) -> int:
-        return 2 * big_m + 1
-
-
-def _closed_form(geom: Geometry) -> "_RankOne | _Torus1 | None":
-    """The shell rule of a kind whose label m has lambda and D in closed
-    form, on integer and on float labels alike: torus:1 and the rank-one
-    kinds; None on lattices and file spectra."""
-    if geom.kind == "torus":
-        return _Torus1 if geom.rank == 1 else None
-    return None if geom.kind in ("su3", "file") else _rank_one(geom)
-
-
-def _den(geom: Geometry) -> int:
-    """den of a built-in kind, whose eigenvalues lie in (1/den)Z."""
-    if geom.kind == "file":
-        raise ConfigError("a file spectrum has no exact eigenvalue lattice")
-    return {"torus": 1, "su3": _SU3.den}.get(geom.kind) or _rank_one(geom).den
+    def count(self, geom: Geometry, weight_cutoff: float) -> int:
+        return self.count_to(self.label_max(geom.lattice_cap(weight_cutoff)))
 
 
 def _isqrt(x):
@@ -382,16 +373,47 @@ def _isqrt(x):
     return np.sqrt(x).astype(np.int64)
 
 
+class _Torus:
+    """torus:n: k in Z^n, lambda = |k|^2, d = D = k = 1, points from
+    _torus_windows (the circle's too); each a shell entry above rank two."""
+
+    den, picture, cheap_count, tail = 1, "manifold", False, None
+
+    def shells(self, geom: Geometry, weight_cutoff: float):
+        points = enumerate_dual(geom, weight_cutoff)
+        yield from _row_chunks(map(itemgetter(4, 2), points), 2)  # (lambda, D)
+
+    def batches(self, geom: Geometry, weight_cutoff: float):
+        windows = _torus_windows(geom.rank, geom.lattice_cap(weight_cutoff))
+        yield from _lattice_batches(geom, windows, lambda cols: (1, 1, 1))
+
+    def count(self, geom: Geometry, weight_cutoff: float) -> int:
+        return _count_torus(geom.rank, geom.lattice_cap(weight_cutoff))
+
+
 # Row rules of the rank-two lattices.  Labels (a, b) have a, b >= 0 and an
 # integer q(a, b) = den * lambda, strictly increasing in each.  b_max(a, q)
 # is the largest b with q(a, b) <= q, for rows with q(a, 0) <= q;
 # weight(a, b) is the float64 D of a label.  Every function takes ints or
 # int64 arrays.
 
-class _Torus2:
+class _Rows:
+    """The shells of a row rule: the occupied q of each window."""
+
+    cheap_count, tail = False, None
+
+    def shells(self, geom: Geometry, weight_cutoff: float):
+        for lo, a, b in _lattice_windows(self, geom.lattice_cap(weight_cutoff)):
+            hist = np.bincount(self.q(a, b) - lo, weights=self.weight(a, b))
+            q = np.flatnonzero(hist > 0)  # faster than testing floats for nonzero
+            if q.size:
+                yield (q + lo) / self.den, hist[q]
+
+
+class _Torus2(_Rows, _Torus):
     """torus:2: the label (a, b) = (|k1|, |k2|) stands for its sign choices."""
 
-    name, den = "torus:2", 1
+    name = "torus:2"
 
     @staticmethod
     def q(a, b):
@@ -406,10 +428,10 @@ class _Torus2:
         return (1.0 + (a > 0)) * (1.0 + (b > 0))
 
 
-class _SU3:
+class _SU3(_Rows):
     """su3: highest weights (a, b), d = (a+1)(b+1)(a+b+2)/2 and D = d^2."""
 
-    name, den = "su3", 9
+    name, den, picture = "su3", 9, "group"
 
     @staticmethod
     def q(a, b):
@@ -444,8 +466,79 @@ class _SU3:
         s4 = s2 * (3 * n * n + 3 * n - 1) // 5
         return m * m * (s4 + 2 * m * s3 + m * m * s2) // 4
 
+    def batches(self, geom: Geometry, weight_cutoff: float):
+        windows = (([a, b], self.q(a, b))
+                   for _, a, b in _lattice_windows(self, geom.lattice_cap(weight_cutoff)))
+        yield from _lattice_batches(geom, windows, self.blocks)
 
-_ROWS = {"torus:2": _Torus2, "su3": _SU3}
+    def count(self, geom: Geometry, weight_cutoff: float) -> int:
+        return sum(self.row_count(a, b_max)
+                   for a, b_max in _rows(self, geom.lattice_cap(weight_cutoff)))
+
+
+class _File:
+    """A file spectrum: SpectrumColumns read on each call, whose first rows
+    are those the float64 threshold admits (Geometry.lambda_threshold)."""
+
+    den, picture, cheap_count, tail = None, "manifold", True, None
+
+    @staticmethod
+    def _admitted(geom: Geometry, weight_cutoff: float) -> tuple["SpectrumColumns", int]:
+        if geom.path is None:
+            raise ConfigError("file geometry has no path")
+        spec = _read_spectrum(geom.path)
+        return spec, spec.admitted(geom.lambda_threshold(weight_cutoff))
+
+    def shells(self, geom: Geometry, weight_cutoff: float):  # slices of the sorted columns
+        spec, n = self._admitted(geom, weight_cutoff)
+        for a in range(0, n, _CHUNK):
+            b = min(a + _CHUNK, n)
+            yield spec.eigenvalue[a:b], spec.eigenspace_dim[a:b].astype(np.float64)
+
+    def batches(self, geom: Geometry, weight_cutoff: float):
+        spec, n = self._admitted(geom, weight_cutoff)
+        for s in range(0, n, _BATCH):
+            rows = slice(s, min(s + _BATCH, n))
+            d = spec.rep_dim[rows].tolist()
+            yield _points(geom, [(t,) for t in spec.labels(rows)], d,
+                          spec.eigenspace_dim[rows].tolist(), d, spec.eigenvalue[rows].tolist())
+
+    def count(self, geom: Geometry, weight_cutoff: float) -> int:
+        spec, n = self._admitted(geom, weight_cutoff)
+        return sum(spec.eigenspace_dim[:n].tolist())
+
+
+_CIRCLE = _RankOne(0, 1, sphere=1, picture="manifold")
+_TORUS, _TORUS2 = _Torus(), _Torus2()
+
+
+def _of_dim(dim: int, dual, geom: Geometry):
+    """dual, once geom has its kind's one dim."""
+    if geom.dim != dim:
+        raise ConfigError("%s has dim %d, got %r" % (geom.describe(), dim, geom.dim))
+    return dual
+
+
+def _torus(geom: Geometry):
+    if geom.rank < 1:
+        raise ConfigError("torus rank must be >= 1")
+    return _of_dim(geom.rank, {1: _CIRCLE, 2: _TORUS2}.get(geom.rank, _TORUS), geom)
+
+
+def _sphere(geom: Geometry) -> _RankOne:
+    if geom.rank < 2:
+        raise ConfigError("sphere dimension must be >= 2")
+    n = geom.rank
+    return _of_dim(n, _RankOne(n - 1, 1, sphere=n, picture="homogeneous"), geom)
+
+
+# The kind table, the one place a kind is told apart: each kind's entry
+# checks the dim and rank a geometry of it can have and gives its dual
+# object (Geometry.dual).  Tori and spheres have dim = rank; the groups
+# have one dim and do not read rank.  su2 labels l = twice the weight.
+_KINDS = {"torus": _torus, "sphere": _sphere, "file": lambda geom: _File(),
+          "su2": partial(_of_dim, 3, _RankOne(2, 4)), "so3": partial(_of_dim, 3, _RankOne(1, 1)),
+          "su3": partial(_of_dim, 8, _SU3())}
 
 
 def _rows(rule, cap: int) -> Iterator[tuple[int, int]]:
@@ -543,36 +636,14 @@ def enumerate_dual(geom: Geometry, weight_cutoff: float) -> Iterator[DualPoint]:
     label order is lexicographic (by label text on file spectra).  This is
     the canonical enumeration order all summation paths share.
     """
-    yield from chain.from_iterable(_point_batches(geom, weight_cutoff))
-
-
-def _point_batches(geom: Geometry, weight_cutoff: float) -> Iterator[list[DualPoint]]:
-    """enumerate_dual's points as lists of up to _BATCH points, each built
-    from flat columns by _points."""
-    if geom.kind == "torus":
-        windows = _torus_windows(geom.rank, geom.lattice_cap(weight_cutoff))
-        yield from _lattice_batches(geom, windows, lambda cols: (1, 1, 1))
-    elif geom.kind == "su3":
-        windows = (([a, b], _SU3.q(a, b))
-                   for _, a, b in _lattice_windows(_SU3, geom.lattice_cap(weight_cutoff)))
-        yield from _lattice_batches(geom, windows, _SU3.blocks)
-    elif geom.kind == "file":
-        spec = _load_spectrum(geom)
-        yield from _file_batches(geom, spec, spec.admitted(geom.lambda_threshold(weight_cutoff)))
-    else:  # rank one: su2, so3, sphere
-        r = _rank_one(geom)
-        lmax = r.label_max(geom.lattice_cap(weight_cutoff))
-        for s in range(0, lmax + 1, _BATCH):
-            ls = range(s, min(s + _BATCH, lmax + 1))
-            lam, d, k = zip(*map(r.point, ls))
-            yield _points(geom, [(l,) for l in ls], d, [x * y for x, y in zip(d, k)], k, lam)
+    yield from chain.from_iterable(geom.dual.batches(geom, weight_cutoff))
 
 
 def _lattice_batches(geom: Geometry, windows, blocks) -> Iterator[list[DualPoint]]:
     """The DualPoints of a lattice stream, _BATCH at a time: windows yields
     (cols, q), the int64 label columns and q = den * lambda of a window,
     which is sorted by (q, label); blocks(cols) gives a batch's (d, D, k)."""
-    den = _den(geom)
+    den = geom.dual.den
     for cols, q in windows:
         order = np.lexsort(cols[::-1] + [q])
         for s in range(0, order.size, _BATCH):
@@ -582,15 +653,6 @@ def _lattice_batches(geom: Geometry, windows, blocks) -> Iterator[list[DualPoint
                           (q[rows] / den).tolist())
 
 
-def _file_batches(geom: Geometry, spec: "SpectrumColumns", n: int) -> Iterator[list[DualPoint]]:
-    """The DualPoints of a spectrum's first n rows, a batch at a time."""
-    for s in range(0, n, _BATCH):
-        rows = slice(s, min(s + _BATCH, n))
-        d = spec.rep_dim[rows].tolist()
-        yield _points(geom, [(t,) for t in spec.labels(rows)], d,
-                      spec.eigenspace_dim[rows].tolist(), d, spec.eigenvalue[rows].tolist())
-
-
 def counting_function(geom: Geometry, weight_cutoff: float) -> int:
     """Number of eigenvalues (with multiplicity D) of weight <= cutoff.
 
@@ -598,17 +660,7 @@ def counting_function(geom: Geometry, weight_cutoff: float) -> int:
     enumerate_dual at the same cutoff.  Built-in kinds read the cutoff
     exactly (lattice_cap), file spectra through their float64 threshold.
     """
-    if geom.kind == "file":
-        spec = _load_spectrum(geom)
-        n = spec.admitted(geom.lambda_threshold(weight_cutoff))
-        return sum(spec.eigenspace_dim[:n].tolist())
-    cap = geom.lattice_cap(weight_cutoff)
-    if geom.kind == "torus":
-        return _count_torus(geom.rank, cap)
-    if geom.kind == "su3":
-        return sum(_SU3.row_count(a, b_max) for a, b_max in _rows(_SU3, cap))
-    r = _rank_one(geom)
-    return r.count(r.label_max(cap))
+    return geom.dual.count(geom, weight_cutoff)
 
 
 def _count_torus(n: int, cap: int) -> int:
@@ -626,12 +678,13 @@ def _count_torus(n: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # Radial shell streams: (lambda ascending, summed D per shell) in float64.
 # This is the bulk interface the summation engine consumes for scalar radial
-# symbols.  torus:1 and the rank-one kinds (_closed_form) hand out _CHUNK
-# shells per chunk from the first one on, up to _MAX_STREAMED_LABELS labels,
-# each chunk computed into the same arrays (_reused); torus:2 and su3
-# the occupied shells of one window of about _CHUNK labels (a, b) per chunk
-# (_windows); higher tori _CHUNK enumerated points per chunk and file
-# spectra _CHUNK rows of their sorted columns, one entry per point, so an
+# symbols, each kind's shells method.  The closed-form kinds (_RankOne:
+# torus:1 and rank one) hand out _CHUNK shells per chunk from the first one
+# on, up to _MAX_STREAMED_LABELS labels, each chunk computed into the same
+# arrays (_reused); torus:2 and su3 (_Rows) the occupied shells of one
+# window of about _CHUNK labels (a, b) per chunk (_windows); higher tori
+# _CHUNK enumerated points per chunk and file spectra _CHUNK rows of their
+# sorted columns, one entry per point, so an
 # eigenvalue repeats and may straddle two chunks (the fold reads ties
 # whole).  Chunk boundaries are fixed functions of the geometry, so
 # repeated runs and longer cutoffs reproduce sums bit-for-bit.
@@ -648,29 +701,7 @@ def radial_shells(geom: Geometry, weight_cutoff: float):
     drawn: the stream may compute the next chunk into the same arrays, so a
     caller that keeps chunks copies them.
     """
-    rows = _ROWS.get(geom.describe())
-    rule = _closed_form(geom)
-    if rule is not None:  # torus:1 and rank one: su2, so3, sphere
-        held = []
-        for l in _label_chunks(geom, rule.label_max(geom.lattice_cap(weight_cutoff)) + 1):
-            lam, dsum = _reused(held, l.size, np.float64, np.float64)
-            rule.shells(l, lam, dsum)
-            yield lam, dsum
-    elif rows is not None:  # the occupied shells of each window
-        for lo, a, b in _lattice_windows(rows, geom.lattice_cap(weight_cutoff)):
-            hist = np.bincount(rows.q(a, b) - lo, weights=rows.weight(a, b))
-            q = np.flatnonzero(hist > 0)  # faster than testing floats for nonzero
-            if q.size:
-                yield (q + lo) / rows.den, hist[q]
-    elif geom.kind == "file":  # slices of the sorted columns
-        spec = _load_spectrum(geom)
-        n = spec.admitted(geom.lambda_threshold(weight_cutoff))
-        for a in range(0, n, _CHUNK):
-            b = min(a + _CHUNK, n)
-            yield spec.eigenvalue[a:b], spec.eigenspace_dim[a:b].astype(np.float64)
-    else:  # tori of rank >= 3: the enumerated points
-        points = enumerate_dual(geom, weight_cutoff)
-        yield from _row_chunks(map(itemgetter(4, 2), points), 2)  # (lambda, D)
+    yield from geom.dual.shells(geom, weight_cutoff)
 
 
 def _label_chunks(geom: Geometry, n: int) -> Iterator[np.ndarray]:
@@ -736,12 +767,6 @@ class SpectrumColumns:
         t = self.text
         return [t[a:b].decode() for a, b in zip(self.offset[j].tolist(),
                                                 self.offset[j + 1].tolist())]
-
-
-def _load_spectrum(geom: Geometry) -> SpectrumColumns:
-    if geom.path is None:
-        raise ConfigError("file geometry has no path")
-    return _read_spectrum(geom.path)
 
 
 def _records(path: str, what: str) -> Iterator[tuple[int, str, list[str]]]:

@@ -54,8 +54,7 @@ def truncate_operator(geom: Geometry, spec: SymbolSpec, cutoff: float,
         points.append(p)
         total += p.eigenspace_dim
         if total > cap:
-            # closed form or one column sum but on su3 and higher tori
-            exact = geom.kind != "su3" and not (geom.kind == "torus" and geom.rank > 1)
+            exact = geom.dual.cheap_count  # closed form or one column sum
             n = count_text(counting_function(geom, cutoff) if exact else total)
             raise SizeError("truncation at cutoff %g holds %s%s weighted dimensions, more "
                             "than the cap of %d; pass cap >= %s%s or lower the cutoff"

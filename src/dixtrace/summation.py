@@ -63,8 +63,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, FitError, NumericError, SpectrumFormatError, count_text
-from .geometry import _CHUNK, Geometry, _closed_form, _reused, _row_chunks, enumerate_dual, \
-    label_text, radial_shells
+from .geometry import _CHUNK, Geometry, _reused, _row_chunks, enumerate_dual, label_text, \
+    radial_shells
 from .symbol import RadialWeight, SymbolSpec, _leaf_signs, eval_symbol, is_radial_scalar, \
     nuclear_trace_abs, scalar_values
 
@@ -336,24 +336,24 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialS
     (DualPoint), and the series carries geom.dim and its kind's picture
     tag, which changes no number.
 
-    On torus:1 and the rank-one kinds (geometry._closed_form), a radial
-    scalar whose nonzero leaves share one sign folds its first _HEAD
-    labels, and a cutoff of label M >= _HEAD adds the Euler-Maclaurin tail
-    over labels _HEAD .. M to that head, with the exact count of the labels
-    up to M.  A count or an eigenvalue past float64 is refused first.
-    Terms that grow faster than m^_MAX_GROWTH at the last label are folded.
+    On torus:1 and the rank-one kinds (geom.dual.tail), a radial scalar
+    whose nonzero leaves share one sign folds its first _HEAD labels, and
+    a cutoff of label M >= _HEAD adds the Euler-Maclaurin tail over labels
+    _HEAD .. M to that head, with the exact count of the labels up to M.
+    A count or an eigenvalue past float64 is refused first.  Terms that
+    grow faster than m^_MAX_GROWTH at the last label are folded.
     """
     grid = check_grid(grid)
     n_max = float(grid[-1])
     rule = None
     if is_radial_scalar(spec) and len(_leaf_signs(spec)) <= 1:
-        rule = _closed_form(geom)
+        rule = geom.dual.tail
     labels = [rule.label_max(geom.lattice_cap(float(n))) for n in grid] if rule else []
     tail = next((k for k, m in enumerate(labels) if m >= _HEAD), len(labels))
 
     def g(x):
         lam, dsum = np.empty_like(x), np.empty_like(x)
-        rule.shells(x, lam, dsum)
+        rule.fill(x, lam, dsum)
         return _radial_terms(geom, spec, lam, dsum)
     if tail < len(labels):
         _check_reach(geom, rule, n_max, labels[-1])
@@ -370,11 +370,9 @@ def partial_sums(geom: Geometry, spec: SymbolSpec, grid: np.ndarray) -> PartialS
     if tail < len(labels):
         head = float(sums[tail])  # the end of the head's stream
         sums[tail:] = [head + t for t in _tail_sums(g, _HEAD, labels[tail:])]
-        counts[tail:] = [float(rule.count(m)) for m in labels[tail:]]
+        counts[tail:] = [float(rule.count_to(m)) for m in labels[tail:]]
         _check_overflow(sums, grid)
-    picture = {"sphere": "homogeneous", "torus": "manifold",
-               "file": "manifold"}.get(geom.kind, "group")
-    return PartialSumSeries(grid.copy(), sums, counts, geom.dim, picture)
+    return PartialSumSeries(grid.copy(), sums, counts, geom.dim, geom.dual.picture)
 
 
 def _steep(g, m: int) -> bool:
@@ -388,7 +386,7 @@ def _steep(g, m: int) -> bool:
 def _check_reach(geom: Geometry, rule, cutoff: float, m: int) -> None:
     """NumericError, before any work, where the count of the labels up to m
     or the largest eigenvalue the tail reads passes float64."""
-    count = rule.count(m)
+    count = rule.count_to(m)
     try:
         float(count)
     except OverflowError:

@@ -313,12 +313,13 @@ def test_oversized_block_exits_one(tmp_path, capsys):
 
 
 def test_non_finite_streamed_mask_exits_one(capsys):
-    # the streamed mask path keeps the non-finite check of the block path
-    with np.errstate(over="ignore"):
-        code = run("trace", "--geometry", "su2", "--symbol", "mask:radial:-10000",
-                   "--nmax", "20")
+    # the streamed mask path keeps the non-finite check of the block path,
+    # and numpy's overflow warning stays off stderr
+    code = run("trace", "--geometry", "su2", "--symbol", "mask:radial:-10000", "--nmax", "20")
     assert code == 1
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite" in err
 
 
 def _trace_json(tmp_path, capsys, symbol, nmax):
@@ -361,17 +362,18 @@ def test_fit_residual_of_a_huge_series_is_finite(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("trace", "--geometry", "su2", "--symbol", "scaled:1e308:radial:3"),
-    ("residue", "--geometry", "torus:1", "--symbol", "radial:1", "--a-integral", "1e308")])
+    ("residue", "--geometry", "torus:1", "--symbol", "radial:1", "--a-integral", "1e308"),
+    ("trace", "--geometry", "su2", "--symbol", "radial:-300")])
 def test_overflow_exits_one_and_writes_nothing_non_finite(tmp_path, capsys, argv):
-    # the su2 sums overflow float64, and so does the residue's product
+    # the su2 sums overflow float64, and so does the residue's product;
+    # radial:-300 overflows in the symbol's own values.  numpy's warnings
+    # stay off stderr, which holds the one error line
     out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
-    with np.errstate(over="ignore"):
-        code = run(*argv, "--nmax", "100", "--out-json", str(out_json),
-                   "--out-csv", str(out_csv))
+    code = run(*argv, "--nmax", "100", "--out-json", str(out_json), "--out-csv", str(out_csv))
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert "not finite" in captured.err
+    assert ("non-finite values" if "radial:-300" in argv else "not finite") in captured.err
     for text in (captured.out,) + tuple(p.read_text() for p in (out_json, out_csv)
                                         if p.exists()):
         assert "nan" not in text.lower() and "inf" not in text.lower()

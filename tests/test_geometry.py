@@ -173,6 +173,19 @@ def test_sphere_harmonic_dim_matches_binomials():
         np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
 
 
+@pytest.mark.parametrize("kind, dim, rank, message", [
+    ("torus", 3, 1, "torus:1 has dim 1, got 3"), ("torus", 2, 3, "torus:3 has dim 3, got 2"),
+    ("torus", 1, 0, "torus rank must be >= 1"), ("sphere", 3, 1, "sphere dimension must be >= 2"),
+    ("sphere", 4, 3, "sphere:3 has dim 3, got 4"), ("su2", 8, 1, "su2 has dim 3, got 8"),
+    ("so3", 2, 3, "so3 has dim 3, got 2"), ("su3", 3, 1, "su3 has dim 8, got 3")])
+def test_geometry_refuses_a_dim_or_rank_its_kind_cannot_have(kind, dim, rank, message):
+    # torus with dim 3 was torus:1 normalized by kappa = 3, and sphere with
+    # dim 3 was sphere:1, whose shells divided by zero; tori and spheres
+    # have dim = rank, and the groups one dim whatever their rank
+    with pytest.raises(ConfigError, match=message):
+        Geometry(kind, dim=dim, rank=rank)
+
+
 @pytest.mark.parametrize("kind, dim", [("torus", 1), ("torus", 3), ("su2", 3), ("so3", 3),
                                        ("su3", 8), ("sphere", 4)])
 def test_built_in_kinds_have_nu_two(tmp_path, kind, dim):

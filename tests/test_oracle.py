@@ -57,16 +57,27 @@ def test_truncation_cap_reports_requirement(monkeypatch):
                           cap=2869)
 
 
-def test_cap_refusal_names_the_exact_count_where_counting_is_cheap(monkeypatch):
+def test_cap_refusal_names_the_exact_count_where_counting_is_cheap(tmp_path, monkeypatch):
     # the running total passes 2000 at 2109 on sphere:3, but the cap needed
-    # is the whole count, 2870; su3 and torus:2 name their running total
+    # is the whole count, 2870; the circle, the rank-one groups and file
+    # spectra name their whole count too, su3 and the higher tori their
+    # running total
     monkeypatch.setattr("dixtrace.oracle.eval_symbol", _no_blocks)
     f = parse_symbol("radial:3")
     with pytest.raises(SizeError) as err:
         truncate_operator(parse_geometry("sphere:3"), f, 20.0, cap=2000)
     assert "holds 2870 weighted dimensions" in str(err.value)
     assert "pass cap >= 2870 or" in str(err.value)
-    for name, cutoff in (("su3", 3.0), ("torus:2", 40.0)):
+    path = tmp_path / "spec.txt"
+    path.write_text("".join("%d 1 1 %d\n" % (k, k * k) for k in range(-50, 51)))
+    for name, cutoff in (("torus:1", 40.0), ("su2", 10.0), ("so3", 20.0),
+                         ("file:%s" % path, 40.0)):
+        g = parse_geometry(name)
+        n = counting_function(g, cutoff)
+        with pytest.raises(SizeError, match=r"holds %d weighted dimensions, more than the cap "
+                                            r"of %d; pass cap >= %d or" % (n, n // 2, n)):
+            truncate_operator(g, f, cutoff, cap=n // 2)
+    for name, cutoff in (("su3", 3.0), ("torus:2", 40.0), ("torus:3", 8.0)):
         g = parse_geometry(name)
         with pytest.raises(SizeError, match=r"at least \d+ weighted .* \(a lower bound\)"):
             truncate_operator(g, f, cutoff, cap=counting_function(g, cutoff) // 2)

@@ -1,6 +1,7 @@
 """The package's import surface and the command line's process setup, each
 checked in a fresh interpreter, since both act at import time."""
 
+import ast
 import json
 import os
 import re
@@ -85,6 +86,27 @@ def test_every_exported_function_has_a_caller_outside_the_unit_tests():
                  and not isinstance(getattr(dixtrace, n), type)]
     assert functions
     assert [n for n in functions if not re.search(r"\b%s\b" % n, text)] == []
+
+
+def test_only_the_kind_table_tells_kinds_apart():
+    # every rule a kind decides is on its object, geom.dual: no module but
+    # geometry.py reads .kind, and there only Geometry's describe and
+    # __post_init__ (its messages), parse_geometry and the kind table do
+    allowed = {"geometry.py:" + s for s in ("Geometry.describe", "Geometry.__post_init__",
+                                             "parse_geometry", "_KINDS")}
+    reads = set()
+    for path in sorted((ROOT / "src" / "dixtrace").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                scopes = [("%s.%s" % (node.name, getattr(n, "name", "")), n) for n in node.body]
+            else:
+                names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+                scopes = [(getattr(node, "name", None) or ",".join(names), node)]
+            reads |= {"%s:%s" % (path.name, scope) for scope, n in scopes
+                      if any(isinstance(a, ast.Attribute) and a.attr == "kind"
+                             for a in ast.walk(n))}
+    assert "geometry.py:Geometry.describe" in reads
+    assert sorted(reads - allowed) == []
 
 
 def test_unknown_attribute_raises_attribute_error():

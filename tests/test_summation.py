@@ -101,7 +101,9 @@ def test_default_pictures(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text("a 1 1 0.0\nb 3 3 2.0\n")
     grid = np.array([4.0])
-    for geom, picture in ((Geometry.torus(2), "manifold"), (Geometry.su2(), "group"),
+    for geom, picture in ((Geometry.torus(1), "manifold"), (Geometry.torus(2), "manifold"),
+                          (Geometry.torus(3), "manifold"), (Geometry.su2(), "group"),
+                          (Geometry.so3(), "group"), (Geometry.su3(), "group"),
                           (Geometry.sphere(3), "homogeneous"),
                           (Geometry.from_file(str(path)), "manifold")):
         assert partial_sums(geom, RadialWeight(1.0), grid).picture == picture
@@ -192,7 +194,7 @@ def test_grid_extension_across_lattice_windows(name, symbol):
     # for bit on a grid about 7 windows long.  Windows placed relative to
     # the cap would shift between the two.
     g = parse_geometry(name)
-    rule = geometry._ROWS[name]
+    rule = g.dual
     long_end = math.sqrt(1 + 10 * _CHUNK / rule.den)
     windows = [(lo, set(rule.q(a, b).tolist()))
                for lo, a, b in geometry._lattice_windows(rule, g.lattice_cap(long_end))]
@@ -453,14 +455,14 @@ def test_tail_sums_match_mpmath_at_1e12(name, symbol, reference):
     g = parse_geometry(name)
     grid = dyadic_grid(1e12, 4)
     series = partial_sums(g, parse_symbol(symbol), grid)
-    rule = geometry._closed_form(g)
+    rule = g.dual.tail
     labels = [rule.label_max(g.lattice_cap(n)) for n in grid]
     first = next(k for k, m in enumerate(labels) if m >= summation._HEAD)
     for k in (first - 1, first, len(grid) - 1):  # the last fold, the first tail, 1e12
         with mpmath.workdps(30):
             ref = reference(mpmath)(labels[k])
             assert abs(series.sums[k] - ref) <= 1e-14 * ref
-        assert series.counts[k] == float(rule.count(labels[k]))
+        assert series.counts[k] == float(rule.count_to(labels[k]))
 
 
 @pytest.mark.parametrize("name, symbol", [("torus:1", "modulus:0.5"), ("su2", "bessel:3:2"),
